@@ -62,7 +62,7 @@ void BM_IncrementalDelta(benchmark::State& state) {
   const auto inst = instance(static_cast<std::size_t>(state.range(0)));
   const auto form = core::to_inequality_qubo(inst);
   util::Rng rng(2);
-  qubo::IncrementalEvaluator eval(form.q, rng.random_bits(inst.n));
+  qubo::IncrementalEvaluator eval(form.q.freeze(), rng.random_bits(inst.n));
   std::size_t k = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(eval.delta(k));
@@ -75,7 +75,7 @@ void BM_IncrementalFlip(benchmark::State& state) {
   const auto inst = instance(static_cast<std::size_t>(state.range(0)));
   const auto form = core::to_inequality_qubo(inst);
   util::Rng rng(3);
-  qubo::IncrementalEvaluator eval(form.q, rng.random_bits(inst.n));
+  qubo::IncrementalEvaluator eval(form.q.freeze(), rng.random_bits(inst.n));
   std::size_t k = 0;
   for (auto _ : state) {
     eval.flip(k);
@@ -90,7 +90,7 @@ void BM_DenseFlip(benchmark::State& state) {
   const auto inst = sparse_instance(static_cast<std::size_t>(state.range(0)));
   const auto form = core::to_inequality_qubo(inst);
   util::Rng rng(3);
-  qubo::IncrementalEvaluator eval(form.q, rng.random_bits(inst.n),
+  qubo::IncrementalEvaluator eval(form.q.freeze(), rng.random_bits(inst.n),
                                   qubo::Kernel::kDense);
   std::size_t k = 0;
   for (auto _ : state) {
@@ -107,7 +107,7 @@ void BM_SparseFlip(benchmark::State& state) {
   const auto inst = sparse_instance(static_cast<std::size_t>(state.range(0)));
   const auto form = core::to_inequality_qubo(inst);
   util::Rng rng(3);
-  qubo::IncrementalEvaluator eval(form.q, rng.random_bits(inst.n),
+  qubo::IncrementalEvaluator eval(form.q.freeze(), rng.random_bits(inst.n),
                                   qubo::Kernel::kSparse);
   std::size_t k = 0;
   for (auto _ : state) {
@@ -124,7 +124,7 @@ void BM_SparseFlipMaxCut(benchmark::State& state) {
   const auto g = cop::generate_maxcut(n, 0.05, 9);
   const auto form = cop::to_constrained_form(g);
   util::Rng rng(4);
-  qubo::IncrementalEvaluator eval(form.q, rng.random_bits(n),
+  qubo::IncrementalEvaluator eval(form.q.freeze(), rng.random_bits(n),
                                   qubo::Kernel::kSparse);
   std::size_t k = 0;
   for (auto _ : state) {
@@ -196,7 +196,7 @@ void BM_WordFlip(benchmark::State& state) {
   const auto inst = instance(static_cast<std::size_t>(state.range(0)));
   const auto form = core::to_inequality_qubo(inst);
   util::Rng rng(3);
-  qubo::IncrementalEvaluator eval(form.q, rng.random_bits(inst.n),
+  qubo::IncrementalEvaluator eval(form.q.freeze(), rng.random_bits(inst.n),
                                   qubo::Kernel::kDense);
   std::size_t k = 0;
   for (auto _ : state) {
@@ -218,12 +218,13 @@ void BM_PerReplicaTrial(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto inst = instance(n);
   const auto form = core::to_inequality_qubo(inst);
-  std::vector<qubo::QuboMatrix> matrices(kBatchReplicas, form.q);
   util::Rng rng(12);
   std::vector<qubo::IncrementalEvaluator> evals;
   evals.reserve(kBatchReplicas);
-  for (auto& m : matrices) {
-    evals.emplace_back(m, rng.random_bits(n), qubo::Kernel::kDense);
+  for (std::size_t r = 0; r < kBatchReplicas; ++r) {
+    // A private frozen copy per replica: its own matrix and mirror.
+    evals.emplace_back(form.q.freeze(), rng.random_bits(n),
+                       qubo::Kernel::kDense);
   }
   std::size_t k = 0;
   for (auto _ : state) {
@@ -237,13 +238,14 @@ void BM_PerReplicaTrial(benchmark::State& state) {
 BENCHMARK(BM_PerReplicaTrial)->Arg(800)->Arg(1600);
 
 void BM_BatchedReplicaTrial(benchmark::State& state) {
-  // The SoA batch: R replica views over ONE shared DenseRows snapshot
+  // The SoA batch: R replica views over ONE shared DenseRows mirror
   // (contiguous R×n field block), so the same staggered commits stream a
   // single n²-sized working set instead of R of them.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto inst = instance(n);
   const auto form = core::to_inequality_qubo(inst);
-  anneal::QuboReplicaBatch batch(form.q, kBatchReplicas, qubo::Kernel::kDense);
+  anneal::QuboReplicaBatch batch(form.q.freeze(), kBatchReplicas,
+                                 qubo::Kernel::kDense);
   util::Rng rng(12);
   for (std::size_t r = 0; r < kBatchReplicas; ++r) {
     batch.problem(r).reset(rng.random_bits(n));
@@ -399,7 +401,7 @@ void BM_CircuitVmvEnergy(benchmark::State& state) {
   cim::VmvEngineParams params;
   params.mode = cim::VmvMode::kCircuit;
   params.fab_seed = 6;
-  cim::VmvEngine engine(params, form.q);
+  cim::VmvEngine engine(params, form.q.freeze());
   util::Rng rng(5);
   const auto x = rng.random_bits(inst.n, 0.4);
   for (auto _ : state) {
@@ -417,7 +419,7 @@ void BM_CircuitTrialDelta(benchmark::State& state) {
   cim::VmvEngineParams params;
   params.mode = cim::VmvMode::kCircuit;
   params.fab_seed = 6;
-  cim::VmvEngine engine(params, form.q);
+  cim::VmvEngine engine(params, form.q.freeze());
   util::Rng rng(5);
   engine.bind(rng.random_bits(inst.n, 0.4));
   std::size_t k = 0;
@@ -441,7 +443,7 @@ void BM_CircuitTrialDeltaByKernel(benchmark::State& state) {
   params.fab_seed = 6;
   params.kernel =
       state.range(1) ? qubo::Kernel::kSparse : qubo::Kernel::kDense;
-  cim::VmvEngine engine(params, form.q);
+  cim::VmvEngine engine(params, form.q.freeze());
   util::Rng rng(5);
   engine.bind(rng.random_bits(inst.n, 0.4));
   std::size_t k = 0;
@@ -630,7 +632,7 @@ void report_flip_ratio() {
   util::Rng rng(11);
   const auto x0 = rng.random_bits(kN);
   const auto time_kernel = [&](qubo::Kernel kernel) {
-    qubo::IncrementalEvaluator eval(form.q, x0, kernel);
+    qubo::IncrementalEvaluator eval(form.q.freeze(), x0, kernel);
     const auto start = std::chrono::steady_clock::now();
     std::size_t k = 0;
     for (std::size_t i = 0; i < kFlips; ++i) {
@@ -673,7 +675,7 @@ void report_word_flip_ratio() {
   }
   const auto mid = std::chrono::steady_clock::now();
   {
-    qubo::IncrementalEvaluator eval(form.q, x0, qubo::Kernel::kDense);
+    qubo::IncrementalEvaluator eval(form.q.freeze(), x0, qubo::Kernel::kDense);
     std::size_t k = 0;
     for (std::size_t i = 0; i < kFlips; ++i) {
       eval.flip(k);
@@ -707,11 +709,10 @@ void report_batched_replica_ratio() {
   }
   const auto start_split = std::chrono::steady_clock::now();
   {
-    std::vector<qubo::QuboMatrix> matrices(kBatchReplicas, form.q);
     std::vector<qubo::IncrementalEvaluator> evals;
     evals.reserve(kBatchReplicas);
     for (std::size_t r = 0; r < kBatchReplicas; ++r) {
-      evals.emplace_back(matrices[r], x0[r], qubo::Kernel::kDense);
+      evals.emplace_back(form.q.freeze(), x0[r], qubo::Kernel::kDense);
     }
     for (std::size_t i = 0; i < kSweeps; ++i) {
       for (std::size_t r = 0; r < kBatchReplicas; ++r) {
@@ -722,7 +723,7 @@ void report_batched_replica_ratio() {
   }
   const auto mid = std::chrono::steady_clock::now();
   {
-    anneal::QuboReplicaBatch batch(form.q, kBatchReplicas,
+    anneal::QuboReplicaBatch batch(form.q.freeze(), kBatchReplicas,
                                    qubo::Kernel::kDense);
     for (std::size_t r = 0; r < kBatchReplicas; ++r) {
       batch.problem(r).reset(x0[r]);
@@ -806,7 +807,7 @@ void report_migration_barrier_ratio() {
   const auto inst = instance(kN);
   const auto form = core::to_inequality_qubo(inst);
   util::Rng rng(14);
-  qubo::IncrementalEvaluator eval(form.q, rng.random_bits(kN),
+  qubo::IncrementalEvaluator eval(form.q.freeze(), rng.random_bits(kN),
                                   qubo::Kernel::kDense);
   const auto start_walk = std::chrono::steady_clock::now();
   {

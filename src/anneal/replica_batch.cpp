@@ -1,15 +1,16 @@
 #include "anneal/replica_batch.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace hycim::anneal {
 
-QuboReplicaBatch::QuboReplicaBatch(const qubo::QuboMatrix& q,
+QuboReplicaBatch::QuboReplicaBatch(qubo::FrozenQuboPtr q,
                                    std::size_t replicas, qubo::Kernel kernel)
-    : q_(&q),
+    : q_(std::move(q)),
       kernel_(qubo::resolve_kernel(
-          kernel, kernel == qubo::Kernel::kAuto ? q.density() : 0.0)),
-      n_(q.size()),
+          kernel, kernel == qubo::Kernel::kAuto ? q_->density() : 0.0)),
+      n_(q_->size()),
       phi_(replicas * n_, 0.0),
       energy_(replicas, 0.0),
       x_(replicas, qubo::BitVector(n_, 0)),
@@ -18,9 +19,9 @@ QuboReplicaBatch::QuboReplicaBatch(const qubo::QuboMatrix& q,
     throw std::invalid_argument("QuboReplicaBatch: zero replicas");
   }
   if (kernel_ == qubo::Kernel::kSparse) {
-    index_ = q.neighbor_index_ptr();
+    index_ = &q_->neighbor_index();
   } else {
-    rows_ = q.dense_rows_ptr();
+    rows_ = &q_->dense_rows();
   }
   views_.reserve(replicas);
   for (std::size_t r = 0; r < replicas; ++r) views_.emplace_back(this, r);
@@ -39,32 +40,7 @@ double QuboReplicaBatch::reset(std::size_t r, const qubo::BitVector& x) {
   }
   x_[r].assign(x.begin(), x.end());
   words_[r].assign(x_[r]);
-  double* fields = phi(r);
-  // Bit-for-bit the IncrementalEvaluator rebuild (energy.cpp): same terms,
-  // same ascending order, per kernel.
-  if (kernel_ == qubo::Kernel::kSparse) {
-    for (std::size_t k = 0; k < n_; ++k) {
-      double s = index_->diagonal(k);
-      for (const auto& link : index_->neighbors(k)) {
-        if (x_[r][link.index]) s += link.value;
-      }
-      fields[k] = s;
-    }
-    double e = q_->offset();
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (!x_[r][i]) continue;
-      e += index_->diagonal(i);
-      for (const auto& link : index_->neighbors(i)) {
-        if (link.index > i && x_[r][link.index]) e += link.value;
-      }
-    }
-    energy_[r] = e;
-    return e;
-  }
-  for (std::size_t k = 0; k < n_; ++k) {
-    fields[k] = qubo::kernels::dense_field(*rows_, words_[r], k);
-  }
-  energy_[r] = q_->energy(x_[r]);
+  energy_[r] = qubo::kernels::rebuild(*q_, kernel_, words_[r], phi(r));
   return energy_[r];
 }
 
@@ -78,7 +54,7 @@ double QuboReplicaBatch::trial_delta(std::size_t r, const Move& m) const {
   const std::size_t j = m.bits[1];
   const double si = x_[r][i] ? -1.0 : 1.0;
   const double sj = x_[r][j] ? -1.0 : 1.0;
-  const double q_ij = rows_ ? rows_->row(i)[j] : q_->at(i, j);
+  const double q_ij = rows_ ? rows_->row(i)[j] : q_->matrix().at(i, j);
   return delta(r, i) + delta(r, j) + si * sj * q_ij;
 }
 

@@ -7,7 +7,7 @@
 // independently, even though every replica walks the *same* matrix.
 //
 // QuboReplicaBatch keeps the replica ensemble as structure-of-arrays over
-// one shared matrix snapshot: one contiguous R×n local-field block, one
+// one shared frozen matrix: one contiguous R×n local-field block, one
 // word-packed state block, one energy array — so the R replicas' trials at
 // a tempering rung all stream the same DenseRows mirror (one working set,
 // R cheap per-replica slices).  This is the CPU shape of the batched
@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "anneal/sa_engine.hpp"
@@ -41,12 +40,11 @@ namespace hycim::anneal {
 /// R pure-QUBO replicas over one shared matrix, stored SoA.
 class QuboReplicaBatch {
  public:
-  /// Binds `replicas` replica slots to `q` (held by reference; must
-  /// outlive the batch).  `kernel` resolves like IncrementalEvaluator's:
-  /// kAuto measures q.density(); the resolved kernel is shared by every
-  /// replica, as is the matrix snapshot it walks (DenseRows mirror or
-  /// NeighborIndex).
-  QuboReplicaBatch(const qubo::QuboMatrix& q, std::size_t replicas,
+  /// Binds `replicas` replica slots to the shared matrix `q`.  `kernel`
+  /// resolves like IncrementalEvaluator's: kAuto measures q->density();
+  /// the resolved kernel is shared by every replica, as is the structure
+  /// it walks (q's DenseRows mirror or NeighborIndex).
+  QuboReplicaBatch(qubo::FrozenQuboPtr q, std::size_t replicas,
                    qubo::Kernel kernel = qubo::Kernel::kAuto);
 
   /// Number of replica slots.
@@ -94,12 +92,12 @@ class QuboReplicaBatch {
   void commit(std::size_t r, const Move& m);
   void flip(std::size_t r, std::size_t k);
 
-  const qubo::QuboMatrix* q_;
+  qubo::FrozenQuboPtr q_;
   qubo::Kernel kernel_;
   std::size_t n_;
-  /// Shared matrix snapshots (one of the two, by kernel).
-  std::shared_ptr<const qubo::DenseRows> rows_;
-  std::shared_ptr<const qubo::NeighborIndex> index_;
+  /// The structure the kernel walks, owned by *q_ (the other one is null).
+  const qubo::DenseRows* rows_ = nullptr;
+  const qubo::NeighborIndex* index_ = nullptr;
   // SoA arenas: replica r owns phi_[r·n, (r+1)·n), x_[r], words_[r],
   // energy_[r] — disjoint slices, safe to advance on separate threads.
   std::vector<double> phi_;

@@ -1,6 +1,7 @@
 #include "cim/crossbar/bit_slice.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -14,15 +15,18 @@ long long QuantizedQubo::at(std::size_t i, std::size_t j) const {
   return values[i * n - i * (i - 1) / 2 + (j - i)];
 }
 
-qubo::QuboMatrix QuantizedQubo::dequantize() const {
+qubo::FrozenQuboPtr QuantizedQubo::dequantize(
+    const qubo::FrozenQuboPtr& source) const {
+  if (exact) return source;
   qubo::QuboMatrix q(n);
+  std::size_t idx = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      q.set(i, j, static_cast<double>(at(i, j)) * scale);
+    for (std::size_t j = i; j < n; ++j, ++idx) {
+      q.set(i, j, static_cast<double>(values[idx]) * scale);
     }
   }
   q.set_offset(offset);
-  return q;
+  return std::move(q).freeze();
 }
 
 double QuantizedQubo::energy(std::span<const std::uint8_t> x) const {
@@ -50,35 +54,48 @@ QuantizedQubo quantize(const qubo::QuboMatrix& q, int max_bits) {
   out.offset = q.offset();
   const auto packed = q.packed();
   out.values.resize(packed.size());
-
-  const double max_abs = q.max_abs_coefficient();
   const double range = static_cast<double>((1LL << max_bits) - 1);
 
-  // Detect exactly-representable integer matrices (the common case for the
-  // COP transformations, whose coefficients are integral).
-  bool integral = true;
-  for (double v : packed) {
-    if (v != std::floor(v) || std::abs(v) > range) {
-      integral = false;
-      break;
-    }
-  }
-  if (integral) {
-    out.scale = 1.0;
+  // One pass stores each value, counts nonzeros, tracks the largest
+  // magnitude, and checks that de-scaling gives back the source bits.
+  const auto convert = [&](auto&& to_int) {
+    const double scale = out.scale;
+    long long* values = out.values.data();
+    long long max_mag = 1;
+    std::size_t nonzeros = 0;
+    bool exact = true;
     for (std::size_t k = 0; k < packed.size(); ++k) {
-      out.values[k] = static_cast<long long>(packed[k]);
+      const long long v = to_int(packed[k]);
+      values[k] = v;
+      nonzeros += v != 0;
+      max_mag = std::max(max_mag, std::llabs(v));
+      exact &= std::bit_cast<std::uint64_t>(static_cast<double>(v) * scale) ==
+               std::bit_cast<std::uint64_t>(packed[k]);
     }
-  } else {
-    out.scale = max_abs > 0 ? max_abs / range : 1.0;
-    for (std::size_t k = 0; k < packed.size(); ++k) {
-      out.values[k] = static_cast<long long>(std::llround(packed[k] / out.scale));
-    }
-  }
+    out.nonzeros = nonzeros;
+    out.exact = exact;
+    out.magnitude_bits = 1;
+    while ((1LL << out.magnitude_bits) - 1 < max_mag) ++out.magnitude_bits;
+  };
 
-  long long max_mag = 1;
-  for (long long v : out.values) max_mag = std::max(max_mag, std::llabs(v));
-  out.magnitude_bits = 1;
-  while ((1LL << out.magnitude_bits) - 1 < max_mag) ++out.magnitude_bits;
+  // Exactly-representable integer matrices (the common case for the COP
+  // transformations, whose coefficients are integral) convert as they are;
+  // the first fractional or out-of-range entry falls back to scaling.
+  bool integral = true;
+  convert([&](double v) -> long long {
+    if (!integral || !(std::abs(v) <= range)) {
+      integral = false;
+      return 0;
+    }
+    const auto truncated = static_cast<long long>(v);
+    integral = static_cast<double>(truncated) == v;
+    return truncated;
+  });
+  if (!integral) {
+    const double max_abs = q.max_abs_coefficient();
+    out.scale = max_abs > 0 ? max_abs / range : 1.0;
+    convert([&](double v) { return std::llround(v / out.scale); });
+  }
   return out;
 }
 

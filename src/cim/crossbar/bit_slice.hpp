@@ -21,12 +21,19 @@ struct QuantizedQubo {
   std::vector<long long> values;  ///< packed upper triangle, signed
   double scale = 1.0;             ///< de-quantization factor
   int magnitude_bits = 1;         ///< bits needed for max |value|
+  std::size_t nonzeros = 0;       ///< number of nonzero values
+  /// Every de-scaled value equals its source coefficient bit for bit (an
+  /// in-range integral matrix without -0.0 entries): quantization lost
+  /// nothing.
+  bool exact = false;
 
   /// Signed quantized coefficient (indices in either order).
   long long at(std::size_t i, std::size_t j) const;
-  /// Reconstructs a QuboMatrix with the quantized (de-scaled) values,
-  /// carrying over the original offset.
-  qubo::QuboMatrix dequantize() const;
+  /// The quantized matrix in original units (values × scale, with the
+  /// carried-over offset), frozen.  `source` must be the matrix this was
+  /// quantized from: when the quantization is exact it is returned itself,
+  /// shared; otherwise one pass writes a fresh matrix.
+  qubo::FrozenQuboPtr dequantize(const qubo::FrozenQuboPtr& source) const;
   /// Energy of `x` under the quantized matrix (in original units):
   /// scale * Σ values_ij x_i x_j + offset.
   double energy(std::span<const std::uint8_t> x) const;
@@ -36,7 +43,8 @@ struct QuantizedQubo {
 
 /// Quantizes `q` to at most `max_bits` magnitude bits.  Matrices whose
 /// entries are already integers within range are represented exactly
-/// (scale = 1); otherwise values are scaled to use the full range.
+/// (scale = 1), in one pass that also counts the nonzeros and checks
+/// exactness; otherwise values are scaled to use the full range.
 QuantizedQubo quantize(const qubo::QuboMatrix& q, int max_bits);
 
 /// Extracts bit plane `bit` of the positive (sign=+1) or negative (sign=-1)

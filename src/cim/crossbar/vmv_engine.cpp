@@ -3,26 +3,26 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace hycim::cim {
 
-VmvEngine::VmvEngine(const VmvEngineParams& params, const qubo::QuboMatrix& q)
+VmvEngine::VmvEngine(const VmvEngineParams& params, qubo::FrozenQuboPtr q)
     : params_(params),
-      n_(q.size()),
-      original_(q),
-      quantized_(quantize(q, params.matrix_bits)),
+      n_(q->size()),
+      original_(std::move(q)),
+      quantized_(std::make_shared<const QuantizedQubo>(
+          quantize(original_->matrix(), params.matrix_bits))),
+      eval_(params.mode == VmvMode::kIdeal ? original_
+                                           : quantized_->dequantize(original_)),
       reprogram_rng_(params.fab_seed ^ 0x5bd1e995ULL) {
   // Resolve the bound-state kernel from the density of the matrix the
   // hardware actually stores (zeros can only grow under quantization).
-  std::size_t nnz = 0;
-  for (const long long v : quantized_.values) {
-    if (v != 0) ++nnz;
-  }
   const double density =
-      quantized_.values.empty()
+      quantized_->values.empty()
           ? 0.0
-          : static_cast<double>(nnz) /
-                static_cast<double>(quantized_.values.size());
+          : static_cast<double>(quantized_->nonzeros) /
+                static_cast<double>(quantized_->values.size());
   kernel_ = qubo::resolve_kernel(params_.kernel, density);
 
   if (params_.mode != VmvMode::kCircuit) return;
@@ -36,7 +36,7 @@ VmvEngine::VmvEngine(const VmvEngineParams& params, const qubo::QuboMatrix& q)
     sp_offsets_.assign(n_ + 1, 0);
     for (std::size_t k = 0; k < n_; ++k) {
       for (std::size_t j = k; j < n_; ++j) {
-        if (quantized_.at(k, j) != 0) ++sp_offsets_[k + 1];
+        if (quantized_->at(k, j) != 0) ++sp_offsets_[k + 1];
       }
     }
     for (std::size_t k = 0; k < n_; ++k) sp_offsets_[k + 1] += sp_offsets_[k];
@@ -44,7 +44,7 @@ VmvEngine::VmvEngine(const VmvEngineParams& params, const qubo::QuboMatrix& q)
     std::size_t cursor = 0;
     for (std::size_t k = 0; k < n_; ++k) {
       for (std::size_t j = k; j < n_; ++j) {
-        if (quantized_.at(k, j) != 0) {
+        if (quantized_->at(k, j) != 0) {
           sp_cols_[cursor++] = static_cast<std::uint32_t>(j);
         }
       }
@@ -56,11 +56,11 @@ VmvEngine::VmvEngine(const VmvEngineParams& params, const qubo::QuboMatrix& q)
   // Calibrate the ADC LSB to the nominal cell current once the corner is
   // known; build one positive and one negative crossbar per magnitude bit.
   AdcParams adc = params_.adc;
-  for (int b = 0; b < quantized_.magnitude_bits; ++b) {
+  for (int b = 0; b < quantized_->magnitude_bits; ++b) {
     pos_planes_.emplace_back(params_.crossbar, n_, n_,
-                             bit_plane(quantized_, b, +1), *fab_);
+                             bit_plane(*quantized_, b, +1), *fab_);
     neg_planes_.emplace_back(params_.crossbar, n_, n_,
-                             bit_plane(quantized_, b, -1), *fab_);
+                             bit_plane(*quantized_, b, -1), *fab_);
   }
   if (!pos_planes_.empty()) {
     adc.i_lsb = pos_planes_.front().nominal_cell_current();
@@ -77,6 +77,7 @@ VmvEngine::VmvEngine(const VmvEngine& other)
       n_(other.n_),
       original_(other.original_),
       quantized_(other.quantized_),
+      eval_(other.eval_),
       pos_planes_(other.pos_planes_),
       neg_planes_(other.neg_planes_),
       fab_(other.fab_
@@ -103,9 +104,9 @@ double VmvEngine::energy(std::span<const std::uint8_t> x) {
   if (x.size() != n_) throw std::invalid_argument("VmvEngine::energy: size");
   switch (params_.mode) {
     case VmvMode::kIdeal:
-      return original_.energy(x);
+      return original_->energy(x);
     case VmvMode::kQuantized:
-      return quantized_.energy(x);
+      return quantized_->energy(x);
     case VmvMode::kCircuit:
       return circuit_energy(x);
   }
@@ -121,7 +122,7 @@ long long VmvEngine::convert_columns(std::span<const std::uint8_t> x,
   // paths convert in this exact order, so the ADC noise stream (and the
   // clip counter) advance identically on either path.
   long long acc = 0;
-  const int bits = quantized_.magnitude_bits;
+  const int bits = quantized_->magnitude_bits;
   for (std::size_t j = 0; j < n_; ++j) {
     if (!x[j]) continue;
     for (int b = 0; b < bits; ++b) {
@@ -136,13 +137,13 @@ long long VmvEngine::convert_columns(std::span<const std::uint8_t> x,
 }
 
 double VmvEngine::circuit_energy(std::span<const std::uint8_t> x) {
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
   const long long acc =
       convert_columns(x, [&](std::size_t p, std::size_t j) {
         return p < bits ? pos_planes_[p].column_current(x, j)
                         : neg_planes_[p - bits].column_current(x, j);
       });
-  return static_cast<double>(acc) * quantized_.scale + quantized_.offset;
+  return static_cast<double>(acc) * quantized_->scale + quantized_->offset;
 }
 
 void VmvEngine::bind(std::span<const std::uint8_t> x) {
@@ -167,7 +168,7 @@ void VmvEngine::reconvert_all_columns() {
   // Same conversion order as convert_columns (ascending selected column,
   // per-plane pos then neg), so bind() digitizes identically under either
   // kernel; additionally records each column's own shift-added code.
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
   col_acc_.assign(n_, 0);
   long long acc = 0;
   for (std::size_t j = 0; j < n_; ++j) {
@@ -202,7 +203,7 @@ void VmvEngine::collect_affected(std::span<const std::size_t> flips) {
 }
 
 double VmvEngine::trial_sparse(std::span<const std::size_t> flips) {
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
   collect_affected(flips);
   long long acc = bound_acc_;
   trial_col_codes_.clear();
@@ -218,7 +219,7 @@ double VmvEngine::trial_sparse(std::span<const std::size_t> flips) {
         double pos = currents_[b * n_ + j];
         double neg = currents_[(bits + b) * n_ + j];
         for (const std::size_t k : flips) {
-          if (k > j || quantized_.at(k, j) == 0) continue;
+          if (k > j || quantized_->at(k, j) == 0) continue;
           const double sign = bound_x_[k] ? -1.0 : 1.0;
           pos += sign * pos_planes_[b].row_toggle_delta(k, j);
           neg += sign * neg_planes_[b].row_toggle_delta(k, j);
@@ -233,11 +234,11 @@ double VmvEngine::trial_sparse(std::span<const std::size_t> flips) {
   trial_flips_.assign(flips.begin(), flips.end());
   trial_acc_ = acc;
   trial_valid_ = true;
-  return static_cast<double>(acc) * quantized_.scale + quantized_.offset;
+  return static_cast<double>(acc) * quantized_->scale + quantized_->offset;
 }
 
 void VmvEngine::apply_sparse(std::span<const std::size_t> flips) {
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
   const bool adopt_trial =
       trial_valid_ && std::equal(flips.begin(), flips.end(),
                                  trial_flips_.begin(), trial_flips_.end());
@@ -292,7 +293,7 @@ void VmvEngine::apply_sparse(std::span<const std::size_t> flips) {
 }
 
 void VmvEngine::rebuild_bound_currents() {
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
   currents_.resize(2 * bits * n_);
   for (std::size_t p = 0; p < bits; ++p) {
     for (std::size_t j = 0; j < n_; ++j) {
@@ -313,8 +314,8 @@ void VmvEngine::unbind() {
 
 double VmvEngine::bound_energy() const {
   if (!bound_) throw std::logic_error("VmvEngine::bound_energy: not bound");
-  return static_cast<double>(bound_acc_) * quantized_.scale +
-         quantized_.offset;
+  return static_cast<double>(bound_acc_) * quantized_->scale +
+         quantized_->offset;
 }
 
 const std::vector<std::uint8_t>& VmvEngine::bound_input() const {
@@ -325,7 +326,7 @@ const std::vector<std::uint8_t>& VmvEngine::bound_input() const {
 double VmvEngine::trial(std::span<const std::size_t> flips) {
   if (!bound_) throw std::logic_error("VmvEngine::trial: not bound");
   if (kernel_ == qubo::Kernel::kSparse) return trial_sparse(flips);
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
   trial_x_.assign(bound_x_.begin(), bound_x_.end());
   for (const std::size_t k : flips) {
     if (k >= n_) {
@@ -347,7 +348,7 @@ double VmvEngine::trial(std::span<const std::size_t> flips) {
   trial_flips_.assign(flips.begin(), flips.end());
   trial_acc_ = acc;
   trial_valid_ = true;
-  return static_cast<double>(acc) * quantized_.scale + quantized_.offset;
+  return static_cast<double>(acc) * quantized_->scale + quantized_->offset;
 }
 
 void VmvEngine::apply(std::span<const std::size_t> flips) {
@@ -356,7 +357,7 @@ void VmvEngine::apply(std::span<const std::size_t> flips) {
     apply_sparse(flips);
     return;
   }
-  const auto bits = static_cast<std::size_t>(quantized_.magnitude_bits);
+  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
   const bool adopt_trial =
       trial_valid_ && std::equal(flips.begin(), flips.end(),
                                  trial_flips_.begin(), trial_flips_.end());

@@ -59,14 +59,15 @@ class VmvEngine {
  public:
   /// Quantizes `q` and, in kCircuit mode, fabricates and programs the
   /// bit-plane crossbars.
-  VmvEngine(const VmvEngineParams& params, const qubo::QuboMatrix& q);
+  VmvEngine(const VmvEngineParams& params, qubo::FrozenQuboPtr q);
 
   ~VmvEngine();
   VmvEngine(VmvEngine&&) noexcept;
   VmvEngine& operator=(VmvEngine&&) noexcept;
 
-  /// Deep copy: duplicates the fabricated crossbars, ADC, and bound state.
-  /// A copy behaves exactly like re-fabricating with the same seeds, minus
+  /// Copy: duplicates the fabricated crossbars, ADC, and bound state, and
+  /// shares the read-only matrices (original, quantized, evaluation).  A
+  /// copy behaves exactly like re-fabricating with the same seeds, minus
   /// the fabrication cost — the "program once, solve many" hook for batch
   /// protocols.
   VmvEngine(const VmvEngine& other);
@@ -113,11 +114,20 @@ class VmvEngine {
   /// Number of variables.
   std::size_t size() const { return n_; }
 
+  /// The matrix this engine was programmed from.
+  const qubo::FrozenQubo& original() const { return *original_; }
+
   /// The quantized matrix actually mapped to the hardware.
-  const QuantizedQubo& quantized() const { return quantized_; }
+  const QuantizedQubo& quantized() const { return *quantized_; }
+
+  /// The matrix an incremental evaluator walks to reproduce this engine's
+  /// energies outside kCircuit: the original under kIdeal, the dequantized
+  /// matrix otherwise — the original itself, shared, when the
+  /// quantization is exact.
+  const qubo::FrozenQuboPtr& eval_matrix() const { return eval_; }
 
   /// Magnitude bits per element stored in the crossbars.
-  int magnitude_bits() const { return quantized_.magnitude_bits; }
+  int magnitude_bits() const { return quantized_->magnitude_bits; }
 
   /// The resolved bound-state kernel (kDense or kSparse, never kAuto).
   qubo::Kernel kernel() const { return kernel_; }
@@ -153,8 +163,9 @@ class VmvEngine {
 
   VmvEngineParams params_;
   std::size_t n_ = 0;
-  qubo::QuboMatrix original_;
-  QuantizedQubo quantized_;
+  qubo::FrozenQuboPtr original_;
+  std::shared_ptr<const QuantizedQubo> quantized_;
+  qubo::FrozenQuboPtr eval_;
   std::vector<CrossbarArray> pos_planes_;  // one crossbar per magnitude bit
   std::vector<CrossbarArray> neg_planes_;
   std::unique_ptr<device::VariationModel> fab_;

@@ -1,6 +1,7 @@
 #include "core/dqubo_solver.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "qubo/energy.hpp"
 
@@ -15,8 +16,8 @@ namespace hycim::core {
 /// decodes infeasible (the trap of paper Fig. 10).
 class DquboSolver::Problem final : public anneal::SaProblem {
  public:
-  Problem(const qubo::QuboMatrix& q, const cop::QkpInstance& inst)
-      : inst_(inst), eval_(q, qubo::BitVector(q.size(), 0)) {}
+  Problem(const qubo::FrozenQuboPtr& q, const cop::QkpInstance& inst)
+      : inst_(inst), eval_(q, qubo::BitVector(q->size(), 0)) {}
 
   std::size_t num_bits() const override { return eval_.state().size(); }
 
@@ -98,36 +99,32 @@ class DquboSolver::Problem final : public anneal::SaProblem {
 DquboSolver::DquboSolver(const cop::QkpInstance& inst,
                          const DquboConfig& config)
     : inst_(inst), config_(config) {
-  if (config_.encoding == SlackEncoding::kOneHot) {
-    onehot_ = to_dqubo_onehot(inst, config_.penalty);
-    q_ = &onehot_.q;
-  } else {
-    binary_ = to_dqubo_binary(inst, config_.penalty.beta);
-    q_ = &binary_.q;
-  }
+  qubo::FrozenQuboPtr q =
+      config_.encoding == SlackEncoding::kOneHot
+          ? std::move(to_dqubo_onehot(inst, config_.penalty).q).freeze()
+          : std::move(to_dqubo_binary(inst, config_.penalty.beta).q).freeze();
   cim::VmvEngineParams vmv = config_.vmv;
   vmv.mode = config_.fidelity;
   vmv.matrix_bits =
-      config_.matrix_bits > 0 ? config_.matrix_bits : q_->quantization_bits();
-  engine_ = std::make_unique<cim::VmvEngine>(vmv, *q_);
-  eval_matrix_ = config_.fidelity == cim::VmvMode::kIdeal
-                     ? *q_
-                     : engine_->quantized().dequantize();
+      config_.matrix_bits > 0 ? config_.matrix_bits : q->quantization_bits();
+  engine_ = std::make_unique<cim::VmvEngine>(vmv, std::move(q));
 }
 
 DquboSolver::~DquboSolver() = default;
 DquboSolver::DquboSolver(DquboSolver&&) noexcept = default;
 DquboSolver& DquboSolver::operator=(DquboSolver&&) noexcept = default;
 
-std::size_t DquboSolver::size() const { return q_->size(); }
+std::size_t DquboSolver::size() const { return engine_->size(); }
 
 double DquboSolver::max_abs_coefficient() const {
-  return q_->max_abs_coefficient();
+  return engine_->original().max_abs_coefficient();
 }
 
 int DquboSolver::matrix_bits() const { return engine_->magnitude_bits(); }
 
-const qubo::QuboMatrix& DquboSolver::matrix() const { return *q_; }
+const qubo::QuboMatrix& DquboSolver::matrix() const {
+  return engine_->original().matrix();
+}
 
 qubo::BitVector DquboSolver::random_initial(util::Rng& rng) const {
   qubo::BitVector xy(size(), 0);
@@ -150,7 +147,7 @@ QkpSolveResult DquboSolver::solve(const qubo::BitVector& xy0,
   if (xy0.size() != size()) {
     throw std::invalid_argument("DquboSolver::solve: xy0 size mismatch");
   }
-  Problem problem(eval_matrix_, inst_);
+  Problem problem(engine_->eval_matrix(), inst_);
   anneal::SaParams sa = config_.sa;
   sa.seed = run_seed;
   QkpSolveResult result;
@@ -165,10 +162,10 @@ QkpSolveResult DquboSolver::solve(const qubo::BitVector& xy0,
     result.feasible = true;
     result.profit = problem.best_feasible_profit();
   } else {
-    const qubo::BitVector items =
-        config_.encoding == SlackEncoding::kOneHot
-            ? onehot_.decode_items(result.sa.best_x)
-            : binary_.decode_items(result.sa.best_x);
+    // Both slack encodings put the items first.
+    const qubo::BitVector items(
+        result.sa.best_x.begin(),
+        result.sa.best_x.begin() + static_cast<long>(inst_.n));
     result.best_x = items;
     result.feasible = inst_.feasible(items);
     result.profit = result.feasible ? inst_.total_profit(items) : 0;

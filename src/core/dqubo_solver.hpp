@@ -79,11 +79,10 @@ class DquboSolver {
 
   cop::QkpInstance inst_;
   DquboConfig config_;
-  DquboOneHotForm onehot_;    // populated when encoding == kOneHot
-  DquboBinaryForm binary_;    // populated when encoding == kBinary
-  const qubo::QuboMatrix* q_ = nullptr;
+  /// Owns the frozen penalty matrix and the evaluation matrix every solve
+  /// shares (one and the same when the quantization is exact); the first
+  /// solve builds its dense mirror, once.
   std::unique_ptr<cim::VmvEngine> engine_;
-  qubo::QuboMatrix eval_matrix_;
 };
 
 }  // namespace hycim::core

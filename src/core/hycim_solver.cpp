@@ -35,22 +35,22 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
  public:
   explicit Problem(HyCimSolver& owner)
       : owner_(owner),
-        eval_(owner.eval_matrix_,
-              qubo::BitVector(owner.eval_matrix_.size(), 0),
+        eval_(owner.engine_->eval_matrix(),
+              qubo::BitVector(owner.form_->size(), 0),
               owner.resolved_kernel_),
-        totals_(owner.form_.constraints.size(), 0),
-        eq_totals_(owner.form_.equalities.size(), 0) {}
+        totals_(owner.form_->constraints.size(), 0),
+        eq_totals_(owner.form_->equalities.size(), 0) {}
 
-  std::size_t num_bits() const override { return owner_.form_.size(); }
+  std::size_t num_bits() const override { return owner_.form_->size(); }
 
   double reset(const qubo::BitVector& x) override {
-    const auto& cs = owner_.form_.constraints;
+    const auto& cs = owner_.form_->constraints;
     violated_ = 0;
     for (std::size_t c = 0; c < cs.size(); ++c) {
       totals_[c] = constraint_total(cs[c], x);
       if (totals_[c] > cs[c].capacity) ++violated_;
     }
-    const auto& es = owner_.form_.equalities;
+    const auto& es = owner_.form_->equalities;
     eq_violated_ = 0;
     for (std::size_t c = 0; c < es.size(); ++c) {
       eq_totals_[c] = constraint_total(es[c], x);
@@ -74,7 +74,7 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
     const auto flips = m.indices();
     if (owner_.config_.filter_mode == FilterMode::kSoftware) {
       const auto& x = state();
-      const auto& cs = owner_.form_.constraints;
+      const auto& cs = owner_.form_->constraints;
       // Only the constraints whose rows contain a flipped bit can change;
       // an untouched satisfied constraint stays satisfied, an untouched
       // violated one stays violated (counted below) — exactly the dense
@@ -90,7 +90,7 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
         if (totals_[c] > cs[c].capacity) ++were_violated;
       }
       if (violated_ > were_violated) return false;
-      const auto& es = owner_.form_.equalities;
+      const auto& es = owner_.form_->equalities;
       gather_touched(owner_.eq_by_var_, flips);
       were_violated = 0;
       for (const std::uint32_t c : touched_ids_) {
@@ -242,8 +242,8 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
       check_near(d, full, tol, "circuit trial delta");
       return;
     }
-    const double full = owner_.eval_matrix_.energy(candidate_of(m)) -
-                        owner_.eval_matrix_.energy(state());
+    const auto& eval = *owner_.engine_->eval_matrix();
+    const double full = eval.energy(candidate_of(m)) - eval.energy(state());
     check_near(d, full, tol, "eval trial delta");
   }
 
@@ -282,7 +282,7 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
   /// committed move — only the incident constraints change.
   void apply_totals(std::span<const std::size_t> flips) {
     const auto& x = state();  // pre-commit: the energy path flips after this
-    const auto& cs = owner_.form_.constraints;
+    const auto& cs = owner_.form_->constraints;
     gather_touched(owner_.ineq_by_var_, flips);
     for (const std::uint32_t c : touched_ids_) {
       const bool was = totals_[c] > cs[c].capacity;
@@ -292,7 +292,7 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
       const bool now = totals_[c] > cs[c].capacity;
       if (was != now) violated_ += now ? 1 : -1;
     }
-    const auto& es = owner_.form_.equalities;
+    const auto& es = owner_.form_->equalities;
     gather_touched(owner_.eq_by_var_, flips);
     for (const std::uint32_t c : touched_ids_) {
       const bool was = eq_totals_[c] != es[c].capacity;
@@ -321,34 +321,32 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
 
 HyCimSolver::HyCimSolver(const ConstrainedQuboForm& form,
                          const HyCimConfig& config)
-    : form_(form), config_(config) {
+    : form_(std::make_shared<const ConstrainedQuboForm>(form)),
+      config_(config) {
   cim::VmvEngineParams vmv = config_.vmv;
   vmv.mode = config_.fidelity;
   vmv.matrix_bits = config_.matrix_bits;
   vmv.kernel = config_.kernel;
-  engine_ = std::make_unique<cim::VmvEngine>(vmv, form_.q);
-
-  // The incremental fast path evaluates the matrix the hardware actually
-  // stores: the original for kIdeal, the quantized one for kQuantized.
-  eval_matrix_ = config_.fidelity == cim::VmvMode::kIdeal
-                     ? form_.q
-                     : engine_->quantized().dequantize();
+  engine_ = std::make_unique<cim::VmvEngine>(vmv, form.q.freeze());
 
   // Kernel dispatch happens here, at fabrication: measure the density of
-  // the matrix the hot loop will walk, resolve the config's choice, and
-  // prebuild the neighbor index once — clones share the snapshot.
-  resolved_kernel_ =
-      qubo::resolve_kernel(config_.kernel, eval_matrix_.density());
+  // the matrix the hot loop will walk (the one the hardware stores — see
+  // VmvEngine::eval_matrix), resolve the config's choice, and build the
+  // structure that kernel reads once — every clone shares it.
+  const qubo::FrozenQubo& eval = *engine_->eval_matrix();
+  resolved_kernel_ = qubo::resolve_kernel(config_.kernel, eval.density());
   if (resolved_kernel_ == qubo::Kernel::kSparse) {
-    eval_matrix_.neighbor_index();
+    eval.neighbor_index();
+  } else {
+    eval.dense_rows();
   }
 
   if (config_.filter_mode == FilterMode::kHardware) {
-    if (!form_.constraints.empty()) {
+    if (!form_->constraints.empty()) {
       bank_ = std::make_unique<cim::FilterBank>(
-          config_.filter, form_.constraints, form_.size());
+          config_.filter, form_->constraints, form_->size());
     }
-    for (std::size_t e = 0; e < form_.equalities.size(); ++e) {
+    for (std::size_t e = 0; e < form_->equalities.size(); ++e) {
       cim::InequalityFilterParams p = config_.filter;
       p.fab_seed = config_.filter.fab_seed + 1000 + e;
       // Hash-derived (not additive) per-filter noise streams: additive
@@ -362,24 +360,24 @@ HyCimSolver::HyCimSolver(const ConstrainedQuboForm& form,
       // variables the equality actually weights.
       std::vector<long long> weights;
       std::vector<std::uint32_t> support;
-      for (std::size_t k = 0; k < form_.size(); ++k) {
-        if (form_.equalities[e].weights[k] == 0) continue;
+      for (std::size_t k = 0; k < form_->size(); ++k) {
+        if (form_->equalities[e].weights[k] == 0) continue;
         support.push_back(static_cast<std::uint32_t>(k));
-        weights.push_back(form_.equalities[e].weights[k]);
+        weights.push_back(form_->equalities[e].weights[k]);
       }
       eq_supports_.push_back(std::move(support));
       equality_filters_.emplace_back(p, weights,
-                                     form_.equalities[e].capacity);
+                                     form_->equalities[e].capacity);
     }
   }
   build_incidence();
 }
 
 void HyCimSolver::build_incidence() {
-  const std::size_t n = form_.size();
+  const std::size_t n = form_->size();
   ineq_by_var_.assign(n, {});
-  for (std::size_t c = 0; c < form_.constraints.size(); ++c) {
-    const auto& w = form_.constraints[c].weights;
+  for (std::size_t c = 0; c < form_->constraints.size(); ++c) {
+    const auto& w = form_->constraints[c].weights;
     for (std::size_t k = 0; k < n; ++k) {
       if (w[k] != 0) {
         ineq_by_var_[k].push_back(static_cast<std::uint32_t>(c));
@@ -387,8 +385,8 @@ void HyCimSolver::build_incidence() {
     }
   }
   eq_by_var_.assign(n, {});
-  for (std::size_t c = 0; c < form_.equalities.size(); ++c) {
-    const auto& w = form_.equalities[c].weights;
+  for (std::size_t c = 0; c < form_->equalities.size(); ++c) {
+    const auto& w = form_->equalities[c].weights;
     for (std::size_t k = 0; k < n; ++k) {
       if (w[k] != 0) {
         eq_by_var_[k].push_back(static_cast<std::uint32_t>(c));
@@ -412,7 +410,6 @@ HyCimSolver::HyCimSolver(const HyCimSolver& proto,
     : form_(proto.form_),
       config_(proto.config_),
       engine_(std::make_unique<cim::VmvEngine>(*proto.engine_)),
-      eval_matrix_(proto.eval_matrix_),
       resolved_kernel_(proto.resolved_kernel_),
       ineq_by_var_(proto.ineq_by_var_),
       eq_by_var_(proto.eq_by_var_),
@@ -452,7 +449,7 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
                                std::uint64_t run_seed,
                                const anneal::Executor& executor,
                                const util::CancelToken& cancel) {
-  if (x0.size() != form_.size()) {
+  if (x0.size() != form_->size()) {
     throw std::invalid_argument("HyCimSolver::solve: x0 size mismatch");
   }
   anneal::validate(config_.sa);
@@ -471,18 +468,18 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   // A tempered solve that reduces to a pure QUBO walk — software filters
   // with nothing to filter, energies from the incremental evaluator, no
   // cross-checking — batches its replicas through one shared-matrix SoA
-  // arena instead of one chip clone (matrix copy + engine) per replica.
-  // The views run the same kernels over the same snapshot, so the solve is
+  // arena instead of one chip clone (filters + engine state) per replica.
+  // The views run the same kernels over the same matrix, so the solve is
   // bit-identical to the cloned-chip path; only the layout changes.
   const bool batch_replicas =
       config_.soa_replicas && replica_count > 1 &&
       config_.fidelity != cim::VmvMode::kCircuit &&
       config_.filter_mode == FilterMode::kSoftware &&
-      form_.constraints.empty() && form_.equalities.empty() &&
+      form_->constraints.empty() && form_->equalities.empty() &&
       !config_.check_incremental;
   std::optional<anneal::QuboReplicaBatch> batch;
   if (batch_replicas) {
-    batch.emplace(eval_matrix_, replica_count, resolved_kernel_);
+    batch.emplace(engine_->eval_matrix(), replica_count, resolved_kernel_);
     problem_ptrs = batch->problems();
   } else if (replica_count == 1) {
     problems.push_back(std::make_unique<Problem>(*this));
@@ -520,7 +517,7 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   result.respaces = search.respaces;
   result.best_x = result.sa.best_x;
   result.best_energy = result.sa.best_energy;
-  result.feasible = form_.feasible(result.best_x);
+  result.feasible = form_->feasible(result.best_x);
   result.kernel = resolved_kernel_;
   return result;
 }

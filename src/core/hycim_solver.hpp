@@ -66,8 +66,8 @@ struct HyCimConfig {
   cim::VmvEngineParams vmv{};  ///< mode/matrix_bits overridden by the above
   /// Structure-of-arrays replica state for tempered solves that reduce to
   /// a pure QUBO walk (software filters, no constraints, non-circuit
-  /// fidelity, check_incremental off): the replicas share one matrix
-  /// snapshot and keep fields/states in contiguous batch arenas
+  /// fidelity, check_incremental off): the replicas share one frozen
+  /// matrix and keep fields/states in contiguous batch arenas
   /// (anneal::QuboReplicaBatch) instead of cloning the whole chip per
   /// replica.  Bit-identical to the cloned-chip path — the views perform
   /// the same float operations through the same kernels — so this is a
@@ -176,10 +176,10 @@ class HyCimSolver {
   /// `config` from scratch; this is what lets one cached programmed chip
   /// serve many schedules.
   void retarget_solve(const HyCimConfig& config);
-  /// The constrained form in use.
-  const ConstrainedQuboForm& form() const { return form_; }
+  /// The constrained form in use (shared by every clone of this chip).
+  const ConstrainedQuboForm& form() const { return *form_; }
   /// Number of binary variables.
-  std::size_t size() const { return form_.size(); }
+  std::size_t size() const { return form_->size(); }
 
   /// The inequality filter bank (nullptr in software filter mode or when
   /// the form has no inequality constraints).  Per-constraint filters are
@@ -191,6 +191,12 @@ class HyCimSolver {
   }
   /// The VMV engine computing xᵀQx.
   cim::VmvEngine& engine() { return *engine_; }
+  /// The frozen matrix the incremental fast path walks, with the mirror or
+  /// neighbor index its kernel reads built at fabrication — one object
+  /// shared by this chip and every clone of it.
+  const qubo::FrozenQuboPtr& eval_matrix() const {
+    return engine_->eval_matrix();
+  }
 
   /// Erases and re-programs filters + crossbars with fresh cycle-to-cycle
   /// noise (the Fig. 7(f) repeated-measurement protocol).
@@ -209,12 +215,13 @@ class HyCimSolver {
   qubo::BitVector eq_gather(std::size_t e,
                             std::span<const std::uint8_t> x) const;
 
-  ConstrainedQuboForm form_;
+  std::shared_ptr<const ConstrainedQuboForm> form_;
   HyCimConfig config_;
+  /// Owns the frozen matrices (original, quantized, and the evaluation
+  /// matrix behind the incremental fast path); clones share them.
   std::unique_ptr<cim::VmvEngine> engine_;
   std::unique_ptr<cim::FilterBank> bank_;
   std::vector<cim::EqualityFilter> equality_filters_;
-  qubo::QuboMatrix eval_matrix_;  ///< matrix behind the incremental fast path
   qubo::Kernel resolved_kernel_ = qubo::Kernel::kDense;
   // Constraint incidence: variable -> the inequality / equality constraint
   // ids whose weight row contains it, so per-flip totals updates and

@@ -1,4 +1,4 @@
-// Contiguous full-row mirror of a QuboMatrix — the storage layout behind
+// Contiguous full-row mirror of a QUBO matrix — the storage layout behind
 // the word-parallel dense kernels.
 //
 // The packed upper triangle (QuboMatrix::packed()) is the canonical store,
@@ -12,9 +12,9 @@
 //
 // Every stored value is the exact double from the packed triangle (copied,
 // never recomputed), so kernels reading the mirror are bit-identical to
-// kernels reading at(i, j).  Like NeighborIndex, a DenseRows is a snapshot:
-// QuboMatrix caches one lazily, invalidates it on mutation, and clones
-// share the cache via shared_ptr.
+// kernels reading at(i, j).  A FrozenQubo builds its mirror once, on first
+// request, and every evaluator, replica batch and solver clone reading
+// that matrix shares it.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +28,7 @@ class QuboMatrix;
 /// Symmetric dense mirror of a QuboMatrix (diagonal zeroed, carried apart).
 class DenseRows {
  public:
-  /// Snapshots `q` — O(n²) copy, done once per matrix and shared.
+  /// Mirrors `q` — an O(n²) copy, done once per frozen matrix.
   explicit DenseRows(const QuboMatrix& q);
 
   /// Number of variables.

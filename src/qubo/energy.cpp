@@ -2,64 +2,21 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace hycim::qubo {
 
-IncrementalEvaluator::IncrementalEvaluator(const QuboMatrix& q, BitVector x0,
+IncrementalEvaluator::IncrementalEvaluator(FrozenQuboPtr q, BitVector x0,
                                            Kernel kernel)
-    : q_(&q),
-      kernel_(resolve_kernel(kernel, kernel == Kernel::kAuto ? q.density()
-                                                             : 0.0)),
-      x_(std::move(x0)) {
-  if (x_.size() != q.size()) {
-    throw std::invalid_argument("IncrementalEvaluator: size mismatch");
-  }
+    : q_(std::move(q)),
+      kernel_(resolve_kernel(kernel, kernel == Kernel::kAuto ? q_->density()
+                                                             : 0.0)) {
   if (kernel_ == Kernel::kSparse) {
-    index_ = q.neighbor_index_ptr();
+    index_ = &q_->neighbor_index();
   } else {
-    rows_ = q.dense_rows_ptr();
+    rows_ = &q_->dense_rows();
   }
-  rebuild_fields();
-}
-
-void IncrementalEvaluator::rebuild_fields() {
-  const std::size_t n = x_.size();
-  phi_.assign(n, 0.0);
-  words_.assign(x_);
-  if (kernel_ == Kernel::kSparse) {
-    // O(n + nnz): the neighbor lists visit exactly the nonzero terms of
-    // the dense sums below, in the same (ascending-partner) order, so the
-    // rebuilt fields are bit-identical to the dense rebuild.
-    for (std::size_t k = 0; k < n; ++k) {
-      double s = index_->diagonal(k);
-      for (const auto& link : index_->neighbors(k)) {
-        if (x_[link.index]) s += link.value;
-      }
-      phi_[k] = s;
-    }
-    // The state energy, also O(n + nnz): same term order as
-    // QuboMatrix::energy (selected row i: diagonal, then partners j > i
-    // ascending), minus the exact-zero additions — bit-identical.
-    double e = q_->offset();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!x_[i]) continue;
-      e += index_->diagonal(i);
-      for (const auto& link : index_->neighbors(i)) {
-        if (link.index > i && x_[link.index]) e += link.value;
-      }
-    }
-    energy_ = e;
-    return;
-  } else {
-    // Word-parallel dense rebuild: per bit, one set-bit scan over the
-    // packed state against the contiguous mirror row.  Same adds in the
-    // same ascending order as the guarded at(i, k)/at(k, j) loops —
-    // bit-identical — without the per-element triangle index math.
-    for (std::size_t k = 0; k < n; ++k) {
-      phi_[k] = kernels::dense_field(*rows_, words_, k);
-    }
-  }
-  energy_ = q_->energy(x_);
+  reset(std::move(x0));
 }
 
 double IncrementalEvaluator::delta(std::size_t k) const {
@@ -73,7 +30,7 @@ double IncrementalEvaluator::delta_pair(std::size_t i, std::size_t j) const {
   const double sj = x_[j] ? -1.0 : 1.0;
   // The mirror holds the exact same double as at(i, j) (i != j here), so
   // reading it skips the triangle index math without changing a bit.
-  const double q_ij = rows_ ? rows_->row(i)[j] : q_->at(i, j);
+  const double q_ij = rows_ ? rows_->row(i)[j] : q_->matrix().at(i, j);
   return delta(i) + delta(j) + si * sj * q_ij;
 }
 
@@ -102,10 +59,12 @@ void IncrementalEvaluator::flip_pair(std::size_t i, std::size_t j) {
 
 void IncrementalEvaluator::reset(BitVector x0) {
   if (x0.size() != q_->size()) {
-    throw std::invalid_argument("IncrementalEvaluator::reset: size mismatch");
+    throw std::invalid_argument("IncrementalEvaluator: size mismatch");
   }
   x_ = std::move(x0);
-  rebuild_fields();
+  words_.assign(x_);
+  phi_.resize(x_.size());
+  energy_ = kernels::rebuild(*q_, kernel_, words_, phi_.data());
 }
 
 double IncrementalEvaluator::recompute() const { return q_->energy(x_); }

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -45,7 +44,7 @@ inline void dense_flip(double* phi, const double* row, std::size_t n,
   phi[k] = saved;
 }
 
-/// The sparse O(degree) flip kernel (PR 5), here for symmetry.
+/// The sparse O(degree) flip kernel.
 inline void sparse_flip(double* phi, const NeighborIndex& index,
                         std::size_t k, double sign) {
   for (const auto& link : index.neighbors(k)) {
@@ -53,16 +52,48 @@ inline void sparse_flip(double* phi, const NeighborIndex& index,
   }
 }
 
-/// Dense local-field rebuild for one bit: phi_k = q_kk + Σ q_kj·x_j over
-/// the set bits of the packed state (bit k masked out), scanned in
-/// ascending order — the same adds, in the same order, as the guarded
-/// byte loop, hence bit-identical.
-inline double dense_field(const DenseRows& rows, const WordState& words,
-                          std::size_t k) {
-  double s = rows.diagonal(k);
-  const double* row = rows.row(k);
-  words.for_each_set_except(k, [&](std::size_t j) { s += row[j]; });
-  return s;
+/// The per-reset rebuild, shared by IncrementalEvaluator and the batched
+/// replica problems: fills phi[0, n) with every bit's local field under the
+/// state packed in `words` and returns that state's energy xᵀQx + offset.
+///
+/// It streams instead of gathering.  Each field starts at its diagonal
+/// coefficient, then every set bit j, ascending, adds its row through the
+/// flip kernel with sign +1 (the dense pass saves and restores phi[j]; the
+/// sparse walk never touches it).  So
+/// phi_k receives q_kj for the set bits j != k in ascending order — the
+/// adds, in the order, of the per-bit gather it replaces — at O(n·|x|)
+/// contiguous work instead of O(n²) scattered reads.  The energy is then
+/// summed over the set bits only, in QuboMatrix::energy's order (row i:
+/// the diagonal, then partners j > i ascending; the sparse kernel skips
+/// the exact zeros).  Both results are bit-identical to the gather and to
+/// QuboMatrix::energy.
+inline double rebuild(const FrozenQubo& q, Kernel kernel,
+                      const WordState& words, double* phi) {
+  const std::size_t n = q.size();
+  double e = q.matrix().offset();
+  if (kernel == Kernel::kSparse) {
+    const NeighborIndex& index = q.neighbor_index();
+    for (std::size_t k = 0; k < n; ++k) phi[k] = index.diagonal(k);
+    words.for_each_set(
+        [&](std::size_t j) { sparse_flip(phi, index, j, 1.0); });
+    words.for_each_set([&](std::size_t i) {
+      e += index.diagonal(i);
+      for (const auto& link : index.neighbors(i)) {
+        if (link.index > i && words.test(link.index)) e += link.value;
+      }
+    });
+    return e;
+  }
+  const DenseRows& rows = q.dense_rows();
+  for (std::size_t k = 0; k < n; ++k) phi[k] = rows.diagonal(k);
+  words.for_each_set(
+      [&](std::size_t j) { dense_flip(phi, rows.row(j), n, j, 1.0); });
+  words.for_each_set([&](std::size_t i) {
+    const double* row = rows.row(i);
+    e += rows.diagonal(i);
+    words.for_each_set_from(i + 1, [&](std::size_t j) { e += row[j]; });
+  });
+  return e;
 }
 
 }  // namespace kernels
@@ -70,12 +101,11 @@ inline double dense_field(const DenseRows& rows, const WordState& words,
 /// Tracks the energy of an evolving assignment under a fixed QUBO matrix.
 class IncrementalEvaluator {
  public:
-  /// Binds to `q` (held by reference; `q` must outlive the evaluator) and
-  /// initializes the state to `x0`.  `kernel` selects the per-flip update
-  /// kernel: kDense walks full rows, kSparse walks q.neighbor_index()
-  /// (snapshotted here — the index builds once per matrix and is shared
-  /// across evaluators and resets), kAuto resolves from q.density().
-  IncrementalEvaluator(const QuboMatrix& q, BitVector x0,
+  /// Shares `q` and initializes the state to `x0`.  `kernel` selects the
+  /// per-flip update kernel: kDense streams q->dense_rows(), kSparse walks
+  /// q->neighbor_index() (either built once per frozen matrix and shared
+  /// by every evaluator reading it), kAuto resolves from q->density().
+  IncrementalEvaluator(FrozenQuboPtr q, BitVector x0,
                        Kernel kernel = Kernel::kDense);
 
   /// Current assignment.
@@ -102,28 +132,19 @@ class IncrementalEvaluator {
   /// Flips bits i and j (i != j).  Two flips.
   void flip_pair(std::size_t i, std::size_t j);
 
-  /// Replaces the whole assignment and recomputes the fields — O(n²)
-  /// dense; under the sparse kernel the rebuild reuses the bound matrix's
-  /// neighbor index instead of re-deriving the structure, so a reset costs
-  /// O(n + nnz).
+  /// Replaces the whole assignment and recomputes the fields and energy
+  /// (kernels::rebuild): O(n·|x|) dense, O(n + Σ degree) sparse.
   void reset(BitVector x0);
 
   /// Recomputed-from-scratch energy of the current state (for testing).
   double recompute() const;
 
  private:
-  void rebuild_fields();
-
-  const QuboMatrix* q_;
+  FrozenQuboPtr q_;
   Kernel kernel_ = Kernel::kDense;
-  /// Sparse-kernel adjacency snapshot (null under the dense kernel).
-  /// Shared with the matrix's cache: a later mutation of the matrix
-  /// replaces the cache but cannot dangle this snapshot — it only goes
-  /// stale, which the check_incremental cross-checks detect.
-  std::shared_ptr<const NeighborIndex> index_;
-  /// Dense-kernel mirror snapshot (null under the sparse kernel).  Same
-  /// sharing/staleness contract as index_.
-  std::shared_ptr<const DenseRows> rows_;
+  /// The structure the kernel walks, owned by *q_ (the other one is null).
+  const NeighborIndex* index_ = nullptr;
+  const DenseRows* rows_ = nullptr;
   BitVector x_;
   /// Word-packed shadow of x_, maintained on every flip/reset; feeds the
   /// word-parallel rebuild scans.

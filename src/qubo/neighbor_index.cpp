@@ -28,39 +28,7 @@ NeighborIndex::NeighborIndex(const QuboMatrix& q) {
   offsets_.assign(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) diag_[i] = q.at(i, i);
 
-  if (q.journal_exact()) {
-    // Sparse build from the matrix's mutation journal: sort + dedupe the
-    // recorded zero→nonzero cells, drop any that were re-zeroed since,
-    // and fill the CSR from that list — O(nnz log nnz) instead of the
-    // O(n²) triangle scan a mostly-zero matrix would mostly waste.
-    auto cells = std::vector<std::pair<std::uint32_t, std::uint32_t>>(
-        q.nonzero_journal().begin(), q.nonzero_journal().end());
-    std::sort(cells.begin(), cells.end());
-    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-    std::erase_if(cells, [&q](const auto& c) {
-      return q.at(c.first, c.second) == 0.0;
-    });
-
-    for (const auto& [i, j] : cells) {
-      ++offsets_[i + 1];
-      ++offsets_[j + 1];
-    }
-    for (std::size_t k = 0; k < n; ++k) offsets_[k + 1] += offsets_[k];
-    links_.resize(offsets_[n]);
-    std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    // Cells arrive sorted by (i, j), which reproduces the dense scan's
-    // fill order exactly: row i collects partners j > i ascending, and
-    // row j's partners i < j were appended by earlier i's, ascending.
-    for (const auto& [i, j] : cells) {
-      const double v = q.at(i, j);
-      links_[cursor[i]++] = {j, v};
-      links_[cursor[j]++] = {i, v};
-    }
-    return;
-  }
-
-  // Dense fallback (journal overflowed on a near-dense mutation pattern):
-  // one pass over the packed upper triangle to count degrees (each
+  // One pass over the packed upper triangle to count degrees (each
   // off-diagonal nonzero contributes to both endpoints), one to fill.
   const std::span<const double> packed = q.packed();
   std::size_t idx = 0;

@@ -10,14 +10,11 @@
 // updates to the coupling *degree* instead of n — the same structure the
 // ferroelectric CiM annealer literature exploits (arXiv:2309.13853).
 //
-// The index is a snapshot of the matrix at build time.  QuboMatrix caches
-// one per matrix (see QuboMatrix::neighbor_index()) and invalidates the
-// cache on mutation; consumers hold the snapshot via shared_ptr so a stale
-// index can never dangle — only diverge, which check_incremental catches.
+// A FrozenQubo builds its index once, on first request, and every
+// evaluator, replica batch and solver clone reading that matrix shares it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -69,7 +66,7 @@ class NeighborIndex {
     double value;         ///< q(k, j) (== q(j, k) in the upper triangle)
   };
 
-  /// Snapshots the structure of `q`.
+  /// Indexes the structure of `q`.
   explicit NeighborIndex(const QuboMatrix& q);
 
   /// Number of variables.

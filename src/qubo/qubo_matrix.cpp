@@ -1,64 +1,18 @@
 #include "qubo/qubo_matrix.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
-#include <utility>
 
 #include "qubo/dense_rows.hpp"
 #include "qubo/neighbor_index.hpp"
 
 namespace hycim::qubo {
 
-QuboMatrix::QuboMatrix(std::size_t n) : n_(n), values_(n * (n + 1) / 2, 0.0) {}
-
-std::size_t QuboMatrix::index(std::size_t i, std::size_t j) const {
-  if (i > j) std::swap(i, j);
-  if (j >= n_) throw std::out_of_range("QuboMatrix index");
-  // Row-major packed upper triangle: row i starts after i full rows whose
-  // lengths are n, n-1, ..., n-i+1.
-  return i * n_ - i * (i - 1) / 2 + (j - i);
-}
-
-double QuboMatrix::at(std::size_t i, std::size_t j) const {
-  return values_[index(i, j)];
-}
-
-void QuboMatrix::on_write(std::size_t i, std::size_t j, double old_value,
-                          double new_value) {
-  const bool was = old_value != 0.0;
-  const bool is = new_value != 0.0;
-  if (was != is) nnz_ += is ? 1 : std::size_t(-1);
-  if (!journal_overflow_ && i != j && !was && is) {
-    // Journal only while it stays clearly smaller than a dense scan —
-    // past a quarter of the triangle a near-dense matrix would just pay
-    // the dense build cost twice.
-    if (journal_.size() >= values_.size() / 4 + 16) {
-      journal_overflow_ = true;
-      journal_.clear();
-      journal_.shrink_to_fit();
-    } else {
-      if (i > j) std::swap(i, j);
-      journal_.emplace_back(static_cast<std::uint32_t>(i),
-                            static_cast<std::uint32_t>(j));
-    }
-  }
-  index_.reset();
-  rows_.reset();
-}
-
-void QuboMatrix::set(std::size_t i, std::size_t j, double v) {
-  double& cell = values_[index(i, j)];
-  const double old = cell;
-  cell = v;
-  on_write(i, j, old, v);
-}
-
-void QuboMatrix::add(std::size_t i, std::size_t j, double v) {
-  double& cell = values_[index(i, j)];
-  const double old = cell;
-  cell += v;
-  on_write(i, j, old, cell);
+int magnitude_bits(double max_abs) {
+  int bits = 1;
+  while (std::ldexp(1.0, bits) - 1.0 < max_abs) ++bits;
+  return bits;
 }
 
 double QuboMatrix::energy(std::span<const std::uint8_t> x) const {
@@ -98,36 +52,40 @@ double QuboMatrix::max_abs_coefficient() const {
   return m;
 }
 
-double QuboMatrix::density() const {
-  if (values_.empty()) return 0.0;
-  return static_cast<double>(nonzeros()) /
-         static_cast<double>(values_.size());
+FrozenQuboPtr QuboMatrix::freeze() const& {
+  return std::make_shared<const FrozenQubo>(*this);
 }
 
-const NeighborIndex& QuboMatrix::neighbor_index() const {
-  if (!index_) index_ = std::make_shared<NeighborIndex>(*this);
-  return *index_;
+FrozenQuboPtr QuboMatrix::freeze() && {
+  return std::make_shared<const FrozenQubo>(std::exchange(*this, {}));
 }
 
-std::shared_ptr<const NeighborIndex> QuboMatrix::neighbor_index_ptr() const {
-  neighbor_index();
-  return index_;
+FrozenQubo::FrozenQubo(QuboMatrix q) : q_(std::move(q)) {
+  for (const double v : q_.packed()) {
+    nnz_ += v != 0.0;
+    max_abs_ = std::max(max_abs_, std::abs(v));
+  }
 }
 
-const DenseRows& QuboMatrix::dense_rows() const {
-  if (!rows_) rows_ = std::make_shared<DenseRows>(*this);
+FrozenQubo::~FrozenQubo() = default;
+
+double FrozenQubo::density() const {
+  const std::size_t cells = q_.packed().size();
+  return cells == 0 ? 0.0
+                    : static_cast<double>(nnz_) / static_cast<double>(cells);
+}
+
+const DenseRows& FrozenQubo::dense_rows() const {
+  std::call_once(rows_once_,
+                 [this] { rows_ = std::make_unique<const DenseRows>(q_); });
   return *rows_;
 }
 
-std::shared_ptr<const DenseRows> QuboMatrix::dense_rows_ptr() const {
-  dense_rows();
-  return rows_;
-}
-
-int QuboMatrix::quantization_bits() const {
-  const double m = max_abs_coefficient();
-  if (m <= 1.0) return 1;
-  return static_cast<int>(std::ceil(std::log2(m)));
+const NeighborIndex& FrozenQubo::neighbor_index() const {
+  std::call_once(index_once_, [this] {
+    index_ = std::make_unique<const NeighborIndex>(q_);
+  });
+  return *index_;
 }
 
 }  // namespace hycim::qubo

@@ -6,43 +6,65 @@
 // is drawn upper-triangular with zeros below the diagonal.  A separate
 // constant `offset` tracks additive terms produced by penalty expansions so
 // that transformed energies remain comparable to the original objective.
+//
+// Construction and use are split, the way the FeFET array is programmed
+// once and then annealed on many times.  QuboMatrix is the builder: the
+// lowering passes add terms with plain stores.  freeze() then produces an
+// immutable FrozenQubo, held by std::shared_ptr<const>: it measures the
+// matrix once (nonzeros, max |Q_ij|) and builds the mirror or neighbor
+// index a kernel reads at most once.  Evaluators, engines and solver clones
+// share that one object, so a clone copies no O(n²) data, and a write
+// after the freeze is impossible by type.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace hycim::qubo {
 
 class DenseRows;
+class FrozenQubo;
 class NeighborIndex;
 
 /// Binary variable assignment; x[i] in {0, 1}.
 using BitVector = std::vector<std::uint8_t>;
 
-/// Dense upper-triangular QUBO matrix with an additive constant offset.
+/// A frozen matrix as its readers share it.
+using FrozenQuboPtr = std::shared_ptr<const FrozenQubo>;
+
+/// Bits needed to represent a magnitude: the smallest b >= 1 with
+/// 2^b − 1 >= max_abs (paper Sec. 4.2's ⌈log2 (Qij)MAX⌉, exact at powers of
+/// two: a magnitude of 4 needs 3 bits).
+int magnitude_bits(double max_abs);
+
+/// Dense upper-triangular QUBO matrix with an additive constant offset —
+/// the builder.  Writes are single stores; freeze() hands the finished
+/// matrix to its readers.
 class QuboMatrix {
  public:
   QuboMatrix() = default;
 
   /// Creates an n×n all-zero QUBO.
-  explicit QuboMatrix(std::size_t n);
+  explicit QuboMatrix(std::size_t n) : n_(n), values_(n * (n + 1) / 2, 0.0) {}
 
   /// Number of binary variables.
   std::size_t size() const { return n_; }
 
   /// Coefficient of x_i·x_j.  Accepts indices in either order; reads below
   /// the diagonal are transparently mapped to the stored upper triangle.
-  double at(std::size_t i, std::size_t j) const;
+  double at(std::size_t i, std::size_t j) const { return values_[index(i, j)]; }
 
   /// Sets the coefficient of x_i·x_j (indices in either order).
-  void set(std::size_t i, std::size_t j, double v);
+  void set(std::size_t i, std::size_t j, double v) { values_[index(i, j)] = v; }
 
   /// Adds `v` to the coefficient of x_i·x_j (indices in either order).
-  void add(std::size_t i, std::size_t j, double v);
+  void add(std::size_t i, std::size_t j, double v) { values_[index(i, j)] += v; }
 
   /// Additive constant carried alongside xᵀQx (from penalty expansions).
   double offset() const { return offset_; }
@@ -58,13 +80,60 @@ class QuboMatrix {
   /// Equivalent to energy(x with bit k flipped) - energy(x), in O(n).
   double delta_energy(std::span<const std::uint8_t> x, std::size_t k) const;
 
-  /// Largest |Q_ij| over all stored entries (0 for an empty matrix).
-  /// Determines the crossbar quantization precision (paper Sec. 4.2).
+  /// Largest |Q_ij| over all stored entries (0 for an empty matrix), by an
+  /// O(n²) scan.  Determines the crossbar quantization precision (paper
+  /// Sec. 4.2).
   double max_abs_coefficient() const;
 
+  /// magnitude_bits(max_abs_coefficient()).
+  int quantization_bits() const { return magnitude_bits(max_abs_coefficient()); }
+
+  /// Direct access to the packed upper-triangular storage
+  /// (row-major: (0,0),(0,1),...,(0,n-1),(1,1),...).  For the crossbar mapper.
+  std::span<const double> packed() const { return values_; }
+
+  /// The finished matrix, frozen for sharing: a copy of this builder, or
+  /// (on an rvalue) its storage moved without a copy.
+  FrozenQuboPtr freeze() const&;
+  FrozenQuboPtr freeze() &&;
+
+ private:
+  std::size_t index(std::size_t i, std::size_t j) const {
+    if (i > j) std::swap(i, j);
+    if (j >= n_) throw std::out_of_range("QuboMatrix index");
+    // Row-major packed upper triangle: row i starts after i full rows whose
+    // lengths are n, n-1, ..., n-i+1.
+    return i * n_ - i * (i - 1) / 2 + (j - i);
+  }
+
+  std::size_t n_ = 0;
+  std::vector<double> values_;  // packed upper triangle
+  double offset_ = 0.0;
+};
+
+/// An immutable QUBO matrix and what its readers derive from it.
+///
+/// The nonzero count and max |Q_ij| are measured by one pass at the freeze.
+/// The full-row mirror (dense_rows.hpp) and the neighbor index
+/// (neighbor_index.hpp) are each built at most once, on first request —
+/// only the one the kernel in use reads ever exists — and concurrent first
+/// requests are safe: one thread builds, the others wait for it.
+class FrozenQubo {
+ public:
+  /// Freezes `q`, measuring it in one pass.
+  explicit FrozenQubo(QuboMatrix q);
+  ~FrozenQubo();
+
+  /// The frozen coefficients (at(), packed(), offset(), ...).
+  const QuboMatrix& matrix() const { return q_; }
+
+  /// Number of binary variables.
+  std::size_t size() const { return q_.size(); }
+
+  /// Energy xᵀQx + offset.
+  double energy(std::span<const std::uint8_t> x) const { return q_.energy(x); }
+
   /// Number of structurally nonzero entries in the upper triangle.
-  /// Maintained incrementally by set()/add(), so this is O(1) — sparse
-  /// fabrication no longer pays an O(n²) scan just to measure density.
   std::size_t nonzeros() const { return nnz_; }
 
   /// Fraction of structurally nonzero upper-triangle entries, in [0, 1]
@@ -75,70 +144,27 @@ class QuboMatrix {
   /// and the O(degree) sparse per-flip kernels.
   double density() const;
 
-  /// The cached CSR adjacency over this matrix's structural nonzeros,
-  /// built lazily on first call (O(n²)) and reused by every consumer —
-  /// sparse IncrementalEvaluators, fabrication-time kernel dispatch.
-  /// Mutating the matrix (set/add) invalidates the cache; copies of the
-  /// matrix share an already-built index.  Not thread-safe against
-  /// concurrent first builds on the *same* object: build once at
-  /// fabrication before cloning (what HyCimSolver does).
-  const NeighborIndex& neighbor_index() const;
+  /// Largest |Q_ij| over all stored entries (0 for an empty matrix).
+  double max_abs_coefficient() const { return max_abs_; }
 
-  /// The same cached index as a shared snapshot.  Holders survive later
-  /// mutations of the matrix (the snapshot goes stale, never dangles);
-  /// stale-index divergence is what check_incremental exists to catch.
-  std::shared_ptr<const NeighborIndex> neighbor_index_ptr() const;
+  /// magnitude_bits(max_abs_coefficient()).
+  int quantization_bits() const { return magnitude_bits(max_abs_); }
 
-  /// The cached contiguous full-row mirror behind the word-parallel dense
-  /// kernels (see dense_rows.hpp).  Same caching contract as
-  /// neighbor_index(): lazy O(n²) build, invalidated by set()/add(),
-  /// shared by copies, build once before cloning across threads.
+  /// The contiguous full-row mirror behind the word-parallel dense
+  /// kernels, built on first call.
   const DenseRows& dense_rows() const;
 
-  /// The mirror as a shared snapshot (never dangles, may go stale).
-  std::shared_ptr<const DenseRows> dense_rows_ptr() const;
-
-  /// The journal of off-diagonal cells that ever transitioned from zero to
-  /// nonzero, in mutation order with possible duplicates and possible
-  /// since-rezeroed entries.  Valid only while journal_exact() holds;
-  /// NeighborIndex uses it to build from the stored nonzeros in
-  /// O(nnz log nnz) instead of scanning all n²/2 packed entries.
-  std::span<const std::pair<std::uint32_t, std::uint32_t>> nonzero_journal()
-      const {
-    return journal_;
-  }
-
-  /// True while the journal covers every possible nonzero (it is dropped
-  /// once its size stops being worth the bookkeeping — near-dense
-  /// mutation patterns — after which index builds fall back to the dense
-  /// scan).
-  bool journal_exact() const { return !journal_overflow_; }
-
-  /// Bits needed to represent the magnitude of the largest coefficient:
-  /// ceil(log2(max |Q_ij|)), minimum 1.  Paper: ⌈log2 (Qij)MAX⌉.
-  int quantization_bits() const;
-
-  /// Direct access to the packed upper-triangular storage
-  /// (row-major: (0,0),(0,1),...,(0,n-1),(1,1),...).  For the crossbar mapper.
-  std::span<const double> packed() const { return values_; }
+  /// The CSR adjacency behind the sparse kernels, built on first call.
+  const NeighborIndex& neighbor_index() const;
 
  private:
-  std::size_t index(std::size_t i, std::size_t j) const;
-  /// Post-write bookkeeping shared by set()/add(): nnz count, journal,
-  /// cache invalidation.
-  void on_write(std::size_t i, std::size_t j, double old_value,
-                double new_value);
-
-  std::size_t n_ = 0;
-  std::vector<double> values_;  // packed upper triangle
-  double offset_ = 0.0;
-  std::size_t nnz_ = 0;  // structural nonzeros, maintained incrementally
-  /// Off-diagonal zero→nonzero transitions (see nonzero_journal()).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> journal_;
-  bool journal_overflow_ = false;
-  /// Lazily built snapshots; reset whenever values_ change.
-  mutable std::shared_ptr<const NeighborIndex> index_;
-  mutable std::shared_ptr<const DenseRows> rows_;
+  QuboMatrix q_;
+  std::size_t nnz_ = 0;
+  double max_abs_ = 0.0;
+  mutable std::once_flag rows_once_;
+  mutable std::unique_ptr<const DenseRows> rows_;
+  mutable std::once_flag index_once_;
+  mutable std::unique_ptr<const NeighborIndex> index_;
 };
 
 }  // namespace hycim::qubo

@@ -74,24 +74,16 @@ class WordState {
   /// Calls f(k) for every set bit k in ascending order.
   template <typename F>
   void for_each_set(F&& f) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t word = words_[w];
-      while (word != 0) {
-        const auto b = static_cast<std::size_t>(std::countr_zero(word));
-        f(w * kWordBits + b);
-        word &= word - 1;
-      }
-    }
+    for_each_set_from(0, f);
   }
 
-  /// Same scan with bit `skip` masked out of the walk (used by the field
-  /// rebuild, where phi_k must not include the k-th term itself).
+  /// Calls f(k) for every set bit k >= first in ascending order (the
+  /// energy sum's inner walk over the partners j > i of a set bit i).
   template <typename F>
-  void for_each_set_except(std::size_t skip, F&& f) const {
-    const std::size_t skip_word = skip / kWordBits;
-    for (std::size_t w = 0; w < words_.size(); ++w) {
+  void for_each_set_from(std::size_t first, F&& f) const {
+    for (std::size_t w = first / kWordBits; w < words_.size(); ++w) {
       std::uint64_t word = words_[w];
-      if (w == skip_word) word &= ~(std::uint64_t{1} << (skip % kWordBits));
+      if (w == first / kWordBits) word &= ~std::uint64_t{0} << (first % kWordBits);
       while (word != 0) {
         const auto b = static_cast<std::size_t>(std::countr_zero(word));
         f(w * kWordBits + b);

@@ -37,7 +37,7 @@ QuboMatrix random_matrix(std::size_t n, double density, util::Rng& rng) {
 class EvalProblem final : public SaProblem {
  public:
   EvalProblem(const QuboMatrix& q, qubo::Kernel kernel)
-      : eval_(q, qubo::BitVector(q.size(), 0), kernel) {}
+      : eval_(q.freeze(), qubo::BitVector(q.size(), 0), kernel) {}
 
   std::size_t num_bits() const override { return eval_.state().size(); }
   double reset(const qubo::BitVector& x) override {
@@ -81,7 +81,7 @@ void expect_same_result(const SaResult& a, const SaResult& b) {
 void run_batched_vs_reference(const QuboMatrix& q, qubo::Kernel kernel) {
   const std::size_t n = q.size();
   const std::size_t replicas = 3;
-  QuboReplicaBatch batch(q, replicas, kernel);
+  QuboReplicaBatch batch(q.freeze(), replicas, kernel);
   ASSERT_EQ(batch.replicas(), replicas);
   ASSERT_EQ(batch.num_bits(), n);
 
@@ -137,15 +137,15 @@ TEST(QuboReplicaBatch, AutoKernelResolvesLikeTheEvaluator) {
   util::Rng rng(23);
   const QuboMatrix sparse_q = random_matrix(32, 0.1, rng);
   const QuboMatrix dense_q = random_matrix(32, 0.9, rng);
-  EXPECT_EQ(QuboReplicaBatch(sparse_q, 2).kernel(), qubo::Kernel::kSparse);
-  EXPECT_EQ(QuboReplicaBatch(dense_q, 2).kernel(), qubo::Kernel::kDense);
+  EXPECT_EQ(QuboReplicaBatch(sparse_q.freeze(), 2).kernel(), qubo::Kernel::kSparse);
+  EXPECT_EQ(QuboReplicaBatch(dense_q.freeze(), 2).kernel(), qubo::Kernel::kDense);
 }
 
 TEST(QuboReplicaBatch, RejectsBadArguments) {
   util::Rng rng(24);
   const QuboMatrix q = random_matrix(8, 0.5, rng);
-  EXPECT_THROW(QuboReplicaBatch(q, 0), std::invalid_argument);
-  QuboReplicaBatch batch(q, 2);
+  EXPECT_THROW(QuboReplicaBatch(q.freeze(), 0), std::invalid_argument);
+  QuboReplicaBatch batch(q.freeze(), 2);
   EXPECT_THROW(batch.problem(0).reset(qubo::BitVector(7, 0)),
                std::invalid_argument);
 }

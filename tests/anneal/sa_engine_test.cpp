@@ -13,7 +13,7 @@ namespace {
 class QuboProblem : public SaProblem {
  public:
   explicit QuboProblem(const qubo::QuboMatrix& q)
-      : eval_(q, qubo::BitVector(q.size(), 0)) {}
+      : eval_(q.freeze(), qubo::BitVector(q.size(), 0)) {}
   std::size_t num_bits() const override { return eval_.state().size(); }
   double reset(const qubo::BitVector& x) override {
     eval_.reset(x);

@@ -52,13 +52,50 @@ TEST(Quantize, FractionalMatrixScales) {
 
 TEST(Quantize, EnergyMatchesDequantizedMatrix) {
   util::Rng rng(2);
-  const auto q = integer_qubo(12, rng, 500);
-  const auto quant = quantize(q, 10);
-  const auto deq = quant.dequantize();
+  const auto q = integer_qubo(12, rng, 500).freeze();
+  const auto quant = quantize(q->matrix(), 8);  // lossy: 500 > 2^8 - 1
+  ASSERT_FALSE(quant.exact);
+  const auto deq = quant.dequantize(q);
+  EXPECT_NE(deq, q);
   for (int trial = 0; trial < 30; ++trial) {
     const auto x = rng.random_bits(12);
-    EXPECT_NEAR(quant.energy(x), deq.energy(x), 1e-9);
+    EXPECT_NEAR(quant.energy(x), deq->energy(x), 1e-9);
   }
+}
+
+TEST(Quantize, ExactQuantizationSharesTheSourceMatrix) {
+  util::Rng rng(4);
+  const auto q = integer_qubo(12, rng, 100).freeze();
+  const auto quant = quantize(q->matrix(), 7);
+  ASSERT_TRUE(quant.exact);
+  EXPECT_EQ(quant.dequantize(q), q);  // no copy: the source itself
+  // -0.0 dequantizes to +0.0, so it is not bit-exact and gets a fresh
+  // matrix.
+  qubo::QuboMatrix signed_zero(2);
+  signed_zero.set(0, 1, -0.0);
+  const auto sz = signed_zero.freeze();
+  const auto sz_quant = quantize(sz->matrix(), 3);
+  EXPECT_FALSE(sz_quant.exact);
+  EXPECT_NE(sz_quant.dequantize(sz), sz);
+}
+
+TEST(Quantize, PowerOfTwoMaximumStaysExact) {
+  // max |Q| = 4 = 2^2 needs 3 bits; sized at ⌈log2 4⌉ = 2 it would take
+  // the lossy scaled path (1 -> 1.33, 3 -> 2.67).
+  qubo::QuboMatrix q(3);
+  q.set(0, 0, 1.0);
+  q.set(0, 2, -3.0);
+  q.set(1, 2, 4.0);
+  q.set(2, 2, 2.0);
+  ASSERT_EQ(q.quantization_bits(), 3);
+  const auto quant = quantize(q, q.quantization_bits());
+  EXPECT_EQ(quant.scale, 1.0);
+  EXPECT_TRUE(quant.exact);
+  EXPECT_EQ(quant.at(0, 0), 1);
+  EXPECT_EQ(quant.at(0, 2), -3);
+  EXPECT_EQ(quant.at(1, 2), 4);
+  EXPECT_EQ(quant.magnitude_bits, 3);
+  EXPECT_EQ(quant.nonzeros, 4u);
 }
 
 TEST(Quantize, IntegerEnergyIsExact) {

@@ -282,8 +282,8 @@ TEST(VmvEngineBoundState, TrialMatchesFullCandidateEnergy) {
   gp.density_percent = 60;
   const auto inst = cop::generate_qkp(gp, 61);
   const auto form = core::to_inequality_qubo(inst);
-  VmvEngine incremental(circuit_params(8), form.q);
-  VmvEngine oracle(circuit_params(8), form.q);  // identical fabrication
+  VmvEngine incremental(circuit_params(8), form.q.freeze());
+  VmvEngine oracle(circuit_params(8), form.q.freeze());  // identical fabrication
 
   util::Rng rng(8);
   auto x = random_bits(rng, inst.n, 0.4);
@@ -312,8 +312,8 @@ TEST(VmvEngineBoundState, SwapTrialsMatchFullCandidateEnergy) {
   gp.density_percent = 60;
   const auto inst = cop::generate_qkp(gp, 62);
   const auto form = core::to_inequality_qubo(inst);
-  VmvEngine incremental(circuit_params(9), form.q);
-  VmvEngine oracle(circuit_params(9), form.q);
+  VmvEngine incremental(circuit_params(9), form.q.freeze());
+  VmvEngine oracle(circuit_params(9), form.q.freeze());
 
   util::Rng rng(9);
   auto x = random_bits(rng, inst.n, 0.5);
@@ -335,7 +335,7 @@ TEST(VmvEngineBoundState, BindOutsideCircuitModeThrows) {
   qubo::QuboMatrix q(4);
   q.set(0, 0, -1.0);
   VmvEngineParams p;  // kQuantized
-  VmvEngine engine(p, q);
+  VmvEngine engine(p, q.freeze());
   EXPECT_THROW(engine.bind(std::vector<std::uint8_t>(4, 0)),
                std::logic_error);
   EXPECT_THROW(engine.bound_energy(), std::logic_error);

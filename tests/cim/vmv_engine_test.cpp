@@ -32,7 +32,7 @@ TEST(VmvEngine, IdealModeMatchesMatrixEnergy) {
   const auto q = integer_qubo(12, rng, 100);
   VmvEngineParams p;
   p.mode = VmvMode::kIdeal;
-  VmvEngine engine(p, q);
+  VmvEngine engine(p, q.freeze());
   for (int trial = 0; trial < 20; ++trial) {
     const auto x = rng.random_bits(12);
     EXPECT_DOUBLE_EQ(engine.energy(x), q.energy(x));
@@ -45,7 +45,7 @@ TEST(VmvEngine, QuantizedModeExactForIntegerMatrices) {
   VmvEngineParams p;
   p.mode = VmvMode::kQuantized;
   p.matrix_bits = 7;
-  VmvEngine engine(p, q);
+  VmvEngine engine(p, q.freeze());
   for (int trial = 0; trial < 20; ++trial) {
     const auto x = rng.random_bits(10);
     EXPECT_DOUBLE_EQ(engine.energy(x), q.energy(x));
@@ -58,7 +58,7 @@ TEST(VmvEngine, CircuitModeMatchesQuantizedInIdealCorner) {
   // justification used by the fast SA path).
   util::Rng rng(3);
   const auto q = integer_qubo(10, rng, 100);
-  VmvEngine engine(circuit_params(), q);
+  VmvEngine engine(circuit_params(), q.freeze());
   for (int trial = 0; trial < 20; ++trial) {
     const auto x = rng.random_bits(10, 0.4);
     EXPECT_NEAR(engine.energy(x), engine.quantized().energy(x), 1e-9)
@@ -70,7 +70,7 @@ TEST(VmvEngine, CircuitModeEmptySelectionIsOffset) {
   util::Rng rng(4);
   auto q = integer_qubo(6, rng, 50);
   q.set_offset(17.0);
-  VmvEngine engine(circuit_params(), q);
+  VmvEngine engine(circuit_params(), q.freeze());
   EXPECT_NEAR(engine.energy(std::vector<std::uint8_t>(6, 0)), 17.0, 1e-9);
 }
 
@@ -79,13 +79,13 @@ TEST(VmvEngine, MagnitudeBitsMatchQuantization) {
   const auto q = integer_qubo(8, rng, 100);
   VmvEngineParams p;
   p.matrix_bits = 7;
-  VmvEngine engine(p, q);
+  VmvEngine engine(p, q.freeze());
   EXPECT_LE(engine.magnitude_bits(), 7);
 }
 
 TEST(VmvEngine, SizeMismatchThrows) {
   qubo::QuboMatrix q(4);
-  VmvEngine engine(VmvEngineParams{}, q);
+  VmvEngine engine(VmvEngineParams{}, q.freeze());
   EXPECT_THROW(engine.energy(std::vector<std::uint8_t>(3, 0)),
                std::invalid_argument);
 }
@@ -97,7 +97,7 @@ TEST(VmvEngine, NegativeOnlyMatrixUsesNegPlanes) {
   q.set(0, 0, -10.0);
   q.set(0, 1, -3.0);
   q.set(2, 3, -7.0);
-  VmvEngine engine(circuit_params(2), q);
+  VmvEngine engine(circuit_params(2), q.freeze());
   const std::vector<std::uint8_t> all(4, 1);
   EXPECT_NEAR(engine.energy(all), -20.0, 1e-9);
 }
@@ -109,7 +109,7 @@ TEST(VmvEngine, AdcClipDegradesLargeColumns) {
   for (std::size_t i = 0; i < 8; ++i) q.set(i, 7, -1.0);  // column 7 heavy
   auto p = circuit_params(3);
   p.adc.bits = 2;
-  VmvEngine engine(p, q);
+  VmvEngine engine(p, q.freeze());
   const std::vector<std::uint8_t> all(8, 1);
   const double e = engine.energy(all);
   EXPECT_GT(e, q.energy(all));  // magnitude clipped toward zero
@@ -121,7 +121,7 @@ TEST(VmvEngine, CircuitWithVariationStaysClose) {
   const auto q = integer_qubo(12, rng, 50);
   auto p = circuit_params(4);
   p.variation = device::VariationParams{};  // realistic corners
-  VmvEngine engine(p, q);
+  VmvEngine engine(p, q.freeze());
   for (int trial = 0; trial < 10; ++trial) {
     const auto x = rng.random_bits(12, 0.5);
     const double exact = engine.quantized().energy(x);
@@ -135,7 +135,7 @@ TEST(VmvEngine, CircuitWithVariationStaysClose) {
 TEST(VmvEngine, ReprogramIsStableInIdealCorner) {
   util::Rng rng(7);
   const auto q = integer_qubo(6, rng, 30);
-  VmvEngine engine(circuit_params(5), q);
+  VmvEngine engine(circuit_params(5), q.freeze());
   const auto x = rng.random_bits(6);
   const double before = engine.energy(x);
   engine.reprogram();

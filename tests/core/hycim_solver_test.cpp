@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "cop/adapters.hpp"
 #include "core/exact.hpp"
+#include "runtime/batch_runner.hpp"
+#include "util/rng.hpp"
 
 namespace hycim::core {
 namespace {
@@ -21,6 +27,62 @@ HyCimConfig fast_config(std::size_t iterations = 3000) {
   config.fidelity = cim::VmvMode::kQuantized;
   config.filter_mode = FilterMode::kSoftware;
   return config;
+}
+
+/// A chip's frozen evaluation matrix and the structure its kernel walks.
+std::pair<const qubo::FrozenQubo*, const void*> shared_matrix(
+    const HyCimSolver& chip) {
+  const qubo::FrozenQubo& m = *chip.eval_matrix();
+  if (chip.kernel() == qubo::Kernel::kSparse) {
+    return {&m, &m.neighbor_index()};
+  }
+  return {&m, &m.dense_rows()};
+}
+
+TEST(HyCimSolver, ClonesShareOneFrozenMatrix) {
+  // Every path that copies a programmed chip — a service cache hit (clone
+  // + retarget), the batch-restart clones made from it, and the tempering
+  // replicas cloned from each restart — shares the prototype's frozen
+  // matrix and its mirror / neighbor index; none copies or rebuilds them.
+  for (const qubo::Kernel kernel :
+       {qubo::Kernel::kDense, qubo::Kernel::kSparse}) {
+    SCOPED_TRACE(qubo::kernel_name(kernel));
+    HyCimConfig config = fast_config(200);
+    config.filter_mode = FilterMode::kHardware;
+    config.kernel = kernel;
+    // The service's chip cache holds prototypes this way.
+    const auto proto = std::make_shared<const HyCimSolver>(
+        cop::to_constrained_form(small_instance(7, 40)), config);
+    ASSERT_EQ(proto->kernel(), kernel);
+    const auto expected = shared_matrix(*proto);
+
+    HyCimSolver hit(*proto, 0);
+    HyCimConfig tempered = config;
+    tempered.search = anneal::TemperingParams{};
+    hit.retarget_solve(tempered);
+    EXPECT_EQ(shared_matrix(hit), expected);
+    for (std::uint64_t r = 1; r <= 3; ++r) {
+      const HyCimSolver restart(hit, r);
+      EXPECT_EQ(shared_matrix(restart), expected);
+      const HyCimSolver replica(restart, util::fork_seed(r, 0xC0000000ULL));
+      EXPECT_EQ(shared_matrix(replica), expected);
+    }
+
+    // Through the batch runner: while a restart runs, its clone holds one
+    // more reference on the prototype's matrix (a copy would hold none).
+    const long idle = proto->eval_matrix().use_count();
+    std::vector<long> during;
+    runtime::BatchParams batch;
+    batch.restarts = 3;
+    batch.threads = 1;
+    const auto inst = small_instance(7, 40);
+    runtime::solve_batch(*proto, [&](util::Rng& rng) {
+      during.push_back(proto->eval_matrix().use_count());
+      return cop::random_feasible(inst, rng);
+    }, batch);
+    ASSERT_EQ(during.size(), 3u);
+    for (const long count : during) EXPECT_GT(count, idle);
+  }
 }
 
 TEST(HyCimSolver, ResultIsAlwaysFeasible) {

@@ -122,7 +122,7 @@ QuboMatrix random_matrix(std::size_t n, double density, util::Rng& rng) {
 class EvalProblem final : public anneal::SaProblem {
  public:
   EvalProblem(const QuboMatrix& q, qubo::Kernel kernel)
-      : eval_(q, BitVector(q.size(), 0), kernel) {}
+      : eval_(q.freeze(), BitVector(q.size(), 0), kernel) {}
 
   std::size_t num_bits() const override { return eval_.state().size(); }
   double reset(const BitVector& x) override {
@@ -180,7 +180,7 @@ TEST(AllocationFree, BatchedReplicaSteadyState) {
   const std::size_t n = 96;
   const std::size_t replicas = 4;
   const QuboMatrix q = random_matrix(n, 0.5, rng);
-  anneal::QuboReplicaBatch batch(q, replicas);
+  anneal::QuboReplicaBatch batch(q.freeze(), replicas);
   anneal::SaParams params;
   params.iterations = 4000;
   params.swap_probability = 0.4;

@@ -27,13 +27,13 @@ TEST(HardwareFidelity, QuantizedEqualsCircuitInIdealCorner) {
   cim::VmvEngineParams quantized;
   quantized.mode = cim::VmvMode::kQuantized;
   quantized.matrix_bits = 7;
-  cim::VmvEngine fast(quantized, form.q);
+  cim::VmvEngine fast(quantized, form.q.freeze());
 
   cim::VmvEngineParams circuit = quantized;
   circuit.mode = cim::VmvMode::kCircuit;
   circuit.variation = device::ideal_variation();
   circuit.adc.bits = 8;
-  cim::VmvEngine slow(circuit, form.q);
+  cim::VmvEngine slow(circuit, form.q.freeze());
 
   util::Rng rng(2);
   for (int trial = 0; trial < 40; ++trial) {
@@ -50,7 +50,7 @@ TEST(HardwareFidelity, CircuitEnergyErrorSmallUnderRealisticCorners) {
   circuit.matrix_bits = 7;
   circuit.adc.bits = 8;
   circuit.fab_seed = 5;
-  cim::VmvEngine engine(circuit, form.q);
+  cim::VmvEngine engine(circuit, form.q.freeze());
   util::Rng rng(3);
   double worst_rel = 0.0;
   for (int trial = 0; trial < 30; ++trial) {

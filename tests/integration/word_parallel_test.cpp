@@ -110,7 +110,7 @@ TEST(WordParallel, DenseKernelBitIdenticalToScalarReference) {
     const QuboMatrix q = random_matrix(c.n, c.density, rng);
     const BitVector x0 = rng.random_bits(c.n);
     ScalarReference ref(q, x0);
-    qubo::IncrementalEvaluator word(q, x0, qubo::Kernel::kDense);
+    qubo::IncrementalEvaluator word(q.freeze(), x0, qubo::Kernel::kDense);
     ASSERT_EQ(word.energy(), ref.energy());
     for (int step = 0; step < 500; ++step) {
       const std::size_t i = rng.index(c.n);

@@ -18,7 +18,7 @@ QuboMatrix random_qubo(std::size_t n, util::Rng& rng) {
 
 TEST(IncrementalEvaluator, SizeMismatchThrows) {
   QuboMatrix q(3);
-  EXPECT_THROW(IncrementalEvaluator(q, BitVector(2, 0)),
+  EXPECT_THROW(IncrementalEvaluator(q.freeze(), BitVector(2, 0)),
                std::invalid_argument);
 }
 
@@ -26,7 +26,7 @@ TEST(IncrementalEvaluator, InitialEnergyMatchesMatrix) {
   util::Rng rng(1);
   const QuboMatrix q = random_qubo(10, rng);
   const BitVector x = rng.random_bits(10);
-  IncrementalEvaluator eval(q, x);
+  IncrementalEvaluator eval(q.freeze(), x);
   EXPECT_NEAR(eval.energy(), q.energy(x), 1e-9);
 }
 
@@ -34,7 +34,7 @@ TEST(IncrementalEvaluator, DeltaMatchesMatrixDelta) {
   util::Rng rng(2);
   const QuboMatrix q = random_qubo(15, rng);
   const BitVector x = rng.random_bits(15);
-  IncrementalEvaluator eval(q, x);
+  IncrementalEvaluator eval(q.freeze(), x);
   for (std::size_t k = 0; k < 15; ++k) {
     EXPECT_NEAR(eval.delta(k), q.delta_energy(x, k), 1e-9) << "bit " << k;
   }
@@ -43,7 +43,7 @@ TEST(IncrementalEvaluator, DeltaMatchesMatrixDelta) {
 TEST(IncrementalEvaluator, LongFlipSequenceStaysConsistent) {
   util::Rng rng(3);
   const QuboMatrix q = random_qubo(20, rng);
-  IncrementalEvaluator eval(q, rng.random_bits(20));
+  IncrementalEvaluator eval(q.freeze(), rng.random_bits(20));
   for (int step = 0; step < 2000; ++step) {
     const std::size_t k = rng.index(20);
     const double predicted = eval.energy() + eval.delta(k);
@@ -56,7 +56,7 @@ TEST(IncrementalEvaluator, LongFlipSequenceStaysConsistent) {
 
 TEST(IncrementalEvaluator, FlipTogglesState) {
   QuboMatrix q(4);
-  IncrementalEvaluator eval(q, BitVector{0, 1, 0, 1});
+  IncrementalEvaluator eval(q.freeze(), BitVector{0, 1, 0, 1});
   eval.flip(0);
   eval.flip(1);
   EXPECT_EQ(eval.state(), (BitVector{1, 0, 0, 1}));
@@ -65,7 +65,7 @@ TEST(IncrementalEvaluator, FlipTogglesState) {
 TEST(IncrementalEvaluator, ResetReplacesState) {
   util::Rng rng(4);
   const QuboMatrix q = random_qubo(8, rng);
-  IncrementalEvaluator eval(q, BitVector(8, 0));
+  IncrementalEvaluator eval(q.freeze(), BitVector(8, 0));
   const BitVector x = rng.random_bits(8);
   eval.reset(x);
   EXPECT_EQ(eval.state(), x);
@@ -74,7 +74,7 @@ TEST(IncrementalEvaluator, ResetReplacesState) {
 
 TEST(IncrementalEvaluator, ResetSizeMismatchThrows) {
   QuboMatrix q(3);
-  IncrementalEvaluator eval(q, BitVector(3, 0));
+  IncrementalEvaluator eval(q.freeze(), BitVector(3, 0));
   EXPECT_THROW(eval.reset(BitVector(4, 0)), std::invalid_argument);
 }
 
@@ -82,7 +82,7 @@ TEST(IncrementalEvaluator, DoubleFlipIsIdentity) {
   util::Rng rng(5);
   const QuboMatrix q = random_qubo(10, rng);
   const BitVector x = rng.random_bits(10);
-  IncrementalEvaluator eval(q, x);
+  IncrementalEvaluator eval(q.freeze(), x);
   const double e0 = eval.energy();
   eval.flip(3);
   eval.flip(3);
@@ -93,7 +93,7 @@ TEST(IncrementalEvaluator, DoubleFlipIsIdentity) {
 TEST(IncrementalEvaluator, OffsetIncludedInEnergy) {
   QuboMatrix q(2);
   q.set_offset(100.0);
-  IncrementalEvaluator eval(q, BitVector{0, 0});
+  IncrementalEvaluator eval(q.freeze(), BitVector{0, 0});
   EXPECT_DOUBLE_EQ(eval.energy(), 100.0);
 }
 

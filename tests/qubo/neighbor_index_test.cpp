@@ -48,11 +48,11 @@ TEST(NeighborIndex, MirrorsTheMatrixStructure) {
 
 TEST(NeighborIndex, DensityCountsUpperTriangleFill) {
   QuboMatrix q(4);  // 10 packed entries
-  EXPECT_DOUBLE_EQ(q.density(), 0.0);
+  EXPECT_DOUBLE_EQ(q.freeze()->density(), 0.0);
   q.set(0, 0, 1.0);
   q.set(1, 3, 2.0);
-  EXPECT_DOUBLE_EQ(q.density(), 0.2);
-  EXPECT_DOUBLE_EQ(QuboMatrix().density(), 0.0);
+  EXPECT_DOUBLE_EQ(q.freeze()->density(), 0.2);
+  EXPECT_DOUBLE_EQ(QuboMatrix().freeze()->density(), 0.0);
 }
 
 TEST(NeighborIndex, KernelDispatchFollowsDensityThreshold) {
@@ -63,112 +63,29 @@ TEST(NeighborIndex, KernelDispatchFollowsDensityThreshold) {
   EXPECT_STREQ(kernel_name(Kernel::kSparse), "sparse");
 }
 
-TEST(NeighborIndex, CachedOnTheMatrixAndInvalidatedByMutation) {
-  util::Rng rng(3);
-  QuboMatrix q = random_matrix(12, 0.3, rng);
-  const NeighborIndex* first = &q.neighbor_index();
-  EXPECT_EQ(first, &q.neighbor_index());  // cached: same object
-  const auto snapshot = q.neighbor_index_ptr();
-  q.set(0, 1, 9.0);
-  const NeighborIndex& rebuilt = q.neighbor_index();
-  EXPECT_NE(&rebuilt, snapshot.get());  // mutation invalidated the cache
-  // The held snapshot is stale but safe to read (shared ownership).
-  EXPECT_EQ(snapshot->size(), 12u);
-}
-
-/// Structural equality of two indices (offsets, links, diagonal).
-void expect_same_index(const NeighborIndex& a, const NeighborIndex& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.link_count(), b.link_count());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a.diagonal(k), b.diagonal(k)) << "diag " << k;
-    ASSERT_EQ(a.degree(k), b.degree(k)) << "degree " << k;
-    const auto na = a.neighbors(k);
-    const auto nb = b.neighbors(k);
-    for (std::size_t t = 0; t < na.size(); ++t) {
-      EXPECT_EQ(na[t].index, nb[t].index) << "row " << k << " slot " << t;
-      EXPECT_EQ(na[t].value, nb[t].value) << "row " << k << " slot " << t;
-    }
-  }
-}
-
-TEST(NeighborIndex, NonzeroCountIsMaintainedIncrementally) {
-  QuboMatrix q(5);
-  EXPECT_EQ(q.nonzeros(), 0u);
-  q.set(0, 1, 2.0);
-  q.set(2, 2, -1.0);
-  EXPECT_EQ(q.nonzeros(), 2u);
-  q.set(0, 1, 0.0);  // re-zero: count drops
-  EXPECT_EQ(q.nonzeros(), 1u);
-  q.add(2, 2, 1.0);  // adds to exactly zero: structural zero again
-  EXPECT_EQ(q.nonzeros(), 0u);
-  q.add(3, 4, 0.5);
-  q.add(3, 4, 0.5);  // second add keeps it nonzero, no double count
-  EXPECT_EQ(q.nonzeros(), 1u);
-}
-
-TEST(NeighborIndex, JournalBuildMatchesDenseScanFallback) {
-  // Construct the same final matrix twice: once through a sparse mutation
-  // pattern (journal stays exact — the O(nnz log nnz) build path), once
-  // after deliberately overflowing the journal (the dense-scan fallback).
-  // The two builds must be structurally identical.
-  util::Rng rng(17);
-  const std::size_t n = 24;
-  QuboMatrix sparse_path = random_matrix(n, 0.15, rng);
-  ASSERT_TRUE(sparse_path.journal_exact());
-  ASSERT_LE(sparse_path.density(), 0.3);
-
-  QuboMatrix dense_path(n);
-  // Churn one cell zero→nonzero→zero until the journal gives up…
-  while (dense_path.journal_exact()) {
-    dense_path.set(0, 1, 1.0);
-    dense_path.set(0, 1, 0.0);
-  }
-  // …then write the same final values through the fallback path.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      dense_path.set(i, j, sparse_path.at(i, j));
-    }
-  }
-  ASSERT_FALSE(dense_path.journal_exact());
-  EXPECT_EQ(dense_path.nonzeros(), sparse_path.nonzeros());
-  expect_same_index(sparse_path.neighbor_index(),
-                    dense_path.neighbor_index());
-}
-
-TEST(NeighborIndex, JournalDropsReZeroedCells) {
+TEST(NeighborIndex, ReZeroedAndRewrittenCellsLinkOnce) {
   QuboMatrix q(6);
   q.set(1, 4, 3.0);
   q.set(2, 5, 2.0);
-  q.set(1, 4, 0.0);  // journaled cell goes back to zero before the build
-  ASSERT_TRUE(q.journal_exact());
-  const NeighborIndex& idx = q.neighbor_index();
-  EXPECT_EQ(idx.degree(1), 0u);
-  EXPECT_EQ(idx.degree(4), 0u);
-  EXPECT_EQ(idx.degree(2), 1u);
-  EXPECT_EQ(idx.link_count(), 2u);
-}
-
-TEST(NeighborIndex, JournalSurvivesDuplicateTransitions) {
-  // The same cell transitioning 0→x→0→y journals twice; the build must
-  // dedupe, not double-link.
-  QuboMatrix q(4);
+  q.set(1, 4, 0.0);  // back to zero before the build: no link
   q.set(0, 2, 1.0);
   q.set(0, 2, 0.0);
-  q.set(0, 2, 7.0);
-  ASSERT_TRUE(q.journal_exact());
-  const NeighborIndex& idx = q.neighbor_index();
+  q.set(0, 2, 7.0);  // zero → nonzero twice: one link, last value
+  const NeighborIndex idx(q);
+  EXPECT_EQ(idx.degree(1), 0u);
+  EXPECT_EQ(idx.degree(4), 0u);
   ASSERT_EQ(idx.degree(0), 1u);
   EXPECT_EQ(idx.neighbors(0)[0].index, 2u);
   EXPECT_DOUBLE_EQ(idx.neighbors(0)[0].value, 7.0);
-  EXPECT_EQ(idx.link_count(), 2u);
+  EXPECT_EQ(idx.degree(2), 2u);  // partners 0 and 5
+  EXPECT_EQ(idx.link_count(), 4u);
 }
 
 TEST(SparseEvaluator, BitIdenticalToDenseOverRandomWalks) {
   util::Rng rng(7);
   for (int trial = 0; trial < 8; ++trial) {
     const std::size_t n = 16 + 8 * trial;
-    const QuboMatrix q = random_matrix(n, 0.15, rng);
+    const FrozenQuboPtr q = random_matrix(n, 0.15, rng).freeze();
     const BitVector x0 = rng.random_bits(n);
     IncrementalEvaluator dense(q, x0, Kernel::kDense);
     IncrementalEvaluator sparse(q, x0, Kernel::kSparse);
@@ -192,8 +109,7 @@ TEST(SparseEvaluator, BitIdenticalToDenseOverRandomWalks) {
       ASSERT_EQ(dense.energy(), sparse.energy()) << "step " << step;
     }
     EXPECT_EQ(dense.state(), sparse.state());
-    // reset() reuses the matrix's cached index (no O(n²) re-derivation)
-    // and lands on the same fields.
+    // reset() streams the shared index and lands on the same fields.
     const BitVector x1 = rng.random_bits(n);
     dense.reset(x1);
     sparse.reset(x1);
@@ -206,37 +122,14 @@ TEST(SparseEvaluator, BitIdenticalToDenseOverRandomWalks) {
 
 TEST(SparseEvaluator, AutoKernelResolvesFromMatrixDensity) {
   util::Rng rng(11);
-  const QuboMatrix sparse_q = random_matrix(24, 0.1, rng);
-  const QuboMatrix dense_q = random_matrix(24, 0.9, rng);
+  const FrozenQuboPtr sparse_q = random_matrix(24, 0.1, rng).freeze();
+  const FrozenQuboPtr dense_q = random_matrix(24, 0.9, rng).freeze();
   EXPECT_EQ(IncrementalEvaluator(sparse_q, BitVector(24, 0), Kernel::kAuto)
                 .kernel(),
             Kernel::kSparse);
   EXPECT_EQ(IncrementalEvaluator(dense_q, BitVector(24, 0), Kernel::kAuto)
                 .kernel(),
             Kernel::kDense);
-}
-
-// Fault injection: the sparse evaluator runs on a *snapshot* of the
-// matrix's adjacency.  Mutating the matrix afterwards desyncs the
-// snapshot — exactly the class of divergence the solver's
-// check_incremental cross-check (incremental energy vs recompute())
-// exists to catch.  This pins that the divergence is observable through
-// the same comparison check_committed_state performs.
-TEST(SparseEvaluator, StaleIndexDivergenceIsDetectableByTheCrossCheck) {
-  util::Rng rng(13);
-  QuboMatrix q = random_matrix(20, 0.2, rng);
-  q.set(2, 7, 0.0);  // ensure the coupling is structurally absent
-  IncrementalEvaluator sparse(q, rng.random_bits(20), Kernel::kSparse);
-  q.set(2, 7, 4.5);  // structural change AFTER the snapshot was taken
-  // Put both endpoints of the changed coupling into the state: the stale
-  // snapshot never accounts for (2, 7), while recompute() sees the new
-  // matrix — the tracked energy and the from-scratch energy diverge by
-  // the injected coupling.
-  if (!sparse.state()[7]) sparse.flip(7);
-  if (!sparse.state()[2]) sparse.flip(2);
-  const double tolerance =
-      1e-6 * std::max(1.0, std::abs(sparse.energy()));
-  EXPECT_GT(std::abs(sparse.energy() - sparse.recompute()), tolerance);
 }
 
 }  // namespace

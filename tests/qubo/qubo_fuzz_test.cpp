@@ -86,7 +86,7 @@ TEST_P(QuboFuzz, IncrementalWalkNeverDiverges) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) q.set(i, j, rng.uniform(-20, 20));
   }
-  IncrementalEvaluator eval(q, rng.random_bits(n));
+  IncrementalEvaluator eval(q.freeze(), rng.random_bits(n));
   for (int step = 0; step < 500; ++step) {
     if (rng.bernoulli(0.3) && n >= 2) {
       std::size_t i = rng.index(n), j = rng.index(n);
@@ -112,7 +112,7 @@ TEST_P(QuboFuzz, DeltaPairConsistentWithTwoSequentialFlips) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) q.set(i, j, rng.uniform(-20, 20));
   }
-  IncrementalEvaluator eval(q, rng.random_bits(n));
+  IncrementalEvaluator eval(q.freeze(), rng.random_bits(n));
   for (int trial = 0; trial < 30; ++trial) {
     std::size_t i = rng.index(n), j = rng.index(n);
     while (j == i) j = rng.index(n);

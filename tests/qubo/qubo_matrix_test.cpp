@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "util/rng.hpp"
 
 namespace hycim::qubo {
@@ -95,14 +97,27 @@ TEST(QuboMatrix, MaxAbsCoefficient) {
   EXPECT_DOUBLE_EQ(q.max_abs_coefficient(), 42.0);
 }
 
-TEST(QuboMatrix, NonzeroCount) {
+TEST(QuboMatrix, FreezeMeasuresTheFinishedMatrix) {
   QuboMatrix q(3);
-  EXPECT_EQ(q.nonzeros(), 0u);
+  EXPECT_EQ(q.freeze()->nonzeros(), 0u);
   q.set(0, 0, 1.0);
-  q.set(1, 2, 2.0);
-  EXPECT_EQ(q.nonzeros(), 2u);
-  q.set(0, 0, 0.0);
-  EXPECT_EQ(q.nonzeros(), 1u);
+  q.set(1, 2, -2.0);
+  q.add(2, 2, 0.5);
+  q.add(2, 2, -0.5);  // adds back to zero: structurally zero again
+  q.set_offset(3.0);
+  const FrozenQuboPtr frozen = q.freeze();
+  EXPECT_EQ(frozen->nonzeros(), 2u);
+  EXPECT_DOUBLE_EQ(frozen->max_abs_coefficient(), 2.0);
+  EXPECT_EQ(frozen->quantization_bits(), q.quantization_bits());
+  EXPECT_EQ(frozen->energy(BitVector{1, 1, 1}), q.energy(BitVector{1, 1, 1}));
+  // A later write to the builder never reaches the frozen copy.
+  q.set(0, 1, 9.0);
+  EXPECT_EQ(frozen->matrix().at(0, 1), 0.0);
+  // Freezing an rvalue moves the storage and leaves an empty builder.
+  const FrozenQuboPtr moved = std::move(q).freeze();
+  EXPECT_EQ(moved->matrix().at(0, 1), 9.0);
+  EXPECT_EQ(q.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(q.packed().empty());
 }
 
 TEST(QuboMatrix, QuantizationBitsMatchesPaperExamples) {
@@ -117,6 +132,18 @@ TEST(QuboMatrix, QuantizationBitsMatchesPaperExamples) {
   QuboMatrix q2(2);
   q2.set(0, 0, 4.0e4);
   EXPECT_EQ(q2.quantization_bits(), 16);
+}
+
+TEST(QuboMatrix, QuantizationBitsCoverPowersOfTwo) {
+  // b bits hold magnitudes up to 2^b - 1, so 2^t itself needs t + 1 bits.
+  QuboMatrix q(2);
+  for (const auto& [max_abs, bits] :
+       {std::pair{3.0, 2}, {4.0, 3}, {3.5, 3}, {7.0, 3}, {8.0, 4},
+        {127.0, 7}, {128.0, 8}}) {
+    q.set(0, 1, max_abs);
+    EXPECT_EQ(q.quantization_bits(), bits) << "max |Q| = " << max_abs;
+    EXPECT_EQ(magnitude_bits(max_abs), bits);
+  }
 }
 
 TEST(QuboMatrix, QuantizationBitsMinimumIsOne) {

@@ -1,12 +1,15 @@
 // The word-packed state and the dense full-row mirror — the two storage
 // layouts behind the word-parallel dense kernels: packing round-trips,
 // ascending set-bit scans (the ordering guarantee the bit-identity claims
-// rest on), and the mirror's exact-copy/caching contract on QuboMatrix.
+// rest on), and the mirror's exact-copy and build-once contract on
+// FrozenQubo.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "qubo/dense_rows.hpp"
+#include "qubo/neighbor_index.hpp"
 #include "qubo/qubo_matrix.hpp"
 #include "qubo/word_state.hpp"
 #include "util/rng.hpp"
@@ -63,23 +66,17 @@ TEST(WordState, ScansSetBitsAscending) {
   w.for_each_set([&](std::size_t k) { seen.push_back(k); });
   EXPECT_EQ(seen, expected);
 
-  // The masked scan drops exactly the masked bit, order untouched.
-  if (!expected.empty()) {
-    const std::size_t skip = expected[expected.size() / 2];
-    std::vector<std::size_t> expected_skip;
+  // A scan from a start bit drops exactly the bits below it, order
+  // untouched — including starts on and past word boundaries.
+  for (const std::size_t first : {0u, 1u, 63u, 64u, 100u, 149u, 150u}) {
+    std::vector<std::size_t> tail;
     for (const std::size_t k : expected) {
-      if (k != skip) expected_skip.push_back(k);
+      if (k >= first) tail.push_back(k);
     }
     seen.clear();
-    w.for_each_set_except(skip, [&](std::size_t k) { seen.push_back(k); });
-    EXPECT_EQ(seen, expected_skip);
+    w.for_each_set_from(first, [&](std::size_t k) { seen.push_back(k); });
+    EXPECT_EQ(seen, tail) << "first=" << first;
   }
-  // Masking an unset bit changes nothing.
-  std::size_t unset = 0;
-  while (bits[unset]) ++unset;
-  seen.clear();
-  w.for_each_set_except(unset, [&](std::size_t k) { seen.push_back(k); });
-  EXPECT_EQ(seen, expected);
 }
 
 TEST(DenseRows, MirrorsTheTriangleExactly) {
@@ -105,18 +102,38 @@ TEST(DenseRows, MirrorsTheTriangleExactly) {
   }
 }
 
-TEST(DenseRows, CachedOnTheMatrixAndInvalidatedByMutation) {
-  QuboMatrix q(8);
-  q.set(1, 5, 2.0);
-  const DenseRows* first = &q.dense_rows();
-  EXPECT_EQ(first, &q.dense_rows());  // cached: same object
-  const auto snapshot = q.dense_rows_ptr();
-  QuboMatrix copy = q;  // copies share the built snapshot
-  EXPECT_EQ(&copy.dense_rows(), snapshot.get());
-  q.set(1, 5, 3.0);
-  EXPECT_NE(&q.dense_rows(), snapshot.get());  // invalidated
-  EXPECT_EQ(snapshot->row(1)[5], 2.0);         // stale but safe
-  EXPECT_EQ(q.dense_rows().row(1)[5], 3.0);
+TEST(FrozenQubo, ConcurrentFirstRequestsBuildEachStructureOnce) {
+  util::Rng rng(13);
+  const std::size_t n = 150;  // several transpose tiles
+  QuboMatrix q(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      if (rng.bernoulli(0.3)) q.set(i, j, rng.uniform(-3.0, 3.0));
+    }
+  }
+  const FrozenQuboPtr frozen = q.freeze();
+  constexpr std::size_t kThreads = 6;
+  std::vector<const DenseRows*> rows(kThreads, nullptr);
+  std::vector<const NeighborIndex*> index(kThreads, nullptr);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        rows[t] = &frozen->dense_rows();
+        index[t] = &frozen->neighbor_index();
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(rows[t], rows[0]);
+    EXPECT_EQ(index[t], index[0]);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      ASSERT_EQ(rows[0]->row(j)[i], q.at(i, j)) << i << "," << j;
+    }
+  }
 }
 
 }  // namespace
