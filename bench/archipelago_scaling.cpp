@@ -149,8 +149,7 @@ int main(int argc, char** argv) {
     p.threads = threads;
     const runtime::PoolStats before = pool.stats();
     const auto start = std::chrono::steady_clock::now();
-    const runtime::BatchResult batch =
-        runtime::solve_archipelago(prototype, init, p);
+    const runtime::BatchResult batch = runtime::solve_batch(prototype, init, p);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -222,7 +221,7 @@ int main(int argc, char** argv) {
     pt_params.restarts = 4;
     pt_total += best_profit(
         gate_inst,
-        runtime::solve_tempered(gate_form, pt_config, gate_init, pt_params));
+        runtime::solve_batch(gate_form, pt_config, gate_init, pt_params));
 
     core::HyCimConfig island_config = sa_config;
     anneal::ArchipelagoParams gate_ap;
@@ -236,8 +235,8 @@ int main(int argc, char** argv) {
     runtime::BatchParams island_params = sa_params;
     island_params.restarts = 4;
     island_total += best_profit(
-        gate_inst, runtime::solve_archipelago(gate_form, island_config,
-                                              gate_init, island_params));
+        gate_inst, runtime::solve_batch(gate_form, island_config, gate_init,
+                                        island_params));
   }
   const bool island_beats_sa = island_total >= sa_total;
   const bool island_beats_pt = island_total >= pt_total;

@@ -500,7 +500,7 @@ BENCHMARK(BM_SwapIndexSampler)->Arg(100)->Arg(400)->Arg(1600);
 
 void BM_ExchangeStep(benchmark::State& state) {
   // One replica-exchange barrier over an R-slot ladder: the serial
-  // Metropolis sweep solve_tempered interleaves between replica segments.
+  // Metropolis sweep a tempered solve interleaves between replica segments.
   // O(R) with at most one uniform draw per proposed pair — this pins the
   // barrier overhead against the O(interval · n) walk segments it
   // separates.

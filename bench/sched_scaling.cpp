@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   const auto tempered_at = [&](unsigned threads) {
     runtime::BatchParams p = params;
     p.threads = threads;
-    return [&, p] { return runtime::solve_tempered(prototype, init, p); };
+    return [&, p] { return runtime::solve_batch(prototype, init, p); };
   };
   measure("tempered_threads_1", tempered_at(1));
   measure("tempered_threads_2", tempered_at(2));

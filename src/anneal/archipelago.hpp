@@ -82,8 +82,6 @@ double respace_t_ratio(double t_ratio, double acceptance,
 /// (which keeps the SoA QuboReplicaBatch fast path working unchanged).
 class Archipelago final : public Strategy {
  public:
-  using Strategy::run;
-
   explicit Archipelago(const ArchipelagoParams& params);
 
   std::size_t replicas() const override;

@@ -212,23 +212,20 @@ struct IslandStats {
   bool operator==(const IslandStats&) const = default;
 };
 
-/// Outcome of one strategy run.  `sa` aggregates the ensemble: counters are
-/// sums over replicas, best_x/best_energy the ensemble best (ties break to
-/// the lowest replica index), final_x/final_energy the state of the replica
-/// holding the coldest ladder slot at the end.  Single-walk runs leave the
-/// replica/exchange fields empty; only archipelago runs fill the island
-/// fields (per-island stats, migration/resample traces and counters).
-struct SearchResult {
-  SaResult sa;
-  /// kNone for a run that completed its full budget; kCancelled /
-  /// kDeadlineExceeded when a cancel token stopped the search early at a
-  /// segment or migration-barrier checkpoint — `sa` then holds the
-  /// any-time best-so-far (a valid partial result, not garbage).
-  util::StopReason stopped = util::StopReason::kNone;
+/// The ensemble observability of one search — declared once and inherited
+/// by every level that reports a solve (SearchResult, core::SolveResult,
+/// runtime::RunRecord), so passing it up is one slice assignment.
+/// Single-walk SA leaves every field empty, replica exchange fills the
+/// replica/exchange fields, and an archipelago fills the island fields too.
+struct SearchTelemetry {
+  /// Per-replica walk/exchange counters and the deterministic
+  /// ladder-exchange trace.
   std::vector<ReplicaCounters> replicas;
   std::vector<ExchangeEvent> exchange_trace;
   std::size_t exchanges_proposed = 0;
   std::size_t exchanges_accepted = 0;
+  /// Per-island statistics and the deterministic migration/resample traces
+  /// with their exact counters.
   std::vector<IslandStats> islands;
   std::vector<MigrationEvent> migration_trace;
   std::vector<ResampleEvent> resample_trace;
@@ -236,6 +233,19 @@ struct SearchResult {
   std::size_t migrations_accepted = 0;
   std::size_t resamples = 0;
   std::size_t respaces = 0;
+};
+
+/// Outcome of one strategy run.  `sa` aggregates the ensemble: counters are
+/// sums over replicas, best_x/best_energy the ensemble best (ties break to
+/// the lowest replica index), final_x/final_energy the state of the replica
+/// holding the coldest ladder slot at the end.
+struct SearchResult : SearchTelemetry {
+  SaResult sa;
+  /// kNone for a run that completed its full budget; kCancelled /
+  /// kDeadlineExceeded when a cancel token stopped the search early at a
+  /// segment or migration-barrier checkpoint — `sa` then holds the
+  /// any-time best-so-far (a valid partial result, not garbage).
+  util::StopReason stopped = util::StopReason::kNone;
 };
 
 /// One unit of replica work dispatched by a strategy.
@@ -271,21 +281,12 @@ class Strategy {
                            const qubo::BitVector& x0, const SaParams& sa,
                            std::uint64_t seed, const Executor& executor,
                            const util::CancelToken& cancel) const = 0;
-
-  /// Convenience overload: no cancellation.
-  SearchResult run(std::span<SaProblem* const> problems,
-                   const qubo::BitVector& x0, const SaParams& sa,
-                   std::uint64_t seed, const Executor& executor) const {
-    return run(problems, x0, sa, seed, executor, util::CancelToken{});
-  }
 };
 
 /// The classic single cooled walk — simulated_annealing() behind the
 /// Strategy interface, bit-identical to calling it directly.
 class SingleSa final : public Strategy {
  public:
-  using Strategy::run;
-
   std::size_t replicas() const override { return 1; }
   SearchResult run(std::span<SaProblem* const> problems,
                    const qubo::BitVector& x0, const SaParams& sa,
@@ -305,8 +306,6 @@ class SingleSa final : public Strategy {
 /// independent of how the Executor schedules replica segments.
 class ReplicaExchange final : public Strategy {
  public:
-  using Strategy::run;
-
   explicit ReplicaExchange(const TemperingParams& params);
 
   std::size_t replicas() const override { return params_.replicas; }

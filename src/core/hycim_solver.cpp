@@ -435,17 +435,6 @@ HyCimSolver::HyCimSolver(HyCimSolver&&) noexcept = default;
 HyCimSolver& HyCimSolver::operator=(HyCimSolver&&) noexcept = default;
 
 SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
-                               std::uint64_t run_seed) {
-  return solve(x0, run_seed, anneal::run_serial);
-}
-
-SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
-                               std::uint64_t run_seed,
-                               const anneal::Executor& executor) {
-  return solve(x0, run_seed, executor, util::CancelToken{});
-}
-
-SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
                                std::uint64_t run_seed,
                                const anneal::Executor& executor,
                                const util::CancelToken& cancel) {
@@ -472,8 +461,7 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   // The views run the same kernels over the same matrix, so the solve is
   // bit-identical to the cloned-chip path; only the layout changes.
   const bool batch_replicas =
-      config_.soa_replicas && replica_count > 1 &&
-      config_.fidelity != cim::VmvMode::kCircuit &&
+      replica_count > 1 && config_.fidelity != cim::VmvMode::kCircuit &&
       config_.filter_mode == FilterMode::kSoftware &&
       form_->constraints.empty() && form_->equalities.empty() &&
       !config_.check_incremental;
@@ -504,17 +492,7 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   SolveResult result;
   result.status = status_of(search.stopped);
   result.sa = std::move(search.sa);
-  result.replicas = std::move(search.replicas);
-  result.exchange_trace = std::move(search.exchange_trace);
-  result.exchanges_proposed = search.exchanges_proposed;
-  result.exchanges_accepted = search.exchanges_accepted;
-  result.islands = std::move(search.islands);
-  result.migration_trace = std::move(search.migration_trace);
-  result.resample_trace = std::move(search.resample_trace);
-  result.migrations_proposed = search.migrations_proposed;
-  result.migrations_accepted = search.migrations_accepted;
-  result.resamples = search.resamples;
-  result.respaces = search.respaces;
+  static_cast<anneal::SearchTelemetry&>(result) = std::move(search);
   result.best_x = result.sa.best_x;
   result.best_energy = result.sa.best_energy;
   result.feasible = form_->feasible(result.best_x);
@@ -526,7 +504,6 @@ void HyCimSolver::retarget_solve(const HyCimConfig& config) {
   config_.sa = config.sa;
   config_.search = config.search;
   config_.check_incremental = config.check_incremental;
-  config_.soa_replicas = config.soa_replicas;  // layout knob, never behavior
 }
 
 void HyCimSolver::reprogram() {

@@ -64,16 +64,6 @@ struct HyCimConfig {
   qubo::Kernel kernel = qubo::Kernel::kAuto;
   cim::InequalityFilterParams filter{};
   cim::VmvEngineParams vmv{};  ///< mode/matrix_bits overridden by the above
-  /// Structure-of-arrays replica state for tempered solves that reduce to
-  /// a pure QUBO walk (software filters, no constraints, non-circuit
-  /// fidelity, check_incremental off): the replicas share one frozen
-  /// matrix and keep fields/states in contiguous batch arenas
-  /// (anneal::QuboReplicaBatch) instead of cloning the whole chip per
-  /// replica.  Bit-identical to the cloned-chip path — the views perform
-  /// the same float operations through the same kernels — so this is a
-  /// layout/throughput knob, not a behavior knob; it exists so tests can
-  /// pin that equivalence.  Ineligible solves fall back silently.
-  bool soa_replicas = true;
   /// Debug mode: cross-check every incremental trial/commit against a full
   /// recomputation (filter matchline voltages, energies) and throw
   /// std::logic_error on divergence.  O(n²) per SA step — enable in tests
@@ -83,10 +73,11 @@ struct HyCimConfig {
   bool check_incremental = false;
 };
 
-/// Outcome of one solve on the generic facade.  Problem-level scores
-/// (QKP profit, bins used, coloring validity, ...) are recovered by the
-/// adapter layer from best_x.
-struct SolveResult {
+/// Outcome of one solve on the generic facade: the search telemetry
+/// (replica/exchange and island fields, see anneal::SearchTelemetry) plus
+/// the QUBO-level result.  Problem-level scores (QKP profit, bins used,
+/// coloring validity, ...) are recovered by the adapter layer from best_x.
+struct SolveResult : anneal::SearchTelemetry {
   qubo::BitVector best_x;    ///< best configuration found
   double best_energy = 0.0;  ///< its QUBO energy (eval-path units)
   bool feasible = false;     ///< exact feasibility of best_x (all constraints)
@@ -96,21 +87,6 @@ struct SolveResult {
   SolveStatus status = SolveStatus::kOk;
   anneal::SaResult sa;       ///< walk counters (summed over replicas when
                              ///< tempering) and optional single-walk trace
-  /// Tempering observability (empty under single-walk SA): per-replica
-  /// walk/exchange counters and the deterministic exchange trace.
-  std::vector<anneal::ReplicaCounters> replicas;
-  std::vector<anneal::ExchangeEvent> exchange_trace;
-  std::size_t exchanges_proposed = 0;
-  std::size_t exchanges_accepted = 0;
-  /// Archipelago observability (empty otherwise): per-island stats and the
-  /// deterministic migration/resample traces with their exact counters.
-  std::vector<anneal::IslandStats> islands;
-  std::vector<anneal::MigrationEvent> migration_trace;
-  std::vector<anneal::ResampleEvent> resample_trace;
-  std::size_t migrations_proposed = 0;
-  std::size_t migrations_accepted = 0;
-  std::size_t resamples = 0;
-  std::size_t respaces = 0;
   /// The per-flip kernel that ran (resolved from HyCimConfig::kernel at
   /// fabrication: kDense or kSparse) — recorded so benches and the perf
   /// trajectory know which kernel produced a timing.
@@ -141,25 +117,19 @@ class HyCimSolver {
   /// constraint).  `run_seed` drives all run-level randomness — the walk
   /// proposals and, under tempering, the per-replica comparator decision
   /// streams — so repeated calls explore independently.  Tempering clones
-  /// this solver once per replica ("program once, temper many") and runs
-  /// the replicas serially here; pass an executor to parallelize them.
-  SolveResult solve(const qubo::BitVector& x0, std::uint64_t run_seed);
-
-  /// Same solve with replica segments dispatched through `executor`
-  /// (anneal::Executor contract) — bit-identical to the serial overload
-  /// for any executor, because each replica's work is a pure function of
-  /// its forked stream.  Single-walk SA ignores the executor.
+  /// this solver once per replica ("program once, temper many").
+  ///
+  /// Replica segments are dispatched through `executor` (anneal::Executor
+  /// contract; serial by default) — the result is bit-identical for any
+  /// executor, because each replica's work is a pure function of its
+  /// forked stream.  Single-walk SA ignores the executor.  `cancel` is
+  /// polled at the strategy's segment / exchange / migration checkpoints:
+  /// when it fires, the result is the any-time best-so-far with
+  /// SolveResult::status set to kCancelled or kDeadlineExceeded; an
+  /// unarmed or never-firing token leaves the result bit-identical.
   SolveResult solve(const qubo::BitVector& x0, std::uint64_t run_seed,
-                    const anneal::Executor& executor);
-
-  /// Same solve with a cooperative cancel token polled at the strategy's
-  /// segment / exchange / migration checkpoints.  When it fires, the
-  /// result is the any-time best-so-far with SolveResult::status set to
-  /// kCancelled or kDeadlineExceeded; an unarmed or never-firing token
-  /// leaves the result bit-identical to the overloads above.
-  SolveResult solve(const qubo::BitVector& x0, std::uint64_t run_seed,
-                    const anneal::Executor& executor,
-                    const util::CancelToken& cancel);
+                    const anneal::Executor& executor = anneal::run_serial,
+                    const util::CancelToken& cancel = {});
 
   /// The configuration this chip was fabricated with.
   const HyCimConfig& config() const { return config_; }

@@ -1,7 +1,7 @@
 // The process-global worker-thread budget.
 //
 // Every scheduler in the engine — the restart fan of runtime::run_batch,
-// the cross-run×replica task tree of runtime::solve_tempered, and the
+// the run × island × replica task tree of runtime::solve_batch, and the
 // async submission drainers of service::Service — executes on one shared
 // runtime::ExecutorPool sized from this budget.  That is what makes the
 // budget a real ceiling: K concurrent service submissions × their

@@ -13,9 +13,9 @@
 //             async submit futures, cache observability
 //   cop/      problem classes + the AnyInstance registry lowering them onto
 //             the generic constrained-QUBO form
-//   runtime/  the parallel batch runners (deterministic per seed):
-//             solve_batch restart fans and solve_tempered replica-exchange
-//             ensembles
+//   runtime/  the parallel batch runner (deterministic per seed):
+//             solve_batch fans restarts — single walks, replica-exchange
+//             ensembles, or archipelagos, as HyCimConfig::search selects
 //   core/     the HyCimSolver facade and the constrained form itself, for
 //             callers embedding the engine below the service layer
 //             (HyCimConfig::search selects the anneal::Strategy — see

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <variant>
 #include <vector>
 
 #include "core/thread_budget.hpp"
@@ -19,7 +18,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Copies a solve outcome into the batch record shape (run/seconds are
+/// Moves a solve outcome into the batch record shape (run/seconds are
 /// filled in by run_batch).
 RunRecord record_of(core::SolveResult&& r) {
   RunRecord record;
@@ -30,18 +29,8 @@ RunRecord record_of(core::SolveResult&& r) {
   record.evaluated = r.sa.evaluated;
   record.proposed = r.sa.proposed;
   record.infeasible = r.sa.rejected_infeasible;
-  record.replicas = std::move(r.replicas);
-  record.exchange_trace = std::move(r.exchange_trace);
-  record.exchanges_proposed = r.exchanges_proposed;
-  record.exchanges_accepted = r.exchanges_accepted;
-  record.islands = std::move(r.islands);
-  record.migration_trace = std::move(r.migration_trace);
-  record.resample_trace = std::move(r.resample_trace);
-  record.migrations_proposed = r.migrations_proposed;
-  record.migrations_accepted = r.migrations_accepted;
-  record.resamples = r.resamples;
-  record.respaces = r.respaces;
   record.kernel = r.kernel;
+  static_cast<anneal::SearchTelemetry&>(record) = std::move(r);
   return record;
 }
 
@@ -180,6 +169,42 @@ BatchResult run_batch(const BatchParams& params, const RunFn& fn,
   return run_batch_impl(params, fn, /*width=*/0, &executor);
 }
 
+unsigned batch_width(const BatchParams& params,
+                     const anneal::SearchParams& search) {
+  const std::size_t replicas = anneal::make_strategy(search)->replicas();
+  return resolve_thread_count(params.threads, params.restarts * replicas);
+}
+
+BatchResult solve_batch(const core::HyCimSolver& prototype, const InitFn& init,
+                        const BatchParams& params) {
+  if (!init) throw std::invalid_argument("solve_batch: null init function");
+  // One task tree for every strategy: the runs are top-level pool tasks,
+  // and each run's islands and replica segments fan out as child tasks of
+  // the same tree through the child executor, whose width 0 means "inherit
+  // the tree's budget" — so the whole batch respects one cap.  Single-walk
+  // SA never dispatches through it.  Scheduling is invisible to results
+  // (each segment is a pure function of its forked stream), so any width
+  // reproduces the serial batch bit for bit, traces included.
+  const unsigned width = batch_width(params, prototype.config().search);
+  const anneal::Executor fan = ExecutorPool::global().executor(0);
+  return run_batch_impl(
+      params,
+      [&](std::size_t, util::Rng& rng) {
+        // Same fabricated chip every run (fab_seed untouched), but an
+        // independent comparator-noise stream per run — independent
+        // repeated measurements, which is what the success-rate statistics
+        // assume.  Stream order: decision-seed root, then x0, then the run
+        // seed (the solve forks its per-replica streams from it).
+        std::uint64_t decision_seed = rng.next_u64();
+        if (decision_seed == 0) decision_seed = 1;  // 0 means "keep proto's"
+        core::HyCimSolver solver(prototype, decision_seed);
+        const qubo::BitVector x0 = init(rng);
+        return record_of(
+            solver.solve(x0, rng.next_u64(), fan, params.cancel));
+      },
+      width, nullptr);
+}
+
 BatchResult solve_batch(const core::ConstrainedQuboForm& form,
                         const core::HyCimConfig& config, const InitFn& init,
                         const BatchParams& params) {
@@ -191,138 +216,6 @@ BatchResult solve_batch(const core::ConstrainedQuboForm& form,
   // time of short anneals.
   const core::HyCimSolver prototype(form, config);
   return solve_batch(prototype, init, params);
-}
-
-BatchResult solve_batch(const core::HyCimSolver& prototype, const InitFn& init,
-                        const BatchParams& params) {
-  if (!init) throw std::invalid_argument("solve_batch: null init function");
-  // The mirror of the ensemble runners' guards: silently running each
-  // "restart" as a serial multi-replica ensemble would cost replicas× the
-  // expected budget with none of the replica-level parallelism the
-  // dedicated runners provide.
-  if (std::holds_alternative<anneal::TemperingParams>(
-          prototype.config().search)) {
-    throw std::invalid_argument(
-        "solve_batch: prototype config.search selects tempering — use "
-        "solve_tempered (or set HyCimConfig::search to SaSearch)");
-  }
-  if (std::holds_alternative<anneal::ArchipelagoParams>(
-          prototype.config().search)) {
-    throw std::invalid_argument(
-        "solve_batch: prototype config.search selects an archipelago — use "
-        "solve_archipelago (or set HyCimConfig::search to SaSearch)");
-  }
-  return run_batch(params, [&](std::size_t, util::Rng& rng) {
-    // Same fabricated chip every run (fab_seed untouched), but an
-    // independent comparator-noise stream per run — independent repeated
-    // measurements, which is what the success-rate statistics assume.
-    std::uint64_t decision_seed = rng.next_u64();
-    if (decision_seed == 0) decision_seed = 1;  // 0 means "keep proto's"
-    core::HyCimSolver solver(prototype, decision_seed);
-    const qubo::BitVector x0 = init(rng);
-    return record_of(
-        solver.solve(x0, rng.next_u64(), anneal::run_serial, params.cancel));
-  });
-}
-
-BatchResult solve_tempered(const core::HyCimSolver& prototype,
-                           const InitFn& init, const BatchParams& params) {
-  if (!init) throw std::invalid_argument("solve_tempered: null init function");
-  const auto* tempering = std::get_if<anneal::TemperingParams>(
-      &prototype.config().search);
-  if (tempering == nullptr) {
-    throw std::invalid_argument(
-        "solve_tempered: prototype config.search does not select replica "
-        "exchange — use solve_batch (SA) or solve_archipelago (islands), or "
-        "set HyCimConfig::search to TemperingParams");
-  }
-  anneal::validate(*tempering);
-
-  // Two-level scheduling: the runs are top-level pool tasks, and each
-  // run's replica segments fan out as child tasks of the same task tree
-  // between its exchange barriers.  The width therefore budgets runs ×
-  // replicas of schedulable work — a runs=32, R=4 batch exposes 128-way
-  // parallelism instead of the old serial-over-runs R-way — while the
-  // child executor's width 0 means "inherit the tree's budget", so the
-  // whole batch still respects one cap.  Scheduling is invisible to
-  // results either way (each replica segment is a pure function of its
-  // forked stream), so any width reproduces the serial batch bit for bit.
-  const unsigned width = resolve_thread_count(
-      params.threads, params.restarts * tempering->replicas);
-  const anneal::Executor replica_fan = ExecutorPool::global().executor(0);
-  return run_batch_impl(
-      params,
-      [&](std::size_t, util::Rng& rng) {
-        // Per-run stream discipline identical to solve_batch: decision-seed
-        // root first, then x0, then the run seed — the tempered solve forks
-        // its per-replica streams from the run seed internally.
-        std::uint64_t decision_seed = rng.next_u64();
-        if (decision_seed == 0) decision_seed = 1;  // 0 means "keep proto's"
-        core::HyCimSolver solver(prototype, decision_seed);
-        const qubo::BitVector x0 = init(rng);
-        return record_of(
-            solver.solve(x0, rng.next_u64(), replica_fan, params.cancel));
-      },
-      width, nullptr);
-}
-
-BatchResult solve_tempered(const core::ConstrainedQuboForm& form,
-                           const core::HyCimConfig& config, const InitFn& init,
-                           const BatchParams& params) {
-  if (!init) throw std::invalid_argument("solve_tempered: null init function");
-  const core::HyCimSolver prototype(form, config);
-  return solve_tempered(prototype, init, params);
-}
-
-BatchResult solve_archipelago(const core::HyCimSolver& prototype,
-                              const InitFn& init, const BatchParams& params) {
-  if (!init) {
-    throw std::invalid_argument("solve_archipelago: null init function");
-  }
-  const auto* archipelago = std::get_if<anneal::ArchipelagoParams>(
-      &prototype.config().search);
-  if (archipelago == nullptr) {
-    throw std::invalid_argument(
-        "solve_archipelago: prototype config.search does not select an "
-        "archipelago — use solve_batch (SA) or solve_tempered (replica "
-        "exchange), or set HyCimConfig::search to ArchipelagoParams");
-  }
-  anneal::validate(*archipelago);
-
-  // Three-level scheduling: runs are top-level pool tasks; each run fans
-  // its islands, and each island fans its replica segments between
-  // exchange/migration barriers — all child groups of one task tree, so
-  // the width budgets restarts × total replicas of schedulable work while
-  // the nested executors (width 0 = "inherit the tree's budget") keep the
-  // whole batch under one cap.  Scheduling is invisible to results (every
-  // segment is a pure function of its forked stream), so any width
-  // reproduces the serial batch bit for bit, traces included.
-  const unsigned width = resolve_thread_count(
-      params.threads, params.restarts * anneal::total_replicas(*archipelago));
-  const anneal::Executor island_fan = ExecutorPool::global().executor(0);
-  return run_batch_impl(
-      params,
-      [&](std::size_t, util::Rng& rng) {
-        // The same per-run stream discipline as solve_batch/solve_tempered:
-        // decision-seed root first, then x0, then the run seed.
-        std::uint64_t decision_seed = rng.next_u64();
-        if (decision_seed == 0) decision_seed = 1;  // 0 means "keep proto's"
-        core::HyCimSolver solver(prototype, decision_seed);
-        const qubo::BitVector x0 = init(rng);
-        return record_of(
-            solver.solve(x0, rng.next_u64(), island_fan, params.cancel));
-      },
-      width, nullptr);
-}
-
-BatchResult solve_archipelago(const core::ConstrainedQuboForm& form,
-                              const core::HyCimConfig& config,
-                              const InitFn& init, const BatchParams& params) {
-  if (!init) {
-    throw std::invalid_argument("solve_archipelago: null init function");
-  }
-  const core::HyCimSolver prototype(form, config);
-  return solve_archipelago(prototype, init, params);
 }
 
 }  // namespace hycim::runtime

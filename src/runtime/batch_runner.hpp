@@ -58,9 +58,11 @@ struct BatchParams {
   CancelToken cancel{};
 };
 
-/// Outcome of one restart (one tempered ensemble when the config selects
-/// replica exchange — counters then aggregate over its replicas).
-struct RunRecord {
+/// Outcome of one restart (one tempered ensemble or archipelago when the
+/// config selects one — counters then aggregate over its replicas, and the
+/// inherited anneal::SearchTelemetry carries the per-replica / per-island
+/// observability).
+struct RunRecord : anneal::SearchTelemetry {
   std::size_t run = 0;        ///< restart index
   qubo::BitVector best_x;     ///< best configuration of this run
   double best_energy = 0.0;
@@ -74,21 +76,6 @@ struct RunRecord {
   std::size_t proposed = 0;   ///< all generated configurations
   std::size_t infeasible = 0; ///< proposals rejected by the filters
   double seconds = 0.0;       ///< wall time of this run
-  /// Tempering observability (empty under single-walk SA): per-replica
-  /// walk/exchange counters and the deterministic ladder-exchange trace.
-  std::vector<anneal::ReplicaCounters> replicas;
-  std::vector<anneal::ExchangeEvent> exchange_trace;
-  std::size_t exchanges_proposed = 0;
-  std::size_t exchanges_accepted = 0;
-  /// Archipelago observability (empty otherwise): per-island statistics
-  /// and the deterministic migration/resample traces with exact counters.
-  std::vector<anneal::IslandStats> islands;
-  std::vector<anneal::MigrationEvent> migration_trace;
-  std::vector<anneal::ResampleEvent> resample_trace;
-  std::size_t migrations_proposed = 0;
-  std::size_t migrations_accepted = 0;
-  std::size_t resamples = 0;
-  std::size_t respaces = 0;
   /// The per-flip kernel the solver ran (resolved at fabrication; see
   /// HyCimConfig::kernel).  kDense for non-solver runs.
   qubo::Kernel kernel = qubo::Kernel::kDense;
@@ -128,9 +115,15 @@ struct BatchResult {
 /// The task-tree width a batch with these parameters actually uses:
 /// `requested` when non-zero, otherwise core::thread_budget() (never 0),
 /// capped by `restarts` — the number of schedulable tasks; extra width
-/// could never be claimed.  solve_tempered passes restarts × replicas as
-/// the task count, since its replica segments are schedulable too.
+/// could never be claimed.
 unsigned resolve_thread_count(unsigned requested, std::size_t restarts);
+
+/// The width solve_batch runs `params` at on a chip whose config selects
+/// `search`: resolve_thread_count over restarts × the strategy's replica
+/// count, since every replica segment is a schedulable task too.  Throws
+/// std::invalid_argument when `search` is out of domain.
+unsigned batch_width(const BatchParams& params,
+                     const anneal::SearchParams& search);
 
 /// One independent restart.  Must be thread-safe and a pure function of
 /// (run, rng) — see the determinism contract above.  The returned record's
@@ -155,67 +148,49 @@ BatchResult run_batch(const BatchParams& params, const RunFn& fn,
 /// form.size() bits.
 using InitFn = std::function<qubo::BitVector(util::Rng&)>;
 
-/// The batch-restart protocol over the generic HyCiM facade: every run
-/// builds its own solver from (form, config), draws x0 = init(rng), and
-/// anneals with a run seed taken from the same stream.
+/// The batch-restart protocol on an already-programmed chip, for every
+/// search strategy: each of the `params.restarts` runs clones `prototype`
+/// ("program once, solve many") with its own comparator decision stream,
+/// draws x0 = init(rng), and solves with a run seed taken from the same
+/// stream, running whatever `prototype.config().search` selects — one
+/// cooled walk, one tempered ensemble of R replicas, or one archipelago
+/// of islands.  `prototype` is only read (clone construction), never
+/// solved on, so concurrent batches may share one instance.
+///
+/// Scheduling is one task tree on the shared ExecutorPool: the runs are
+/// top-level tasks, and each run fans its islands and replica segments
+/// out as child tasks between its exchange/migration barriers.
+/// `params.threads` budgets the whole tree (see batch_width), so a
+/// runs×R batch exposes runs·R-way parallelism under one cap.
+///
+/// Determinism: the run_batch contract plus the strategy's — replica r of
+/// run k draws from fork_stream(run k's stream, r), exchange and migration
+/// decisions from serial per-run streams — so per-run best_x, counters,
+/// and the exchange/migration/resample traces are bit-identical for any
+/// thread count and any executor schedule.
+BatchResult solve_batch(const core::HyCimSolver& prototype, const InitFn& init,
+                        const BatchParams& params);
+
+/// Fabricates the prototype from (form, config) and runs the overload
+/// above on it, so a cached chip — the service layer's case — yields
+/// bit-identical batches to a cold fabrication with the same seeds.
 BatchResult solve_batch(const core::ConstrainedQuboForm& form,
                         const core::HyCimConfig& config, const InitFn& init,
                         const BatchParams& params);
 
-/// Same protocol on an already-programmed chip: every run clones
-/// `prototype` ("program once, solve many") instead of fabricating.  The
-/// overload above is exactly this after fabricating the prototype itself,
-/// so a cached chip — the service layer's case — yields bit-identical
-/// batches to a cold fabrication with the same seeds.  `prototype` is only
-/// read (clone construction), never solved on, so concurrent batches may
-/// share one instance.
-BatchResult solve_batch(const core::HyCimSolver& prototype, const InitFn& init,
-                        const BatchParams& params);
-
-/// The tempered sibling of solve_batch: `prototype.config().search` must
-/// select replica exchange (std::invalid_argument otherwise).  Each of the
-/// `params.restarts` runs is one tempered ensemble — R replica clones of
-/// the prototype walking a temperature ladder.  Scheduling is two-level:
-/// the runs are top-level tasks on the shared ExecutorPool, and each run's
-/// replica segments fan out as child tasks of the same task tree between
-/// its exchange barriers — so a runs×R batch exposes runs·R-way
-/// parallelism, with `params.threads` budgeting the *whole tree* (0 =
-/// core::thread_budget(), capped by restarts × replicas).
-///
-/// Determinism: replica r of run k draws from fork_stream(run k's stream,
-/// r) and exchange decisions from a serial per-run stream, so the batch is
-/// bit-identical — per-run best_x, counters, and exchange traces — for any
-/// thread count, exactly like run_batch.
-BatchResult solve_tempered(const core::HyCimSolver& prototype,
-                           const InitFn& init, const BatchParams& params);
-
-/// Fabricates the prototype from (form, config) and delegates to the
-/// prototype overload ("program once, temper many").
-BatchResult solve_tempered(const core::ConstrainedQuboForm& form,
-                           const core::HyCimConfig& config, const InitFn& init,
-                           const BatchParams& params);
-
-/// The island-model sibling: `prototype.config().search` must select an
-/// archipelago (std::invalid_argument otherwise).  Each of the
-/// `params.restarts` runs is one archipelago — N islands over
-/// total_replicas clones of the prototype, with migration, resampling, and
-/// adaptive ladders between epochs.  Scheduling is the full three-level
-/// task tree on the shared ExecutorPool: runs are top-level tasks, each
-/// run fans its islands, and each island fans its replica segments —
-/// `params.threads` budgets the whole tree (0 = core::thread_budget(),
-/// capped by restarts × total replicas), so one batch (or one service
-/// submission) saturates the machine.
-///
-/// Determinism: the run_batch contract plus the Archipelago one — per-run
-/// best_x, per-island stats, and the migration/resample traces are
-/// bit-identical for any thread count and any executor schedule.
-BatchResult solve_archipelago(const core::HyCimSolver& prototype,
-                              const InitFn& init, const BatchParams& params);
-
-/// Fabricates the prototype from (form, config) and delegates to the
-/// prototype overload.
-BatchResult solve_archipelago(const core::ConstrainedQuboForm& form,
-                              const core::HyCimConfig& config,
-                              const InitFn& init, const BatchParams& params);
+/// Earlier names of solve_batch(form, ...) for tempering and archipelago
+/// configs, kept so existing callers build unchanged.
+inline BatchResult solve_tempered(const core::ConstrainedQuboForm& form,
+                                  const core::HyCimConfig& config,
+                                  const InitFn& init,
+                                  const BatchParams& params) {
+  return solve_batch(form, config, init, params);
+}
+inline BatchResult solve_archipelago(const core::ConstrainedQuboForm& form,
+                                     const core::HyCimConfig& config,
+                                     const InitFn& init,
+                                     const BatchParams& params) {
+  return solve_batch(form, config, init, params);
+}
 
 }  // namespace hycim::runtime

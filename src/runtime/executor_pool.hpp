@@ -2,7 +2,7 @@
 //
 // Before this pool, every scheduling layer owned its own threads: each
 // run_batch() call spawned and joined a vector of std::threads, each
-// solve_tempered() call built a fresh per-batch replica pool, and
+// tempered batch built a fresh per-batch replica pool, and
 // service::Service nested dedicated worker threads *above* both — so K
 // concurrent submissions × BatchParams::threads could oversubscribe the
 // machine K-fold, while a tempered batch left every core beyond its
@@ -109,7 +109,7 @@ class ExecutorPool {
   void post(std::function<void()> job);
 
   /// The anneal::Executor view of run() with the given width cap — what
-  /// the tempered solve path hands to ReplicaExchange.
+  /// runtime::solve_batch hands every run's search strategy.
   anneal::Executor executor(unsigned width = 0);
 
   /// The resolved thread budget at this instant.

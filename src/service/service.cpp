@@ -23,12 +23,17 @@ namespace {
 constexpr std::uint64_t kBackoffStream = 0x424B4F46ULL;  // "BKOF"
 constexpr std::uint64_t kHealthStream = 0x48454C54ULL;   // "HELT"
 
-void validate_batch(const runtime::BatchParams& batch) {
+/// Rejects requests no batch can run — zero restarts, or an out-of-domain
+/// search strategy (instantiating it validates every kind) — before the
+/// trace guard or anything else reads the strategy's intervals.
+void validate_request(const core::HyCimConfig& config,
+                      const runtime::BatchParams& batch) {
   if (batch.restarts == 0) {
     throw std::invalid_argument(
         "service::Service: batch.restarts must be > 0 — a request with no "
         "restarts has no measurements to aggregate");
   }
+  anneal::make_strategy(config.search);
 }
 
 /// A reply for a request that never (or no longer) runs: empty batch, the
@@ -58,22 +63,6 @@ std::chrono::nanoseconds backoff_delay(unsigned attempt,
   }
   const std::int64_t half = scaled / 2;
   return std::chrono::nanoseconds{half + rng.uniform_int(0, scaled - half)};
-}
-
-/// Routes the batch protocol by the request's search strategy: one chip,
-/// three schedulers — restart-level fan-out for single-walk SA, two-level
-/// run×replica fan-out with exchange barriers for tempering, and the
-/// three-level run×island×replica tree for archipelagos.
-runtime::BatchResult run_on_chip(const core::HyCimSolver& chip,
-                                 const runtime::InitFn& init,
-                                 const runtime::BatchParams& batch) {
-  if (std::holds_alternative<anneal::TemperingParams>(chip.config().search)) {
-    return runtime::solve_tempered(chip, init, batch);
-  }
-  if (std::holds_alternative<anneal::ArchipelagoParams>(chip.config().search)) {
-    return runtime::solve_archipelago(chip, init, batch);
-  }
-  return runtime::solve_batch(chip, init, batch);
 }
 
 /// Ladder events one replica-exchange run records: barriers × pairs.
@@ -267,7 +256,7 @@ void Service::drain() {
 std::future<Reply> Service::submit(Request request) {
   // Reject degenerate requests on the submitting thread — a clear throw at
   // the call site beats a deferred broken future.
-  validate_batch(request.batch);
+  validate_request(request.config, request.batch);
   std::promise<Reply> promise;
   std::future<Reply> future = promise.get_future();
   // The token is built here so the deadline clock starts at submission —
@@ -449,32 +438,19 @@ void Service::run_clamped(const core::HyCimSolver& prototype,
   // Plant the request's effective token where the batch runner and the
   // strategy checkpoints below it poll it.
   batch.cancel = token;
-  // The width this request could use alone: its requested threads resolved
-  // against its schedulable task count (restarts, × replicas when the
-  // two-level tempered tree applies).
-  std::size_t tasks = batch.restarts;
-  if (const auto* tempering = std::get_if<anneal::TemperingParams>(
-          &prototype.config().search)) {
-    tasks *= tempering->replicas;
-  } else if (const auto* archipelago =
-                 std::get_if<anneal::ArchipelagoParams>(
-                     &prototype.config().search)) {
-    tasks *= anneal::total_replicas(*archipelago);
-  }
-  const unsigned resolved = runtime::resolve_thread_count(batch.threads, tasks);
-  // Clamped to its fair share of the budget across in-flight requests —
-  // the shared pool already bounds physical threads, this keeps one
-  // request from queueing out the others.
-  runtime::BatchParams clamped = batch;
-  clamped.threads = effective_batch_threads(
-      resolved, core::thread_budget(),
-      in_flight_.load(std::memory_order_relaxed));
-  reply->effective_threads = clamped.threads;
-  reply->batch = run_on_chip(prototype, init, clamped);
+  // The width this request could use alone (its requested threads resolved
+  // against its schedulable task count), clamped to its fair share of the
+  // budget across in-flight requests — the shared pool already bounds
+  // physical threads, this keeps one request from queueing out the others.
+  batch.threads = effective_batch_threads(
+      runtime::batch_width(batch, prototype.config().search),
+      core::thread_budget(), in_flight_.load(std::memory_order_relaxed));
+  reply->effective_threads = batch.threads;
+  reply->batch = runtime::solve_batch(prototype, init, batch);
 }
 
 Reply Service::solve(const Request& request) {
-  validate_batch(request.batch);
+  validate_request(request.config, request.batch);
   return execute(request, request_token(request));
 }
 
@@ -541,7 +517,7 @@ Reply Service::solve_form(const core::ConstrainedQuboForm& form,
                           const core::HyCimConfig& config,
                           const runtime::InitFn& init,
                           const runtime::BatchParams& batch) {
-  validate_batch(batch);
+  validate_request(config, batch);
   if (form.size() == 0) {
     throw std::invalid_argument("service::Service::solve_form: empty form");
   }

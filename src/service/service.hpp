@@ -13,11 +13,11 @@
 //   * a cache hit skips fabrication entirely — the cached prototype is
 //     cloned per run, which is bit-identical to refabricating, so replies
 //     are indistinguishable from a cold solve;
-//   * the request's HyCimConfig::search picks the scheduler: single-walk
-//     SA fans restarts across the shared runtime::ExecutorPool
-//     (runtime::solve_batch), replica exchange fans runs × replica
-//     segments as a two-level task tree (runtime::solve_tempered) — both
-//     bit-identical for any thread count;
+//   * every request runs through runtime::solve_batch, whose task tree on
+//     the shared runtime::ExecutorPool follows the request's
+//     HyCimConfig::search: restarts for single-walk SA, runs × replica
+//     segments for replica exchange, runs × islands × segments for an
+//     archipelago — bit-identical for any thread count;
 //   * solve() is synchronous; submit() queues the same computation and
 //     returns a std::future — the queue is drained by at most
 //     ServiceConfig::workers concurrent *drainer jobs posted to the same
@@ -247,8 +247,9 @@ unsigned effective_batch_threads(unsigned resolved, unsigned budget,
 /// on: per run, ladder barriers × pairs for replica exchange, and — for an
 /// archipelago — one migration event per island per epoch plus each
 /// tempering island's own ladder events; times `restarts`.  Walks that
-/// exhaust early record fewer.  Pure — exposed for unit tests; the service
-/// compares it against ServiceConfig::max_trace_events.
+/// exhaust early record fewer.  `config.search` must be in domain (the
+/// service validates it before asking).  Pure — exposed for unit tests;
+/// the service compares it against ServiceConfig::max_trace_events.
 std::size_t estimated_trace_events(const core::HyCimConfig& config,
                                    std::size_t restarts);
 
@@ -266,7 +267,8 @@ class Service {
 
   /// Solves synchronously: lower → cached/ fabricated chip → batch →
   /// problem-level score.  Throws std::invalid_argument on degenerate
-  /// requests (zero restarts, empty instances).
+  /// requests (zero restarts, out-of-domain search parameters, empty
+  /// instances).
   Reply solve(const Request& request);
 
   /// Queues the request for the drainer pool and returns its future.  The
@@ -275,7 +277,8 @@ class Service {
   /// depend on scheduling.  Never throws for runtime conditions: after
   /// shutdown or under admission-control overflow the returned future is
   /// already resolved with a kRejected Reply.  Degenerate requests (zero
-  /// restarts) still throw std::invalid_argument at the call site.
+  /// restarts, out-of-domain search parameters) still throw
+  /// std::invalid_argument at the call site.
   std::future<Reply> submit(Request request);
 
   /// Stops admitting new submissions and disposes of pending work

@@ -63,7 +63,8 @@ SearchResult islanded(const qubo::QuboMatrix& q, const ArchipelagoParams& ap,
     problems.push_back(std::make_unique<QuboProblem>(q));
     ptrs.push_back(problems.back().get());
   }
-  return strategy.run(ptrs, qubo::BitVector(q.size(), 0), sa, seed, executor);
+  return strategy.run(ptrs, qubo::BitVector(q.size(), 0), sa, seed, executor,
+                      util::CancelToken{});
 }
 
 TEST(ArchipelagoValidation, RejectsOutOfDomainParams) {
@@ -373,7 +374,7 @@ TEST(ReplicaExchangeTrace, RecordTraceOffKeepsCountersExact) {
       ptrs.push_back(problems.back().get());
     }
     return ReplicaExchange(params).run(ptrs, qubo::BitVector(q.size(), 0), sa,
-                                       23, run_serial);
+                                       23, run_serial, util::CancelToken{});
   };
   const SearchResult traced = run_with(tp);
   tp.record_trace = false;

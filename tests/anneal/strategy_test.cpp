@@ -63,7 +63,7 @@ SearchResult tempered(const qubo::QuboMatrix& q, const TemperingParams& tp,
     ptrs.push_back(problems.back().get());
   }
   return ReplicaExchange(tp).run(ptrs, qubo::BitVector(q.size(), 0), sa, seed,
-                                 executor);
+                                 executor, util::CancelToken{});
 }
 
 TEST(Validation, RejectsOutOfDomainSaParams) {
@@ -125,7 +125,8 @@ TEST(SingleSaStrategy, BitIdenticalToDirectEngineCall) {
   QuboProblem via_strategy(q);
   SaProblem* ptr = &via_strategy;
   const SearchResult got = SingleSa{}.run({&ptr, 1}, qubo::BitVector(14, 0),
-                                          params, 77, run_serial);
+                                          params, 77, run_serial,
+                                          util::CancelToken{});
   EXPECT_EQ(got.sa.best_x, expected.best_x);
   EXPECT_EQ(got.sa.best_energy, expected.best_energy);
   EXPECT_EQ(got.sa.accepted, expected.accepted);
@@ -257,7 +258,8 @@ TEST(ReplicaExchange, RejectsMismatchedProblemCount) {
   SaProblem* ptr = &only;
   TemperingParams tp;  // wants 4 replicas
   EXPECT_THROW(ReplicaExchange(tp).run({&ptr, 1}, qubo::BitVector(6, 0),
-                                       SaParams{}, 1, run_serial),
+                                       SaParams{}, 1, run_serial,
+                                       util::CancelToken{}),
                std::invalid_argument);
 }
 
@@ -277,7 +279,7 @@ TEST(ReplicaExchange, RejectsMismatchedX0BeforeTouchingProblems) {
   }
   SaParams sa;  // t0 == 0 → calibration path
   EXPECT_THROW(ReplicaExchange(tp).run(ptrs, qubo::BitVector(5, 0), sa, 1,
-                                       run_serial),
+                                       run_serial, util::CancelToken{}),
                std::invalid_argument);
 }
 

@@ -3,7 +3,7 @@
 // ExecutorPool warms up, the batch, tempered, and async-service solve
 // paths construct NO std::threads per solve — scheduling reuses the one
 // persistent worker set.  Before the pool, every run_batch call spawned a
-// thread vector and every solve_tempered call built a replica pool; this
+// thread vector and every tempered batch built a replica pool; this
 // test is what keeps that cost from coming back.
 //
 // Enforced the blunt way: this binary interposes pthread_create (the
@@ -90,7 +90,7 @@ TEST(ThreadSpawn, ZeroSpawnsPerSolveInSteadyState) {
 
   const auto all_paths = [&] {
     (void)runtime::solve_batch(sa_proto, init, params);
-    (void)runtime::solve_tempered(tempered_proto, init, params);
+    (void)runtime::solve_batch(tempered_proto, init, params);
     svc.submit(request).get();
   };
 

@@ -1,7 +1,8 @@
 // The archipelago batch protocol: one logical solve spanning a run ×
-// island × replica task tree.  solve_archipelago must be bit-identical —
-// per-run best_x, island stats, and the migration/resample traces — at
-// any thread count and under adversarial executors, and worth its keep:
+// island × replica task tree.  solve_batch on an archipelago config must
+// be bit-identical — per-run best_x, island stats, and the
+// migration/resample traces — at any thread count and under adversarial
+// executors, and worth its keep:
 // equal-QUBO-budget islands beat-or-match both replica exchange and
 // best-of-N SA on a seeded hard (dense) QKP.
 #include <gtest/gtest.h>
@@ -89,11 +90,11 @@ TEST(Archipelago, BitIdenticalAcrossThreadCounts) {
   params.seed = 42;
 
   params.threads = 1;
-  const auto one = solve_archipelago(form, config, init, params);
+  const auto one = solve_batch(form, config, init, params);
   params.threads = 2;
-  const auto two = solve_archipelago(form, config, init, params);
+  const auto two = solve_batch(form, config, init, params);
   params.threads = std::max(1u, std::thread::hardware_concurrency());
-  const auto max_threads = solve_archipelago(form, config, init, params);
+  const auto max_threads = solve_batch(form, config, init, params);
 
   expect_island_batches_identical(one, two);
   expect_island_batches_identical(one, max_threads);
@@ -197,9 +198,9 @@ TEST(Archipelago, HardwareFiltersStayThreadCountInvariant) {
   params.seed = 7;
 
   params.threads = 1;
-  const auto serial = solve_archipelago(form, config, init, params);
+  const auto serial = solve_batch(form, config, init, params);
   params.threads = 8;
-  const auto wide = solve_archipelago(form, config, init, params);
+  const auto wide = solve_batch(form, config, init, params);
   expect_island_batches_identical(serial, wide);
 }
 
@@ -213,9 +214,9 @@ TEST(Archipelago, PrototypeOverloadMatchesColdFabrication) {
   BatchParams params;
   params.restarts = 2;
   params.seed = 13;
-  const auto cold = solve_archipelago(form, config, init, params);
+  const auto cold = solve_batch(form, config, init, params);
   const core::HyCimSolver prototype(form, config);
-  const auto warm = solve_archipelago(prototype, init, params);
+  const auto warm = solve_batch(prototype, init, params);
   expect_island_batches_identical(cold, warm);
 }
 
@@ -248,7 +249,7 @@ TEST(Archipelago, EqualBudgetBeatsOrMatchesTemperingAndSaOnAPanel) {
     pt_config.search = tempering;
     BatchParams pt_params = sa_params;
     pt_params.restarts = 4;
-    const auto pt = solve_tempered(form, pt_config, init, pt_params);
+    const auto pt = solve_batch(form, pt_config, init, pt_params);
 
     core::HyCimConfig island_config = sa_config;
     anneal::ArchipelagoParams ap;
@@ -261,8 +262,7 @@ TEST(Archipelago, EqualBudgetBeatsOrMatchesTemperingAndSaOnAPanel) {
     island_config.search = ap;
     BatchParams island_params = sa_params;
     island_params.restarts = 4;
-    const auto island = solve_archipelago(form, island_config, init,
-                                          island_params);
+    const auto island = solve_batch(form, island_config, init, island_params);
 
     // Identical total QUBO-computation budget by construction.
     EXPECT_EQ(sa.total_evaluated, pt.total_evaluated);
@@ -291,36 +291,23 @@ TEST(Archipelago, EqualBudgetBeatsOrMatchesTemperingAndSaOnAPanel) {
   EXPECT_GE(island_total, pt_total);
 }
 
-TEST(Archipelago, RejectsMismatchedConfigsAndDegenerateParams) {
+TEST(Archipelago, RejectsDegenerateParams) {
   const auto inst = qkp_instance(6, 12);
   const auto form = cop::to_constrained_form(inst);
   const auto init = feasible_init(inst);
   BatchParams params;
   params.restarts = 2;
 
-  // Wrong runner for the strategy, both directions.
-  core::HyCimConfig sa_config;
-  sa_config.sa.iterations = 50;
-  EXPECT_THROW(solve_archipelago(form, sa_config, init, params),
-               std::invalid_argument);
-  EXPECT_THROW(solve_batch(form, archipelago_config(50), init, params),
-               std::invalid_argument);
-  EXPECT_THROW(solve_tempered(form, archipelago_config(50), init, params),
-               std::invalid_argument);
-
   // Degenerate island knobs are rejected at solve entry.
   core::HyCimConfig bad = archipelago_config(50);
   std::get<anneal::ArchipelagoParams>(bad.search).islands = 1;
-  EXPECT_THROW(solve_archipelago(form, bad, init, params),
-               std::invalid_argument);
+  EXPECT_THROW(solve_batch(form, bad, init, params), std::invalid_argument);
   bad = archipelago_config(50);
   std::get<anneal::ArchipelagoParams>(bad.search).migration_interval = 0;
-  EXPECT_THROW(solve_archipelago(form, bad, init, params),
-               std::invalid_argument);
+  EXPECT_THROW(solve_batch(form, bad, init, params), std::invalid_argument);
   bad = archipelago_config(50);
   std::get<anneal::ArchipelagoParams>(bad.search).target_acceptance = 1.5;
-  EXPECT_THROW(solve_archipelago(form, bad, init, params),
-               std::invalid_argument);
+  EXPECT_THROW(solve_batch(form, bad, init, params), std::invalid_argument);
 }
 
 }  // namespace

@@ -58,9 +58,6 @@ BatchResult qkp_batch(const cop::QkpInstance& inst,
   const auto init = [&inst](util::Rng& rng) {
     return cop::random_feasible(inst, rng);
   };
-  if (std::holds_alternative<anneal::TemperingParams>(config.search)) {
-    return solve_tempered(form, config, init, params);
-  }
   return solve_batch(form, config, init, params);
 }
 

@@ -420,7 +420,7 @@ TEST(ExecutorPoolChaos, TemperedSolveIsScheduleIndependent) {
 }
 
 TEST(ExecutorPoolChaos, TwoLevelTemperedBatchMatchesSerialBatch) {
-  // End to end through solve_tempered: the two-level run×replica tree at
+  // End to end through solve_batch: the two-level run×replica tree at
   // full width vs the fully serial tree.
   cop::QkpGeneratorParams gen;
   gen.n = 14;
@@ -435,9 +435,9 @@ TEST(ExecutorPoolChaos, TwoLevelTemperedBatchMatchesSerialBatch) {
   params.restarts = 8;
   params.seed = 31;
   params.threads = 1;
-  const BatchResult serial = solve_tempered(prototype, init, params);
+  const BatchResult serial = solve_batch(prototype, init, params);
   params.threads = 0;
-  const BatchResult wide = solve_tempered(prototype, init, params);
+  const BatchResult wide = solve_batch(prototype, init, params);
   expect_batches_identical(serial, wide);
   ASSERT_EQ(serial.runs.size(), wide.runs.size());
   for (std::size_t r = 0; r < serial.runs.size(); ++r) {
@@ -510,7 +510,7 @@ TEST(ExecutorPool, CrossRunTemperedSpeedupOnManyCoreHosts) {
                               .count();
 
   const auto new_start = std::chrono::steady_clock::now();
-  const BatchResult two_level = solve_tempered(prototype, init, params);
+  const BatchResult two_level = solve_batch(prototype, init, params);
   const double new_wall = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - new_start)
                               .count();

@@ -1,8 +1,9 @@
 // The tempered batch protocol: one logical solve spanning multiple
-// threads.  solve_tempered must be bit-identical — per-run best_x, replica
-// counters, and exchange traces — at any thread count, equivalent to the
-// serial strategy dispatch, and worth its keep: equal-QUBO-budget
-// tempering beats-or-matches best-of-N SA on a seeded hard (dense) QKP.
+// threads.  solve_batch on a tempering config must be bit-identical —
+// per-run best_x, replica counters, and exchange traces — at any thread
+// count, equivalent to the serial strategy dispatch, and worth its keep:
+// equal-QUBO-budget tempering beats-or-matches best-of-N SA on a seeded
+// hard (dense) QKP.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -67,11 +68,11 @@ TEST(Tempering, BitIdenticalAcrossThreadCounts) {
   params.seed = 42;
 
   params.threads = 1;
-  const auto one = solve_tempered(form, config, init, params);
+  const auto one = solve_batch(form, config, init, params);
   params.threads = 2;
-  const auto two = solve_tempered(form, config, init, params);
+  const auto two = solve_batch(form, config, init, params);
   params.threads = std::max(1u, std::thread::hardware_concurrency());
-  const auto max_threads = solve_tempered(form, config, init, params);
+  const auto max_threads = solve_batch(form, config, init, params);
 
   expect_tempered_batches_identical(one, two);
   expect_tempered_batches_identical(one, max_threads);
@@ -97,9 +98,9 @@ TEST(Tempering, HardwareFiltersStayThreadCountInvariant) {
   params.seed = 7;
 
   params.threads = 1;
-  const auto serial = solve_tempered(form, config, init, params);
+  const auto serial = solve_batch(form, config, init, params);
   params.threads = 8;
-  const auto wide = solve_tempered(form, config, init, params);
+  const auto wide = solve_batch(form, config, init, params);
   expect_tempered_batches_identical(serial, wide);
 }
 
@@ -113,9 +114,9 @@ TEST(Tempering, RunsAreIndependentOfEachOther) {
   BatchParams params;
   params.restarts = 2;
   params.seed = 5;
-  const auto small = solve_tempered(form, config, init, params);
+  const auto small = solve_batch(form, config, init, params);
   params.restarts = 5;
-  const auto large = solve_tempered(form, config, init, params);
+  const auto large = solve_batch(form, config, init, params);
   for (std::size_t r = 0; r < small.runs.size(); ++r) {
     EXPECT_EQ(small.runs[r].best_x, large.runs[r].best_x);
     EXPECT_EQ(small.runs[r].exchange_trace, large.runs[r].exchange_trace);
@@ -132,18 +133,18 @@ TEST(Tempering, PrototypeOverloadMatchesColdFabrication) {
   BatchParams params;
   params.restarts = 2;
   params.seed = 13;
-  const auto cold = solve_tempered(form, config, init, params);
+  const auto cold = solve_batch(form, config, init, params);
   const core::HyCimSolver prototype(form, config);
-  const auto warm = solve_tempered(prototype, init, params);
+  const auto warm = solve_batch(prototype, init, params);
   expect_tempered_batches_identical(cold, warm);
 }
 
 TEST(Tempering, AggregatesReplicaAndExchangeCounters) {
   const auto inst = qkp_instance(5, 20);
   const auto config = tempering_config(300);
-  const auto batch = solve_tempered(cop::to_constrained_form(inst), config,
-                                    feasible_init(inst),
-                                    BatchParams{.restarts = 3, .seed = 2});
+  const auto batch = solve_batch(cop::to_constrained_form(inst), config,
+                                 feasible_init(inst),
+                                 BatchParams{.restarts = 3, .seed = 2});
   std::size_t exchanges_proposed = 0, exchanges_accepted = 0;
   for (const auto& run : batch.runs) {
     // Run counters are the replica sums.
@@ -185,7 +186,7 @@ TEST(Tempering, EqualBudgetBeatsOrMatchesSaOnHardQkp) {
   const auto pt_config = tempering_config(800, 4);
   BatchParams pt_params = sa_params;
   pt_params.restarts = 4;
-  const auto pt = solve_tempered(form, pt_config, init, pt_params);
+  const auto pt = solve_batch(form, pt_config, init, pt_params);
 
   // Identical total QUBO-computation budget by construction.
   EXPECT_EQ(sa.total_evaluated, pt.total_evaluated);
@@ -199,36 +200,24 @@ TEST(Tempering, EqualBudgetBeatsOrMatchesSaOnHardQkp) {
   EXPECT_GE(pt_profit, sa_profit);
 }
 
-TEST(Tempering, RejectsSaConfigAndDegenerateParams) {
+TEST(Tempering, RejectsDegenerateParams) {
   const auto inst = qkp_instance(6, 12);
   const auto form = cop::to_constrained_form(inst);
   const auto init = feasible_init(inst);
   BatchParams params;
   params.restarts = 2;
 
-  core::HyCimConfig sa_config;
-  sa_config.sa.iterations = 50;
-  EXPECT_THROW(solve_tempered(form, sa_config, init, params),
-               std::invalid_argument);
-  // And the mirror: solve_batch rejects tempering prototypes instead of
-  // silently running R-replica ensembles per restart at R× the budget.
-  EXPECT_THROW(solve_batch(form, tempering_config(50), init, params),
-               std::invalid_argument);
-
   // Degenerate tempering knobs are rejected at solve entry, not solved
   // through.
   core::HyCimConfig bad = tempering_config(50);
   std::get<anneal::TemperingParams>(bad.search).replicas = 1;
-  EXPECT_THROW(solve_tempered(form, bad, init, params),
-               std::invalid_argument);
+  EXPECT_THROW(solve_batch(form, bad, init, params), std::invalid_argument);
   bad = tempering_config(50);
   std::get<anneal::TemperingParams>(bad.search).exchange_interval = 0;
-  EXPECT_THROW(solve_tempered(form, bad, init, params),
-               std::invalid_argument);
+  EXPECT_THROW(solve_batch(form, bad, init, params), std::invalid_argument);
   bad = tempering_config(50);
   bad.sa.swap_probability = 2.0;
-  EXPECT_THROW(solve_tempered(form, bad, init, params),
-               std::invalid_argument);
+  EXPECT_THROW(solve_batch(form, bad, init, params), std::invalid_argument);
 }
 
 TEST(Tempering, SolverFacadeRunsTemperingSerially) {

@@ -165,7 +165,7 @@ TEST(Service, CachedChipServesNewScheduleBitIdenticallyToColdSolve) {
   expect_batches_equal(hit.batch, fresh.batch);
 }
 
-TEST(Service, TemperingRequestMatchesDirectSolveTempered) {
+TEST(Service, TemperingRequestMatchesDirectSolveBatch) {
   const auto inst = qkp_instance(92, 16);
   Request request;
   request.instance = inst;
@@ -185,7 +185,7 @@ TEST(Service, TemperingRequestMatchesDirectSolveTempered) {
     EXPECT_FALSE(run.exchange_trace.empty());
   }
 
-  const auto direct = runtime::solve_tempered(
+  const auto direct = runtime::solve_batch(
       cop::to_constrained_form(inst), request.config,
       [&inst](util::Rng& rng) { return cop::random_feasible(inst, rng); },
       request.batch);
@@ -388,6 +388,31 @@ TEST(Service, RejectsDegenerateRequests) {
                std::invalid_argument);
 }
 
+TEST(Service, RejectsZeroExchangeAndMigrationIntervals) {
+  // The trace guard divides by both intervals, so an out-of-domain search
+  // must be rejected at the call site before anything reads them.
+  const auto inst = qkp_instance(61, 10);
+  const auto form = cop::to_constrained_form(inst);
+  const runtime::InitFn init = [&inst](util::Rng& rng) {
+    return cop::random_feasible(inst, rng);
+  };
+  anneal::TemperingParams zero_exchange;
+  zero_exchange.exchange_interval = 0;
+  anneal::ArchipelagoParams zero_migration;
+  zero_migration.migration_interval = 0;
+  Request tempered = qkp_request(61, 10);
+  tempered.config.search = zero_exchange;
+  Request islands = qkp_request(61, 10);
+  islands.config.search = zero_migration;
+  Service service;
+  for (const Request& request : {tempered, islands}) {
+    EXPECT_THROW(service.solve(request), std::invalid_argument);
+    EXPECT_THROW(service.submit(request), std::invalid_argument);
+    EXPECT_THROW(service.solve_form(form, request.config, init, request.batch),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Service, PendingSubmissionsCompleteThroughShutdown) {
   // Futures obtained before ~Service must resolve, not break.
   std::future<Reply> future;
@@ -496,9 +521,9 @@ TEST(Service, ManyConcurrentSubmissionsMatchSerialAndShareTheBudget) {
 }
 
 TEST(Service, ArchipelagoRequestMatchesDirectSolveAndCarriesIslandStats) {
-  // The front door routes archipelago configs through solve_archipelago,
-  // and the island observability (stats + migration trace) survives the
-  // trip into the Reply.
+  // The front door runs archipelago configs through solve_batch, and the
+  // island observability (stats + migration trace) survives the trip into
+  // the Reply.
   const auto inst = qkp_instance(93, 16);
   Request request;
   request.instance = inst;
@@ -529,7 +554,7 @@ TEST(Service, ArchipelagoRequestMatchesDirectSolveAndCarriesIslandStats) {
     EXPECT_EQ(run.migration_trace, async.batch.runs[r].migration_trace);
   }
 
-  const auto direct = runtime::solve_archipelago(
+  const auto direct = runtime::solve_batch(
       cop::to_constrained_form(inst), request.config,
       [&inst](util::Rng& rng) { return cop::random_feasible(inst, rng); },
       request.batch);
