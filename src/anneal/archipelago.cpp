@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 
+#include "anneal/island.hpp"
 #include "util/fault_injector.hpp"
 
 namespace hycim::anneal {
@@ -14,32 +14,36 @@ namespace hycim::anneal {
 namespace {
 
 // Stream ids for the archipelago's non-replica randomness.  Replica walks
-// use ids 0..total-1 (the contract every strategy shares); the migration
+// use ids 0..total-1 (the contract every search shares); the migration
 // stream and the per-island seed roots live far above any realistic
 // replica count.  Each island's exchange/calibration streams fork from its
 // own island seed, so they can never collide with another island's.
-constexpr std::uint64_t kIslandSeedStream = 0x49534C44ULL;        // "ISLD"
-constexpr std::uint64_t kMigrationStream = 0x4D494752ULL;         // "MIGR"
-constexpr std::uint64_t kIslandExchangeStream = 0x45584348ULL;    // "EXCH"
-constexpr std::uint64_t kIslandCalibrationStream = 0x43414C42ULL; // "CALB"
-
-// Exchange proposals a tempering island must accumulate before its
-// acceptance estimate is allowed to respace the ladder.
-constexpr std::size_t kMinRespaceWindow = 4;
-
-const IslandSearch& island_entry(const ArchipelagoParams& params,
-                                 std::size_t island) {
-  static const IslandSearch kDefault{TemperingParams{}};
-  if (params.roster.empty()) return kDefault;
-  return params.roster[island % params.roster.size()];
-}
+constexpr std::uint64_t kIslandSeedStream = 0x49534C44ULL;  // "ISLD"
+constexpr std::uint64_t kMigrationStream = 0x4D494752ULL;   // "MIGR"
 
 std::size_t island_width(const IslandSearch& search) {
   const auto* tempering = std::get_if<TemperingParams>(&search);
   return tempering ? tempering->replicas : 1;
 }
 
+/// The archipelago's own per-island barrier bookkeeping (the ladder's
+/// lives in the Island).
+struct Ledger {
+  double best_seen = std::numeric_limits<double>::infinity();
+  std::size_t stagnant = 0;  ///< barriers without improvement
+  std::size_t migrants_in = 0;
+  std::size_t migrants_out = 0;
+  std::size_t resamples = 0;
+};
+
 }  // namespace
+
+const IslandSearch& island_search(const ArchipelagoParams& params,
+                                  std::size_t island) {
+  static const IslandSearch kDefault{TemperingParams{}};
+  if (params.roster.empty()) return kDefault;
+  return params.roster[island % params.roster.size()];
+}
 
 const char* topology_name(MigrationTopology topology) {
   switch (topology) {
@@ -86,7 +90,7 @@ void validate(const ArchipelagoParams& params) {
 std::size_t total_replicas(const ArchipelagoParams& params) {
   std::size_t total = 0;
   for (std::size_t i = 0; i < params.islands; ++i) {
-    total += island_width(island_entry(params, i));
+    total += island_width(island_search(params, i));
   }
   return total;
 }
@@ -134,261 +138,103 @@ double respace_t_ratio(double t_ratio, double acceptance,
   return std::clamp(std::exp(-span * factor), 1e-6, 0.999);
 }
 
-Archipelago::Archipelago(const ArchipelagoParams& params) : params_(params) {
-  validate(params_);
-  island_search_.reserve(params_.islands);
-  island_offset_.reserve(params_.islands + 1);
-  island_offset_.push_back(0);
-  for (std::size_t i = 0; i < params_.islands; ++i) {
-    island_search_.push_back(island_entry(params_, i));
-    island_offset_.push_back(island_offset_.back() +
-                             island_width(island_search_.back()));
-  }
-}
-
-std::size_t Archipelago::replicas() const { return island_offset_.back(); }
-
-SearchResult Archipelago::run(std::span<SaProblem* const> problems,
-                              const qubo::BitVector& x0, const SaParams& sa,
-                              std::uint64_t seed, const Executor& executor,
-                              const util::CancelToken& cancel) const {
-  validate(params_);
-  validate(sa);
-  const std::size_t island_count = island_search_.size();
-  const std::size_t total = island_offset_.back();
-  if (problems.size() != total) {
-    throw std::invalid_argument(
-        "Archipelago: problems.size() != total_replicas(params)");
-  }
-  for (SaProblem* p : problems) {
-    if (p == nullptr) {
-      throw std::invalid_argument("Archipelago: null problem");
-    }
-  }
-  if (x0.size() != problems[0]->num_bits()) {
-    throw std::invalid_argument("Archipelago: x0 size mismatch");
-  }
-
-  struct IslandState {
-    std::size_t offset = 0;  ///< first global replica index
-    std::size_t count = 1;   ///< replica slots
-    const TemperingParams* tempering = nullptr;  ///< null for single-SA
-    double t_hot = 0.0;
-    double t_ratio = 0.0;
-    std::vector<double> slot_temperature;
-    std::vector<double> slot_beta;
-    std::vector<std::size_t> replica_at_slot;    ///< island-local ids
-    std::vector<std::size_t> replica_exchanges;  ///< accepted swaps per id
-    std::vector<ExchangeEvent> exchange_events;  ///< local ids, trace only
-    std::vector<ExchangeEvent> barrier_scratch;
-    std::vector<double> energy_scratch;
-    util::Rng exchange_rng;
-    std::size_t barrier = 0;
-    std::size_t window_proposed = 0;  ///< since the last respace
-    std::size_t window_accepted = 0;
-    double best_seen = std::numeric_limits<double>::infinity();
-    std::size_t stagnant = 0;  ///< barriers without improvement
-    std::size_t exchanges_proposed = 0;
-    std::size_t exchanges_accepted = 0;
-    std::size_t migrants_in = 0;
-    std::size_t migrants_out = 0;
-    std::size_t resamples = 0;
-    std::size_t respaces = 0;
-  };
-  std::vector<IslandState> islands(island_count);
+SearchResult run_archipelago(const ArchipelagoParams& params,
+                             std::span<SaProblem* const> problems,
+                             const qubo::BitVector& x0, const SaParams& sa,
+                             std::uint64_t seed, const Executor& executor,
+                             const util::CancelToken& cancel) {
+  const std::size_t island_count = params.islands;
+  std::vector<std::size_t> offset(island_count + 1, 0);
   for (std::size_t i = 0; i < island_count; ++i) {
-    islands[i].offset = island_offset_[i];
-    islands[i].count = island_offset_[i + 1] - island_offset_[i];
-    islands[i].tempering = std::get_if<TemperingParams>(&island_search_[i]);
+    offset[i + 1] = offset[i] + island_width(island_search(params, i));
   }
 
-  const auto rebuild_ladder = [](IslandState& isl) {
-    const std::size_t slots = isl.slot_temperature.size();
-    for (std::size_t s = 0; s < slots; ++s) {
-      isl.slot_temperature[s] =
-          isl.t_hot * std::pow(isl.t_ratio, static_cast<double>(s) /
-                                                static_cast<double>(slots - 1));
-      isl.slot_beta[s] = 1.0 / isl.slot_temperature[s];
-    }
-  };
-
-  // Construction fans islands out, and each tempering island fans its
-  // replica walk constructions (the expensive problem rebind) through the
-  // same executor — the nested group joins the ambient budget.  Every
-  // stream is forked before any scheduling decision can observe it.
-  std::vector<std::optional<SaWalk>> walks(total);
+  // Construction fans islands out, and each ladder island fans its replica
+  // walk constructions (the expensive problem rebind) through the same
+  // executor — the nested group joins the ambient budget.  Every stream is
+  // forked before any scheduling decision can observe it.
+  std::vector<std::optional<Island>> built(island_count);
   executor(island_count, [&](std::size_t i) {
-    IslandState& isl = islands[i];
-    const std::uint64_t island_seed =
-        util::fork_seed(seed, kIslandSeedStream + i);
-    if (isl.tempering == nullptr) {
-      const std::size_t g = isl.offset;
-      walks[g].emplace(*problems[g], x0, sa, util::fork_stream(seed, g));
-      return;
-    }
-    // Per-island ladder top: explicit t0, or the mean-|ΔE| calibration on
-    // the island's first replica from the island's own dedicated stream —
-    // islands calibrate independently, which is part of the heterogeneity.
-    double t_hot = sa.t0;
-    if (t_hot <= 0.0) {
-      problems[isl.offset]->reset(x0);
-      util::Rng calibration_rng =
-          util::fork_stream(island_seed, kIslandCalibrationStream);
-      t_hot = calibrate_t0(*problems[isl.offset], calibration_rng);
-    }
-    isl.t_hot = t_hot;
-    isl.t_ratio = isl.tempering->t_ratio;
-    isl.slot_temperature.resize(isl.count);
-    isl.slot_beta.resize(isl.count);
-    rebuild_ladder(isl);
-    isl.replica_at_slot.resize(isl.count);
-    std::iota(isl.replica_at_slot.begin(), isl.replica_at_slot.end(),
-              std::size_t{0});
-    isl.replica_exchanges.assign(isl.count, 0);
-    isl.energy_scratch.resize(isl.count);
-    isl.exchange_rng = util::fork_stream(island_seed, kIslandExchangeStream);
-    executor(isl.count, [&](std::size_t r) {
-      const std::size_t g = isl.offset + r;
-      walks[g].emplace(*problems[g], x0, sa, util::fork_stream(seed, g),
-                       isl.slot_temperature[r]);
-    });
+    built[i].emplace(problems.subspan(offset[i], offset[i + 1] - offset[i]),
+                     offset[i],
+                     std::get_if<TemperingParams>(&island_search(params, i)),
+                     x0, sa, seed, util::fork_seed(seed, kIslandSeedStream + i),
+                     params.record_trace, executor);
   });
-
-  // Advances one island to the epoch target, interleaving its own exchange
-  // barriers at its own cadence.  Island-local state only — islands are
-  // independent between migration barriers, so they may run concurrently.
-  const auto advance_island = [&](IslandState& isl, std::size_t target) {
-    if (isl.tempering == nullptr) {
-      walks[isl.offset]->run_to(target);
-      return;
-    }
-    const std::size_t interval = isl.tempering->exchange_interval;
-    for (;;) {
-      const std::size_t next_barrier = (isl.barrier + 1) * interval;
-      const std::size_t seg = std::min(target, next_barrier);
-      executor(isl.count,
-               [&](std::size_t r) { walks[isl.offset + r]->run_to(seg); });
-      if (seg < next_barrier) return;   // paused at the migration boundary
-      if (seg >= sa.iterations) return; // no barrier after the final segment
-      bool all_exhausted = true;
-      for (std::size_t r = 0; r < isl.count; ++r) {
-        isl.energy_scratch[r] = walks[isl.offset + r]->current_energy();
-        all_exhausted = all_exhausted && walks[isl.offset + r]->exhausted();
-      }
-      if (all_exhausted) return;
-      isl.barrier_scratch.clear();
-      const std::size_t accepted =
-          exchange_step(isl.barrier, isl.slot_beta, isl.energy_scratch,
-                        isl.replica_at_slot, isl.exchange_rng,
-                        &isl.barrier_scratch);
-      isl.exchanges_accepted += accepted;
-      isl.window_accepted += accepted;
-      isl.exchanges_proposed += isl.barrier_scratch.size();
-      isl.window_proposed += isl.barrier_scratch.size();
-      for (const ExchangeEvent& e : isl.barrier_scratch) {
-        if (!e.accepted) continue;
-        ++isl.replica_exchanges[e.replica_lo];
-        ++isl.replica_exchanges[e.replica_hi];
-      }
-      if (params_.record_trace) {
-        isl.exchange_events.insert(isl.exchange_events.end(),
-                                   isl.barrier_scratch.begin(),
-                                   isl.barrier_scratch.end());
-      }
-      for (std::size_t s = 0; s < isl.count; ++s) {
-        walks[isl.offset + isl.replica_at_slot[s]]->set_temperature(
-            isl.slot_temperature[s]);
-      }
-      ++isl.barrier;
-    }
-  };
+  std::vector<Island> islands;
+  islands.reserve(island_count);
+  for (std::optional<Island>& island : built) {
+    islands.push_back(std::move(*island));
+  }
 
   SearchResult out;
+  std::vector<Ledger> ledgers(island_count);
   util::Rng migration_rng = util::fork_stream(seed, kMigrationStream);
   std::vector<double> island_best(island_count);
   std::vector<double> island_worst(island_count);
-  std::vector<std::size_t> island_best_g(island_count);
-  std::vector<std::size_t> island_worst_g(island_count);
+  std::vector<std::size_t> best_replica(island_count);
+  std::vector<std::size_t> worst_replica(island_count);
   std::vector<std::size_t> migrant_source(island_count);
   std::vector<MigrationEvent> epoch_events;
   std::vector<qubo::BitVector> migrant_x(island_count);
-
-  util::FaultInjector& faults = util::fault_injector();
-  std::size_t epoch = 0;
-  for (;;) {
+  for (std::size_t epoch = 0;; ++epoch) {
     // Migration barriers double as cancellation checkpoints: stopping here
     // leaves every island at a consistent epoch boundary, so the partial
     // aggregate below is the archipelago's any-time best.  Neither the
     // token nor the fault seam draws walk randomness, so an armed-but-
     // silent run is bit-identical to an unarmed one.
-    if (cancel.armed()) {
-      const util::StopReason reason = cancel.should_stop();
-      if (reason != util::StopReason::kNone) {
-        out.stopped = reason;
-        break;
-      }
-    }
+    out.stopped = cancel.should_stop();
+    if (out.stopped != util::StopReason::kNone) break;
+    // One fan per epoch; island-local state only — islands are independent
+    // between migration barriers, so they may run concurrently.
     const std::size_t target =
-        std::min(sa.iterations, (epoch + 1) * params_.migration_interval);
-    executor(island_count,
-             [&](std::size_t i) { advance_island(islands[i], target); });
+        std::min(sa.iterations, (epoch + 1) * params.migration_interval);
+    executor(island_count, [&](std::size_t i) {
+      while (islands[i].step(target, executor)) {
+      }
+    });
     if (target >= sa.iterations) break;
-    bool all_exhausted = true;
-    for (std::size_t g = 0; g < total; ++g) {
-      all_exhausted = all_exhausted && walks[g]->exhausted();
-    }
     // Every walk hit its proposal cap: no further moves are possible, so
     // additional barriers would only shuffle configurations around.
-    if (all_exhausted) break;
-    if (faults.armed()) {
-      faults.maybe_fault(util::FaultSite::kMigrationBarrier, seed, epoch);
+    if (std::all_of(islands.begin(), islands.end(),
+                    [](const Island& island) { return island.exhausted(); })) {
+      break;
     }
+    util::fault_injector().maybe_fault(util::FaultSite::kMigrationBarrier,
+                                       seed, epoch);
 
     // --- The serial migration barrier, in island order. ---
     for (std::size_t i = 0; i < island_count; ++i) {
-      const IslandState& isl = islands[i];
-      std::size_t best_g = isl.offset;
-      std::size_t worst_g = isl.offset;
-      for (std::size_t r = 1; r < isl.count; ++r) {
-        const std::size_t g = isl.offset + r;
-        if (walks[g]->result().best_energy <
-            walks[best_g]->result().best_energy) {
-          best_g = g;
-        }
-        if (walks[g]->current_energy() > walks[worst_g]->current_energy()) {
-          worst_g = g;
-        }
-      }
-      island_best[i] = walks[best_g]->result().best_energy;
-      island_worst[i] = walks[worst_g]->current_energy();
-      island_best_g[i] = best_g;
-      island_worst_g[i] = worst_g;
+      best_replica[i] = islands[i].best_replica();
+      worst_replica[i] = islands[i].worst_replica();
+      island_best[i] = islands[i].walk(best_replica[i]).result().best_energy;
+      island_worst[i] = islands[i].walk(worst_replica[i]).current_energy();
     }
 
     // 1. Migration.  Decisions and injected configurations both come from
     // the pre-barrier snapshot (donor elites are copied before any reseed),
     // so the outcome is order-independent and deterministic.
-    if (params_.topology != MigrationTopology::kNone) {
+    if (params.topology != MigrationTopology::kNone) {
       epoch_events.clear();
       out.migrations_accepted +=
-          migration_step(epoch, params_.topology, island_best, island_worst,
+          migration_step(epoch, params.topology, island_best, island_worst,
                          migration_rng, migrant_source, &epoch_events);
       out.migrations_proposed += epoch_events.size();
-      if (params_.record_trace) {
+      if (params.record_trace) {
         out.migration_trace.insert(out.migration_trace.end(),
                                    epoch_events.begin(), epoch_events.end());
       }
       for (std::size_t d = 0; d < island_count; ++d) {
         const std::size_t s = migrant_source[d];
         if (s == kNoMigrant) continue;
-        migrant_x[d] = walks[island_best_g[s]]->result().best_x;
+        migrant_x[d] = islands[s].walk(best_replica[s]).result().best_x;
       }
       for (std::size_t d = 0; d < island_count; ++d) {
         const std::size_t s = migrant_source[d];
         if (s == kNoMigrant) continue;
-        walks[island_worst_g[d]]->reseed(migrant_x[d]);
-        ++islands[d].migrants_in;
-        ++islands[s].migrants_out;
+        islands[d].walk(worst_replica[d]).reseed(migrant_x[d]);
+        ++ledgers[d].migrants_in;
+        ++ledgers[s].migrants_out;
       }
     }
 
@@ -403,139 +249,53 @@ SearchResult Archipelago::run(std::span<SaProblem* const> problems,
       }
     }
     for (std::size_t i = 0; i < island_count; ++i) {
-      if (island_best[i] < islands[i].best_seen) {
-        islands[i].best_seen = island_best[i];
-        islands[i].stagnant = 0;
+      if (island_best[i] < ledgers[i].best_seen) {
+        ledgers[i].best_seen = island_best[i];
+        ledgers[i].stagnant = 0;
       } else {
-        ++islands[i].stagnant;
+        ++ledgers[i].stagnant;
       }
     }
-    if (params_.stagnation_epochs > 0) {
+    if (params.stagnation_epochs > 0) {
       const double elite_energy = island_best[global_best_island];
       qubo::BitVector elite_x;
       for (std::size_t i = 0; i < island_count; ++i) {
-        IslandState& isl = islands[i];
         if (i == global_best_island) continue;
         if (!(island_best[i] > elite_energy)) continue;
-        if (isl.stagnant < params_.stagnation_epochs) continue;
+        if (ledgers[i].stagnant < params.stagnation_epochs) continue;
         if (elite_x.empty()) {
-          elite_x = walks[island_best_g[global_best_island]]->result().best_x;
+          elite_x = islands[global_best_island]
+                        .walk(best_replica[global_best_island])
+                        .result()
+                        .best_x;
         }
-        for (std::size_t r = 0; r < isl.count; ++r) {
-          walks[isl.offset + r]->reseed(elite_x);
-        }
-        isl.stagnant = 0;
-        isl.best_seen = elite_energy;
-        ++isl.resamples;
+        islands[i].reseed(elite_x);
+        ledgers[i].stagnant = 0;
+        ledgers[i].best_seen = elite_energy;
+        ++ledgers[i].resamples;
         ++out.resamples;
-        if (params_.record_trace) {
+        if (params.record_trace) {
           out.resample_trace.push_back(
               {epoch, i, global_best_island, island_best[i], elite_energy});
         }
       }
     }
 
-    // 3. Adaptive ladder respacing: a pure function of each tempering
-    // island's measured exchange acceptance since its last respace.
-    if (params_.adapt_ladder) {
-      for (std::size_t i = 0; i < island_count; ++i) {
-        IslandState& isl = islands[i];
-        if (isl.tempering == nullptr) continue;
-        if (isl.window_proposed < kMinRespaceWindow) continue;
-        const double acceptance = static_cast<double>(isl.window_accepted) /
-                                  static_cast<double>(isl.window_proposed);
-        const double next =
-            respace_t_ratio(isl.t_ratio, acceptance, params_.target_acceptance);
-        isl.window_proposed = 0;
-        isl.window_accepted = 0;
-        if (std::abs(next - isl.t_ratio) <= 1e-12) continue;
-        isl.t_ratio = next;
-        rebuild_ladder(isl);
-        for (std::size_t s = 0; s < isl.count; ++s) {
-          walks[isl.offset + isl.replica_at_slot[s]]->set_temperature(
-              isl.slot_temperature[s]);
-        }
-        ++isl.respaces;
-        ++out.respaces;
+    // 3. Adaptive ladder respacing: a pure function of each ladder's
+    // measured exchange acceptance since its last respace.
+    if (params.adapt_ladder) {
+      for (Island& island : islands) {
+        if (island.respace(params.target_acceptance)) ++out.respaces;
       }
     }
-    ++epoch;
   }
 
-  // Deterministic aggregation in global replica order, then island order.
-  out.replicas.resize(total);
-  std::size_t best_g = 0;
-  for (std::size_t g = 0; g < total; ++g) {
-    const SaResult& walk = walks[g]->result();
-    ReplicaCounters& counters = out.replicas[g];
-    counters.evaluated = walk.evaluated;
-    counters.proposed = walk.proposed;
-    counters.accepted = walk.accepted;
-    counters.rejected_infeasible = walk.rejected_infeasible;
-    counters.rejected_metropolis = walk.rejected_metropolis;
-    counters.best_energy = walk.best_energy;
-    counters.final_energy = walks[g]->current_energy();
-    out.sa.evaluated += walk.evaluated;
-    out.sa.proposed += walk.proposed;
-    out.sa.accepted += walk.accepted;
-    out.sa.rejected_infeasible += walk.rejected_infeasible;
-    out.sa.rejected_metropolis += walk.rejected_metropolis;
-    if (walk.best_energy < walks[best_g]->result().best_energy) best_g = g;
-  }
-  out.islands.resize(island_count);
+  Island::collect(islands, /*island_stats=*/true, out);
   for (std::size_t i = 0; i < island_count; ++i) {
-    IslandState& isl = islands[i];
-    IslandStats& stats = out.islands[i];
-    stats.replicas = isl.count;
-    stats.search_kind = island_search_[i].index();
-    std::size_t island_best_replica = isl.offset;
-    for (std::size_t r = 0; r < isl.count; ++r) {
-      const std::size_t g = isl.offset + r;
-      const SaResult& walk = walks[g]->result();
-      stats.evaluated += walk.evaluated;
-      stats.proposed += walk.proposed;
-      stats.accepted += walk.accepted;
-      if (walk.best_energy <
-          walks[island_best_replica]->result().best_energy) {
-        island_best_replica = g;
-      }
-      if (isl.tempering) {
-        out.replicas[g].exchanges_accepted = isl.replica_exchanges[r];
-      }
-    }
-    stats.best_energy = walks[island_best_replica]->result().best_energy;
-    stats.exchanges_proposed = isl.exchanges_proposed;
-    stats.exchanges_accepted = isl.exchanges_accepted;
-    stats.migrants_in = isl.migrants_in;
-    stats.migrants_out = isl.migrants_out;
-    stats.resamples = isl.resamples;
-    stats.respaces = isl.respaces;
-    stats.t_ratio = isl.tempering ? isl.t_ratio : 0.0;
-    out.exchanges_proposed += isl.exchanges_proposed;
-    out.exchanges_accepted += isl.exchanges_accepted;
-    // The flat exchange trace globalizes replica ids; barrier and slot stay
-    // island-local (each island runs its own ladder at its own cadence).
-    for (const ExchangeEvent& e : isl.exchange_events) {
-      ExchangeEvent global = e;
-      global.replica_lo += isl.offset;
-      global.replica_hi += isl.offset;
-      out.exchange_trace.push_back(global);
-    }
+    out.islands[i].migrants_in = ledgers[i].migrants_in;
+    out.islands[i].migrants_out = ledgers[i].migrants_out;
+    out.islands[i].resamples = ledgers[i].resamples;
   }
-  out.sa.best_x = walks[best_g]->result().best_x;
-  out.sa.best_energy = walks[best_g]->result().best_energy;
-  // The "answer" state: the best island's coldest slot (or its single
-  // walk) — the archipelago analogue of the tempered chain's cold replica.
-  std::size_t best_island = 0;
-  while (best_g >= island_offset_[best_island + 1]) ++best_island;
-  const IslandState& winner = islands[best_island];
-  const std::size_t answer_g =
-      winner.tempering
-          ? winner.offset + winner.replica_at_slot[winner.count - 1]
-          : winner.offset;
-  const SaResult answer = walks[answer_g]->take_result();
-  out.sa.final_x = answer.final_x;
-  out.sa.final_energy = answer.final_energy;
   return out;
 }
 

@@ -19,7 +19,10 @@
 //      `target_acceptance` (see respace_t_ratio), the adaptive-ladder
 //      idea of the ferroelectric CiM annealer line (arXiv:2309.13853).
 //
-// Determinism contract (the run_batch / ReplicaExchange one): replica g
+// Each island is an anneal::Island — the engine replica exchange runs on —
+// and run_search() drives N of them between migration barriers.
+//
+// Determinism contract (the run_batch / replica-exchange one): replica g
 // draws from util::fork_stream(seed, g) for the global replica index g;
 // each island's exchange and calibration streams fork from a per-island
 // seed; the migration stream is one dedicated serial fork; respacing is a
@@ -40,6 +43,7 @@
 #include <vector>
 
 #include "anneal/strategy.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace hycim::anneal {
@@ -48,7 +52,7 @@ namespace hycim::anneal {
 inline constexpr std::size_t kNoMigrant = static_cast<std::size_t>(-1);
 
 /// One elite-migration barrier over the island bests (the micro-kernel of
-/// Archipelago, exposed for testing and bench/micro_kernels'
+/// the archipelago, exposed for testing and bench/micro_kernels'
 /// BM_MigrationStep).  For each destination island d in ascending order,
 /// selects the donor s per `topology` — ring: (d−1) mod N, no randomness;
 /// fully-connected: uniform among the other islands, one draw from `rng`
@@ -76,30 +80,20 @@ std::size_t migration_step(std::size_t epoch, MigrationTopology topology,
 double respace_t_ratio(double t_ratio, double acceptance,
                        double target_acceptance);
 
-/// The island-model strategy.  replicas() is the sum of per-island replica
-/// counts, so the caller binds one chip clone per global replica index and
-/// Archipelago partitions the flat problem span into per-island sub-spans
-/// (which keeps the SoA QuboReplicaBatch fast path working unchanged).
-class Archipelago final : public Strategy {
- public:
-  explicit Archipelago(const ArchipelagoParams& params);
+/// The search kind island `island` runs: roster[island % roster.size()],
+/// or default-parameter replica exchange when the roster is empty.
+const IslandSearch& island_search(const ArchipelagoParams& params,
+                                  std::size_t island);
 
-  std::size_t replicas() const override;
-  SearchResult run(std::span<SaProblem* const> problems,
-                   const qubo::BitVector& x0, const SaParams& sa,
-                   std::uint64_t seed, const Executor& executor,
-                   const util::CancelToken& cancel) const override;
-
-  const ArchipelagoParams& params() const { return params_; }
-  /// The resolved search kind island `island` runs (roster cycled).
-  const IslandSearch& island_search(std::size_t island) const {
-    return island_search_[island];
-  }
-
- private:
-  ArchipelagoParams params_;
-  std::vector<IslandSearch> island_search_;  ///< one resolved entry per island
-  std::vector<std::size_t> island_offset_;   ///< replica prefix sums, size N+1
-};
+/// The island-model loop behind run_search(ArchipelagoParams): island i
+/// drives problems [offset_i, offset_i + its replica count) as one
+/// anneal::Island, so the flat problem span keeps the SoA
+/// QuboReplicaBatch fast path working unchanged.  run_search validates
+/// the arguments.
+SearchResult run_archipelago(const ArchipelagoParams& params,
+                             std::span<SaProblem* const> problems,
+                             const qubo::BitVector& x0, const SaParams& sa,
+                             std::uint64_t seed, const Executor& executor,
+                             const util::CancelToken& cancel);
 
 }  // namespace hycim::anneal

@@ -16,7 +16,7 @@
 // parallel updates through one pass over the coupling matrix).
 //
 // Each replica is exposed as an anneal::SaProblem view, so the existing
-// SaWalk / ReplicaExchange / Executor machinery — and therefore the
+// SaWalk / Island / Executor machinery — and therefore the
 // determinism contract and the fig10 fingerprint — run unchanged: a
 // Replica view performs bit-for-bit the float operations of an
 // IncrementalEvaluator-backed problem (same kernels, see qubo/energy.hpp),

@@ -83,7 +83,7 @@ class SaProblem {
 /// for the filter.  `max_proposals` bounds the total work when feasible
 /// moves are scarce.
 ///
-/// Under replica exchange (anneal::ReplicaExchange) the same struct is the
+/// Under replica exchange (a ladder anneal::Island) the same struct is the
 /// per-replica walk budget: every replica spends `iterations` QUBO
 /// computations at its ladder temperature, so a tempered solve costs
 /// `replicas × iterations` QUBO computations in total.

@@ -1,29 +1,14 @@
 #include "anneal/strategy.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "anneal/archipelago.hpp"
+#include "anneal/island.hpp"
 #include "util/fault_injector.hpp"
 
 namespace hycim::anneal {
-
-namespace {
-
-// Stream ids for the strategy's non-replica randomness.  Replica walks use
-// ids 0..R-1 (the run_batch-style contract callers rely on); these live far
-// above any realistic replica count so the streams can never collide.
-constexpr std::uint64_t kExchangeStream = 0x45584348ULL;     // "EXCH"
-constexpr std::uint64_t kCalibrationStream = 0x43414C42ULL;  // "CALB"
-
-// Cancellation checkpoint granularity (QUBO computations) for the
-// single-walk path, which has no exchange barriers of its own.  SaWalk is
-// resumable, so segmenting a run this way is bit-identical to one
-// run_to() call.
-constexpr std::size_t kCancelSegment = 256;
-
-}  // namespace
 
 void validate(const TemperingParams& params) {
   if (params.replicas < 2) {
@@ -42,50 +27,6 @@ void validate(const TemperingParams& params) {
 
 void run_serial(std::size_t count, const Task& task) {
   for (std::size_t i = 0; i < count; ++i) task(i);
-}
-
-SearchResult SingleSa::run(std::span<SaProblem* const> problems,
-                           const qubo::BitVector& x0, const SaParams& sa,
-                           std::uint64_t seed, const Executor& /*executor*/,
-                           const util::CancelToken& cancel) const {
-  if (problems.size() != 1 || problems[0] == nullptr) {
-    throw std::invalid_argument("SingleSa: expected exactly one problem");
-  }
-  SaParams params = sa;
-  params.seed = seed;
-  SearchResult out;
-  util::FaultInjector& faults = util::fault_injector();
-  if (!cancel.armed() && !faults.armed()) {
-    out.sa = simulated_annealing(*problems[0], x0, params);
-    return out;
-  }
-  // Checkpointed path: same walk, run in resumable segments so the token
-  // (and the fault seam) get a say between them.  run_to() is idempotent
-  // and resumable, so an armed-but-never-firing token produces exactly
-  // the bits simulated_annealing() would.
-  if (x0.size() != problems[0]->num_bits()) {
-    throw std::invalid_argument("simulated_annealing: x0 size mismatch");
-  }
-  SaWalk walk(*problems[0], x0, params, util::Rng(params.seed));
-  std::size_t segment = 0;
-  for (;;) {
-    const util::StopReason reason = cancel.should_stop();
-    if (reason != util::StopReason::kNone) {
-      out.stopped = reason;
-      break;
-    }
-    if (walk.evaluated() >= params.iterations || walk.exhausted()) break;
-    faults.maybe_fault(util::FaultSite::kReplicaSegment, seed, 0, segment);
-    walk.run_to(std::min(params.iterations, walk.evaluated() + kCancelSegment));
-    ++segment;
-  }
-  out.sa = walk.take_result();
-  return out;
-}
-
-ReplicaExchange::ReplicaExchange(const TemperingParams& params)
-    : params_(params) {
-  validate(params_);
 }
 
 std::size_t exchange_step(std::size_t barrier,
@@ -116,169 +57,129 @@ std::size_t exchange_step(std::size_t barrier,
   return accepted_count;
 }
 
-SearchResult ReplicaExchange::run(std::span<SaProblem* const> problems,
-                                  const qubo::BitVector& x0,
-                                  const SaParams& sa, std::uint64_t seed,
-                                  const Executor& executor,
-                                  const util::CancelToken& cancel) const {
-  validate(params_);
-  validate(sa);
-  const std::size_t replica_count = params_.replicas;
-  if (problems.size() != replica_count) {
-    throw std::invalid_argument(
-        "ReplicaExchange: problems.size() != TemperingParams.replicas");
-  }
-  for (SaProblem* p : problems) {
-    if (p == nullptr) {
-      throw std::invalid_argument("ReplicaExchange: null problem");
-    }
-  }
-  // Checked before the calibration pre-reset below touches x0 — the walks'
-  // own constructors validate too, but only after that reset would have
-  // already indexed out of bounds.
-  if (x0.size() != problems[0]->num_bits()) {
-    throw std::invalid_argument("ReplicaExchange: x0 size mismatch");
-  }
+namespace {
 
-  // One ladder top shared by every replica: explicit t0, or the standard
-  // mean-|ΔE| calibration on replica 0's problem from a dedicated stream
-  // (trials are pure, so the extra reset below is harmless).
-  double t_hot = sa.t0;
-  if (t_hot <= 0.0) {
-    problems[0]->reset(x0);
-    util::Rng calibration_rng = util::fork_stream(seed, kCalibrationStream);
-    t_hot = calibrate_t0(*problems[0], calibration_rng);
-  }
-  std::vector<double> slot_temperature(replica_count);
-  std::vector<double> slot_beta(replica_count);
-  for (std::size_t s = 0; s < replica_count; ++s) {
-    slot_temperature[s] =
-        t_hot * std::pow(params_.t_ratio,
-                         static_cast<double>(s) /
-                             static_cast<double>(replica_count - 1));
-    slot_beta[s] = 1.0 / slot_temperature[s];
-  }
+// Cancellation checkpoint granularity (QUBO computations) for the
+// single-walk path, which has no exchange barriers of its own.  SaWalk is
+// resumable, so segmenting a run this way is bit-identical to one
+// run_to() call.
+constexpr std::size_t kCancelSegment = 256;
 
-  // Replica r starts on slot r; exchanges move temperature labels, never
-  // configurations, so a swap is O(1) bookkeeping.
-  std::vector<std::size_t> replica_at_slot(replica_count);
-  for (std::size_t s = 0; s < replica_count; ++s) replica_at_slot[s] = s;
+/// Ladder events one replica-exchange run records: barriers × pairs.
+std::size_t ladder_events(const TemperingParams& ladder,
+                          std::size_t iterations) {
+  return (iterations / ladder.exchange_interval) * (ladder.replicas / 2);
+}
 
-  // Walk construction resets each replica's problem (the expensive bind for
-  // circuit/hardware modes), so it runs on the executor too.  Each task
-  // touches only its own slot — construction order cannot leak into
-  // results.
-  std::vector<std::optional<SaWalk>> walks(replica_count);
-  executor(replica_count, [&](std::size_t r) {
-    walks[r].emplace(*problems[r], x0, sa, util::fork_stream(seed, r),
-                     slot_temperature[r]);
-  });
-
-  util::Rng exchange_rng = util::fork_stream(seed, kExchangeStream);
+/// The classic single cooled walk: simulated_annealing() on Rng(seed).
+SearchResult run_single(SaProblem& problem, const qubo::BitVector& x0,
+                        const SaParams& sa, std::uint64_t seed,
+                        const util::CancelToken& cancel) {
+  SaParams params = sa;
+  params.seed = seed;
   SearchResult out;
-  std::vector<double> replica_energy(replica_count);
-  // Per-barrier scratch: counters are attributed from it every barrier, so
-  // they stay exact even when the trace itself is not recorded
-  // (record_trace bounds memory, never accuracy).
-  std::vector<ExchangeEvent> barrier_events;
-  std::vector<std::size_t> replica_exchanges(replica_count, 0);
   util::FaultInjector& faults = util::fault_injector();
-  const bool faults_armed = faults.armed();
-  std::size_t barrier = 0;
-  for (;;) {
-    // Exchange barriers double as cancellation checkpoints: stopping here
-    // leaves every walk at a consistent segment boundary, so the partial
-    // aggregate below is the ensemble's any-time best.  The token and the
-    // fault seam draw no walk randomness, so an armed-but-silent run is
-    // bit-identical to an unarmed one.
-    if (cancel.armed()) {
-      const util::StopReason reason = cancel.should_stop();
-      if (reason != util::StopReason::kNone) {
-        out.stopped = reason;
-        break;
-      }
-    }
-    const std::size_t target = std::min(
-        sa.iterations, (barrier + 1) * params_.exchange_interval);
-    executor(replica_count, [&](std::size_t r) {
-      if (faults_armed) {
-        faults.maybe_fault(util::FaultSite::kReplicaSegment, seed, r, barrier);
-      }
-      walks[r]->run_to(target);
-    });
-    if (target >= sa.iterations) break;
-    bool all_exhausted = true;
-    for (std::size_t r = 0; r < replica_count; ++r) {
-      replica_energy[r] = walks[r]->current_energy();
-      all_exhausted = all_exhausted && walks[r]->exhausted();
-    }
-    // Every walk hit its proposal cap: no further moves are possible, so
-    // additional barriers would only shuffle temperature labels.
-    if (all_exhausted) break;
-
-    barrier_events.clear();
-    out.exchanges_accepted +=
-        exchange_step(barrier, slot_beta, replica_energy, replica_at_slot,
-                      exchange_rng, &barrier_events);
-    out.exchanges_proposed += barrier_events.size();
-    for (const ExchangeEvent& e : barrier_events) {
-      if (!e.accepted) continue;
-      ++replica_exchanges[e.replica_lo];
-      ++replica_exchanges[e.replica_hi];
-    }
-    if (params_.record_trace) {
-      out.exchange_trace.insert(out.exchange_trace.end(),
-                                barrier_events.begin(), barrier_events.end());
-    }
-    // Re-point every walk at its (possibly new) slot temperature.
-    for (std::size_t s = 0; s < replica_count; ++s) {
-      walks[replica_at_slot[s]]->set_temperature(slot_temperature[s]);
-    }
-    ++barrier;
+  if (!cancel.armed() && !faults.armed()) {
+    out.sa = simulated_annealing(problem, x0, params);
+    return out;
   }
-
-  // Deterministic aggregation in replica order: ensemble best (ties break
-  // to the lowest replica index), summed counters, per-replica stats.
-  out.replicas.resize(replica_count);
-  std::size_t best_replica = 0;
-  for (std::size_t r = 0; r < replica_count; ++r) {
-    const SaResult& walk = walks[r]->result();
-    ReplicaCounters& counters = out.replicas[r];
-    counters.evaluated = walk.evaluated;
-    counters.proposed = walk.proposed;
-    counters.accepted = walk.accepted;
-    counters.rejected_infeasible = walk.rejected_infeasible;
-    counters.rejected_metropolis = walk.rejected_metropolis;
-    counters.best_energy = walk.best_energy;
-    counters.final_energy = walks[r]->current_energy();
-    counters.exchanges_accepted = replica_exchanges[r];
-    out.sa.evaluated += walk.evaluated;
-    out.sa.proposed += walk.proposed;
-    out.sa.accepted += walk.accepted;
-    out.sa.rejected_infeasible += walk.rejected_infeasible;
-    out.sa.rejected_metropolis += walk.rejected_metropolis;
-    if (walk.best_energy < walks[best_replica]->result().best_energy) {
-      best_replica = r;
-    }
+  // Checkpointed path: same walk, run in resumable segments so the token
+  // (and the fault seam) get a say between them.  run_to() is idempotent
+  // and resumable, so an armed-but-never-firing token produces exactly
+  // the bits simulated_annealing() would.
+  SaWalk walk(problem, x0, params, util::Rng(params.seed));
+  for (std::size_t segment = 0;; ++segment) {
+    out.stopped = cancel.should_stop();
+    if (out.stopped != util::StopReason::kNone) break;
+    if (walk.evaluated() >= params.iterations || walk.exhausted()) break;
+    faults.maybe_fault(util::FaultSite::kReplicaSegment, seed, 0, segment);
+    walk.run_to(
+        std::min(params.iterations, walk.evaluated() + kCancelSegment));
   }
-  out.sa.best_x = walks[best_replica]->result().best_x;
-  out.sa.best_energy = walks[best_replica]->result().best_energy;
-  // The tempered chain's "answer" state: whatever the coldest slot holds.
-  const SaResult cold =
-      walks[replica_at_slot[replica_count - 1]]->take_result();
-  out.sa.final_x = cold.final_x;
-  out.sa.final_energy = cold.final_energy;
+  out.sa = walk.take_result();
   return out;
 }
 
-std::unique_ptr<Strategy> make_strategy(const SearchParams& search) {
+/// Replica exchange: one ladder island stepped to the end of the budget.
+/// Exchange barriers double as cancellation checkpoints: stopping there
+/// leaves every walk at a consistent segment boundary, so the aggregate is
+/// the ensemble's any-time best.
+SearchResult run_ladder(const TemperingParams& params,
+                        std::span<SaProblem* const> problems,
+                        const qubo::BitVector& x0, const SaParams& sa,
+                        std::uint64_t seed, const Executor& executor,
+                        const util::CancelToken& cancel) {
+  Island ladder(problems, 0, &params, x0, sa, seed, /*stream_root=*/seed,
+                params.record_trace, executor);
+  SearchResult out;
+  do {
+    out.stopped = cancel.should_stop();
+    if (out.stopped != util::StopReason::kNone) break;
+  } while (ladder.step(sa.iterations, executor));
+  Island::collect({&ladder, 1}, /*island_stats=*/false, out);
+  return out;
+}
+
+}  // namespace
+
+std::size_t replicas_of(const SearchParams& search) {
   if (const auto* tempering = std::get_if<TemperingParams>(&search)) {
-    return std::make_unique<ReplicaExchange>(*tempering);
+    validate(*tempering);
+    return tempering->replicas;
   }
   if (const auto* archipelago = std::get_if<ArchipelagoParams>(&search)) {
-    return std::make_unique<Archipelago>(*archipelago);
+    validate(*archipelago);
+    return total_replicas(*archipelago);
   }
-  return std::make_unique<SingleSa>();
+  return 1;
+}
+
+std::size_t trace_events(const SearchParams& search, std::size_t iterations) {
+  if (const auto* tempering = std::get_if<TemperingParams>(&search)) {
+    return ladder_events(*tempering, iterations);
+  }
+  const auto* archipelago = std::get_if<ArchipelagoParams>(&search);
+  if (archipelago == nullptr) return 0;
+  // One migration proposal per island per epoch, plus each ladder island's
+  // own exchanges.
+  std::size_t events =
+      (iterations / archipelago->migration_interval) * archipelago->islands;
+  for (std::size_t i = 0; i < archipelago->islands; ++i) {
+    if (const auto* ladder =
+            std::get_if<TemperingParams>(&island_search(*archipelago, i))) {
+      events += ladder_events(*ladder, iterations);
+    }
+  }
+  return events;
+}
+
+SearchResult run_search(const SearchParams& search,
+                        std::span<SaProblem* const> problems,
+                        const qubo::BitVector& x0, const SaParams& sa,
+                        std::uint64_t seed, const Executor& executor,
+                        const util::CancelToken& cancel) {
+  if (problems.size() != replicas_of(search)) {
+    throw std::invalid_argument(
+        "run_search: problems.size() != replicas_of(search)");
+  }
+  validate(sa);
+  for (SaProblem* p : problems) {
+    if (p == nullptr) throw std::invalid_argument("run_search: null problem");
+  }
+  // Checked before a ladder's calibration reset touches x0 — the walks'
+  // own constructors validate too, but only after that reset would have
+  // already indexed out of bounds.
+  if (x0.size() != problems[0]->num_bits()) {
+    throw std::invalid_argument("run_search: x0 size mismatch");
+  }
+  if (const auto* tempering = std::get_if<TemperingParams>(&search)) {
+    return run_ladder(*tempering, problems, x0, sa, seed, executor, cancel);
+  }
+  if (const auto* archipelago = std::get_if<ArchipelagoParams>(&search)) {
+    return run_archipelago(*archipelago, problems, x0, sa, seed, executor,
+                           cancel);
+  }
+  return run_single(*problems[0], x0, sa, seed, cancel);
 }
 
 }  // namespace hycim::anneal

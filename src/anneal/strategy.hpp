@@ -1,13 +1,16 @@
-// The pluggable search-strategy layer over the SA substrate.
+// The search-strategy layer over the SA substrate.
 //
-// A strategy decides how SaProblem replicas explore the (infeasible-
-// filtered) energy landscape: the classic single cooled walk, or a
-// replica-exchange (parallel tempering) ensemble where R walks run at a
+// A search decides how SaProblem replicas explore the (infeasible-
+// filtered) energy landscape: the classic single cooled walk, a
+// replica-exchange (parallel tempering) ladder where R walks run at a
 // static temperature ladder on R clones of one programmed chip and
 // periodically propose Metropolis swaps of their ladder positions — the
 // standard escape mechanism when one cooling walk gets trapped behind the
 // constraint boundary (paper Sec. 4.3; the ferroelectric CiM annealer of
-// arXiv:2309.13853 couples replicas on one array the same way).
+// arXiv:2309.13853 couples replicas on one array the same way) — or an
+// archipelago of such islands.  SearchParams selects the kind and
+// run_search() runs it; ladders and islands share one engine
+// (anneal/island.hpp).
 //
 // Determinism contract (the same one runtime::run_batch enforces): replica
 // r draws every proposal from util::fork_stream(seed, r), exchange
@@ -19,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <variant>
 #include <vector>
@@ -235,7 +237,7 @@ struct SearchTelemetry {
   std::size_t respaces = 0;
 };
 
-/// Outcome of one strategy run.  `sa` aggregates the ensemble: counters are
+/// Outcome of one run_search().  `sa` aggregates the ensemble: counters are
 /// sums over replicas, best_x/best_energy the ensemble best (ties break to
 /// the lowest replica index), final_x/final_energy the state of the replica
 /// holding the coldest ladder slot at the end.
@@ -248,7 +250,7 @@ struct SearchResult : SearchTelemetry {
   util::StopReason stopped = util::StopReason::kNone;
 };
 
-/// One unit of replica work dispatched by a strategy.
+/// One unit of replica work dispatched by a search.
 using Task = std::function<void(std::size_t index)>;
 /// Runs tasks 0..count-1, each exactly once, and returns after all have
 /// completed.  Implementations may use any threads in any order: every
@@ -260,71 +262,47 @@ using Executor = std::function<void(std::size_t count, const Task& task)>;
 /// The default executor: tasks run in index order on the calling thread.
 void run_serial(std::size_t count, const Task& task);
 
-/// A search strategy: drives `replicas()` SaProblem instances — each bound
-/// to its own (cloned) chip by the caller — from one initial configuration.
-class Strategy {
- public:
-  virtual ~Strategy() = default;
+/// How many SaProblem replicas run_search() expects for `search`: 1 for
+/// single-walk SA, TemperingParams::replicas, or total_replicas() — the
+/// number of chip clones a solve binds.  Validates `search` (throws
+/// std::invalid_argument when out of domain).
+std::size_t replicas_of(const SearchParams& search);
 
-  /// How many SaProblem replicas run() expects (1 for single-walk SA).
-  virtual std::size_t replicas() const = 0;
+/// Upper bound on the exchange + migration trace events one run of
+/// `search` records at `iterations` QUBO computations per replica: ladder
+/// barriers × pairs, plus one migration proposal per island per epoch.
+/// Runs whose walks exhaust early record fewer.  `search` must be in
+/// domain (see replicas_of).
+std::size_t trace_events(const SearchParams& search, std::size_t iterations);
 
-  /// Runs the search.  `problems.size()` must equal replicas(); `seed`
-  /// overrides SaParams.seed and roots every stream the strategy forks.
-  /// `cancel` is polled at segment / exchange / migration boundaries: when
-  /// it fires, the strategy stops early and returns its any-time
-  /// best-so-far with SearchResult::stopped set.  An unarmed (default)
-  /// token costs one null check — results stay bit-identical to the
-  /// pre-cancellation code, and an armed token that never fires does not
-  /// perturb any stream either.
-  virtual SearchResult run(std::span<SaProblem* const> problems,
-                           const qubo::BitVector& x0, const SaParams& sa,
-                           std::uint64_t seed, const Executor& executor,
-                           const util::CancelToken& cancel) const = 0;
-};
-
-/// The classic single cooled walk — simulated_annealing() behind the
-/// Strategy interface, bit-identical to calling it directly.
-class SingleSa final : public Strategy {
- public:
-  std::size_t replicas() const override { return 1; }
-  SearchResult run(std::span<SaProblem* const> problems,
-                   const qubo::BitVector& x0, const SaParams& sa,
-                   std::uint64_t seed, const Executor& executor,
-                   const util::CancelToken& cancel) const override;
-};
-
-/// Replica exchange over a static geometric temperature ladder.
-///
-/// Replica r's proposals draw from util::fork_stream(seed, r); every
-/// `exchange_interval` QUBO computations all replicas synchronize and
-/// adjacent ladder slots (alternating even/odd pairings per barrier)
-/// propose to swap their temperature labels with acceptance
-/// min(1, exp((β_a − β_b)(E_a − E_b))) — configurations stay put, so a
-/// swap costs O(1) instead of a state rebind.  Exchange randomness comes
-/// from one serial stream, making the trace (and everything else)
-/// independent of how the Executor schedules replica segments.
-class ReplicaExchange final : public Strategy {
- public:
-  explicit ReplicaExchange(const TemperingParams& params);
-
-  std::size_t replicas() const override { return params_.replicas; }
-  SearchResult run(std::span<SaProblem* const> problems,
-                   const qubo::BitVector& x0, const SaParams& sa,
-                   std::uint64_t seed, const Executor& executor,
-                   const util::CancelToken& cancel) const override;
-
-  const TemperingParams& params() const { return params_; }
-
- private:
-  TemperingParams params_;
-};
-
-/// Instantiates the strategy selected by `search` (validated).
-std::unique_ptr<Strategy> make_strategy(const SearchParams& search);
+/// Runs the search selected by `search` from one initial configuration.
+/// `problems` holds replicas_of(search) replicas, each bound to its own
+/// (cloned) chip by the caller — for an archipelago, island i's replicas
+/// follow island i−1's.  `seed` overrides SaParams.seed and roots every
+/// stream the search forks:
+///   * single-walk SA is simulated_annealing() on util::Rng(seed),
+///     bit-identical to calling it directly;
+///   * replica exchange is one ladder island (see anneal::Island) stepped
+///     to the end of the budget, its streams rooted at `seed`;
+///   * an archipelago runs N islands, island i's ladder streams rooted at
+///     util::fork_seed(seed, "ISLD" + i), plus its migration barrier (see
+///     archipelago.hpp).
+/// `cancel` is polled at segment / exchange / migration boundaries: when
+/// it fires, the search stops early and returns its any-time best-so-far
+/// with SearchResult::stopped set.  An unarmed (default) token costs one
+/// null check — results stay bit-identical to the pre-cancellation code,
+/// and an armed token that never fires does not perturb any stream
+/// either.  Throws std::invalid_argument on out-of-domain parameters, a
+/// replica-count mismatch, a null problem, or an x0 size mismatch.
+SearchResult run_search(const SearchParams& search,
+                        std::span<SaProblem* const> problems,
+                        const qubo::BitVector& x0, const SaParams& sa,
+                        std::uint64_t seed,
+                        const Executor& executor = run_serial,
+                        const util::CancelToken& cancel = {});
 
 /// One Metropolis exchange barrier over the ladder (the micro-kernel of
-/// ReplicaExchange, exposed for testing and bench/micro_kernels'
+/// Island::step, exposed for testing and bench/micro_kernels'
 /// BM_ExchangeStep).  Pairs slots (s, s+1) for s ≡ barrier (mod 2) in
 /// ascending slot order; a pair with a non-negative exponent swaps
 /// deterministically, otherwise one uniform is drawn from `rng` (the same

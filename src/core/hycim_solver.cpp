@@ -442,15 +442,14 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
     throw std::invalid_argument("HyCimSolver::solve: x0 size mismatch");
   }
   anneal::validate(config_.sa);
-  const auto strategy = anneal::make_strategy(config_.search);
-  const std::size_t replica_count = strategy->replicas();
+  const std::size_t replica_count = anneal::replicas_of(config_.search);
 
   // Replica chips: tempering binds each replica to its own clone of this
   // programmed chip with an independent comparator decision stream forked
   // from the run seed ("program once, temper many") — N independent
   // measurements on one fabrication, same as the batch runner's protocol.
-  // The single-walk strategy anneals on this chip directly, byte-identical
-  // to the pre-strategy engine.
+  // Single-walk SA anneals on this chip directly, byte-identical to the
+  // pre-strategy engine.
   std::vector<HyCimSolver> chips;
   std::vector<std::unique_ptr<Problem>> problems;
   std::vector<anneal::SaProblem*> problem_ptrs;
@@ -487,8 +486,8 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   }
   for (const auto& p : problems) problem_ptrs.push_back(p.get());
 
-  anneal::SearchResult search =
-      strategy->run(problem_ptrs, x0, config_.sa, run_seed, executor, cancel);
+  anneal::SearchResult search = anneal::run_search(
+      config_.search, problem_ptrs, x0, config_.sa, run_seed, executor, cancel);
   SolveResult result;
   result.status = status_of(search.stopped);
   result.sa = std::move(search.sa);

@@ -18,8 +18,8 @@
 //             ensembles, or archipelagos, as HyCimConfig::search selects
 //   core/     the HyCimSolver facade and the constrained form itself, for
 //             callers embedding the engine below the service layer
-//             (HyCimConfig::search selects the anneal::Strategy — see
-//             anneal/strategy.hpp, re-exported through the facade)
+//             (HyCimConfig::search selects what anneal::run_search runs
+//             — see anneal/strategy.hpp, re-exported through the facade)
 //
 // Deeper layers (cim/, device/, anneal/, qubo/, hw/, util/) remain
 // directly includable for benches and tests; they are deliberately not

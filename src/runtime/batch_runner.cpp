@@ -171,8 +171,8 @@ BatchResult run_batch(const BatchParams& params, const RunFn& fn,
 
 unsigned batch_width(const BatchParams& params,
                      const anneal::SearchParams& search) {
-  const std::size_t replicas = anneal::make_strategy(search)->replicas();
-  return resolve_thread_count(params.threads, params.restarts * replicas);
+  return resolve_thread_count(params.threads,
+                              params.restarts * anneal::replicas_of(search));
 }
 
 BatchResult solve_batch(const core::HyCimSolver& prototype, const InitFn& init,

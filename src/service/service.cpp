@@ -23,9 +23,9 @@ namespace {
 constexpr std::uint64_t kBackoffStream = 0x424B4F46ULL;  // "BKOF"
 constexpr std::uint64_t kHealthStream = 0x48454C54ULL;   // "HELT"
 
-/// Rejects requests no batch can run — zero restarts, or an out-of-domain
-/// search strategy (instantiating it validates every kind) — before the
-/// trace guard or anything else reads the strategy's intervals.
+/// Rejects requests no batch can run — zero restarts, or out-of-domain
+/// search parameters (replicas_of validates every kind) — before the trace
+/// guard or anything else reads the search's intervals.
 void validate_request(const core::HyCimConfig& config,
                       const runtime::BatchParams& batch) {
   if (batch.restarts == 0) {
@@ -33,7 +33,7 @@ void validate_request(const core::HyCimConfig& config,
         "service::Service: batch.restarts must be > 0 — a request with no "
         "restarts has no measurements to aggregate");
   }
-  anneal::make_strategy(config.search);
+  anneal::replicas_of(config.search);
 }
 
 /// A reply for a request that never (or no longer) runs: empty batch, the
@@ -63,12 +63,6 @@ std::chrono::nanoseconds backoff_delay(unsigned attempt,
   }
   const std::int64_t half = scaled / 2;
   return std::chrono::nanoseconds{half + rng.uniform_int(0, scaled - half)};
-}
-
-/// Ladder events one replica-exchange run records: barriers × pairs.
-std::size_t ladder_trace_events(const anneal::TemperingParams& tempering,
-                                std::size_t iterations) {
-  return (iterations / tempering.exchange_interval) * (tempering.replicas / 2);
 }
 
 /// The request config with its trace guard applied: past the event bound,
@@ -119,31 +113,7 @@ unsigned effective_batch_threads(unsigned resolved, unsigned budget,
 
 std::size_t estimated_trace_events(const core::HyCimConfig& config,
                                    std::size_t restarts) {
-  const std::size_t iterations = config.sa.iterations;
-  std::size_t per_run = 0;
-  if (const auto* tempering =
-          std::get_if<anneal::TemperingParams>(&config.search)) {
-    per_run = ladder_trace_events(*tempering, iterations);
-  } else if (const auto* archipelago =
-                 std::get_if<anneal::ArchipelagoParams>(&config.search)) {
-    // One migration proposal per island per epoch, plus each tempering
-    // island's own ladder (roster entries cycle; empty selects default
-    // replica exchange everywhere — mirroring anneal::Archipelago).
-    per_run = (iterations / archipelago->migration_interval) *
-              archipelago->islands;
-    const anneal::TemperingParams default_island;
-    for (std::size_t i = 0; i < archipelago->islands; ++i) {
-      const anneal::TemperingParams* island = &default_island;
-      if (!archipelago->roster.empty()) {
-        island = std::get_if<anneal::TemperingParams>(
-            &archipelago->roster[i % archipelago->roster.size()]);
-      }
-      if (island != nullptr) {
-        per_run += ladder_trace_events(*island, iterations);
-      }
-    }
-  }
-  return per_run * restarts;
+  return anneal::trace_events(config.search, config.sa.iterations) * restarts;
 }
 
 Service::Service(const ServiceConfig& config)

@@ -244,12 +244,10 @@ unsigned effective_batch_threads(unsigned resolved, unsigned budget,
                                  std::size_t in_flight);
 
 /// Upper bound on the trace events a request would record with tracing
-/// on: per run, ladder barriers × pairs for replica exchange, and — for an
-/// archipelago — one migration event per island per epoch plus each
-/// tempering island's own ladder events; times `restarts`.  Walks that
-/// exhaust early record fewer.  `config.search` must be in domain (the
-/// service validates it before asking).  Pure — exposed for unit tests;
-/// the service compares it against ServiceConfig::max_trace_events.
+/// on: anneal::trace_events per run, times `restarts`.  `config.search`
+/// must be in domain (the service validates it before asking).  Pure —
+/// exposed for unit tests; the service compares it against
+/// ServiceConfig::max_trace_events.
 std::size_t estimated_trace_events(const core::HyCimConfig& config,
                                    std::size_t restarts);
 

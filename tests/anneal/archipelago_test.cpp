@@ -1,4 +1,4 @@
-// The archipelago strategy: parameter validation, the migration/respace
+// The archipelago search: parameter validation, the migration/respace
 // micro-kernels, determinism under adversarial executors (including the
 // migration and resample traces), counter aggregation, and the
 // record_trace memory bound (counters exact either way).
@@ -52,42 +52,41 @@ qubo::QuboMatrix random_qubo(std::size_t n, util::Rng& rng) {
   return q;
 }
 
-/// Runs an Archipelago on fresh QuboProblem clones of `q`.
+/// Runs an archipelago on fresh QuboProblem clones of `q`.
 SearchResult islanded(const qubo::QuboMatrix& q, const ArchipelagoParams& ap,
                       const SaParams& sa, std::uint64_t seed,
                       const Executor& executor) {
-  const Archipelago strategy(ap);
   std::vector<std::unique_ptr<QuboProblem>> problems;
   std::vector<SaProblem*> ptrs;
-  for (std::size_t r = 0; r < strategy.replicas(); ++r) {
+  for (std::size_t r = 0; r < replicas_of(ap); ++r) {
     problems.push_back(std::make_unique<QuboProblem>(q));
     ptrs.push_back(problems.back().get());
   }
-  return strategy.run(ptrs, qubo::BitVector(q.size(), 0), sa, seed, executor,
-                      util::CancelToken{});
+  return run_search(ap, ptrs, qubo::BitVector(q.size(), 0), sa, seed,
+                    executor);
 }
 
 TEST(ArchipelagoValidation, RejectsOutOfDomainParams) {
   ArchipelagoParams bad;
   bad.islands = 1;
-  EXPECT_THROW(Archipelago{bad}, std::invalid_argument);
+  EXPECT_THROW(replicas_of(bad), std::invalid_argument);
   bad = ArchipelagoParams{};
   bad.migration_interval = 0;
-  EXPECT_THROW(Archipelago{bad}, std::invalid_argument);
+  EXPECT_THROW(replicas_of(bad), std::invalid_argument);
   bad = ArchipelagoParams{};
   bad.topology = static_cast<MigrationTopology>(99);
-  EXPECT_THROW(Archipelago{bad}, std::invalid_argument);
+  EXPECT_THROW(replicas_of(bad), std::invalid_argument);
   bad = ArchipelagoParams{};
   bad.target_acceptance = 0.0;
-  EXPECT_THROW(Archipelago{bad}, std::invalid_argument);
+  EXPECT_THROW(replicas_of(bad), std::invalid_argument);
   bad.target_acceptance = 1.0;
-  EXPECT_THROW(Archipelago{bad}, std::invalid_argument);
+  EXPECT_THROW(replicas_of(bad), std::invalid_argument);
   bad = ArchipelagoParams{};
   TemperingParams degenerate;
   degenerate.replicas = 1;  // one replica is plain SA, not a ladder
   bad.roster = {degenerate};
-  EXPECT_THROW(Archipelago{bad}, std::invalid_argument);
-  EXPECT_NO_THROW(Archipelago{ArchipelagoParams{}});
+  EXPECT_THROW(replicas_of(bad), std::invalid_argument);
+  EXPECT_NO_THROW(replicas_of(ArchipelagoParams{}));
 }
 
 TEST(ArchipelagoValidation, TotalReplicasCyclesTheRoster) {
@@ -98,11 +97,16 @@ TEST(ArchipelagoValidation, TotalReplicasCyclesTheRoster) {
   ap.roster = {SaSearch{}, ladder};
   // Islands run {SA, PT3, SA, PT3, SA} → 1+3+1+3+1 = 9 replicas.
   EXPECT_EQ(total_replicas(ap), 9u);
-  const Archipelago strategy(ap);
-  EXPECT_EQ(strategy.replicas(), 9u);
-  EXPECT_EQ(strategy.island_search(0).index(), 0u);
-  EXPECT_EQ(strategy.island_search(1).index(), 1u);
-  EXPECT_EQ(strategy.island_search(4).index(), 0u);
+  EXPECT_EQ(replicas_of(ap), 9u);
+  util::Rng rng(4);
+  SaParams sa;
+  sa.iterations = 50;
+  const SearchResult result = islanded(random_qubo(8, rng), ap, sa, 1,
+                                       run_serial);
+  ASSERT_EQ(result.islands.size(), 5u);
+  EXPECT_EQ(result.islands[0].search_kind, 0u);
+  EXPECT_EQ(result.islands[1].search_kind, 1u);
+  EXPECT_EQ(result.islands[4].search_kind, 0u);
   // Empty roster: every island runs default replica exchange.
   ArchipelagoParams defaults;
   defaults.islands = 3;
@@ -373,8 +377,7 @@ TEST(ReplicaExchangeTrace, RecordTraceOffKeepsCountersExact) {
       problems.push_back(std::make_unique<QuboProblem>(q));
       ptrs.push_back(problems.back().get());
     }
-    return ReplicaExchange(params).run(ptrs, qubo::BitVector(q.size(), 0), sa,
-                                       23, run_serial, util::CancelToken{});
+    return run_search(params, ptrs, qubo::BitVector(q.size(), 0), sa, 23);
   };
   const SearchResult traced = run_with(tp);
   tp.record_trace = false;
@@ -387,14 +390,13 @@ TEST(ReplicaExchangeTrace, RecordTraceOffKeepsCountersExact) {
   EXPECT_EQ(bounded.exchanges_accepted, traced.exchanges_accepted);
 }
 
-TEST(MakeStrategy, SelectsArchipelagoByVariantAlternative) {
+TEST(ReplicasOf, CountsArchipelagoReplicas) {
   ArchipelagoParams ap;
   ap.islands = 2;
   TemperingParams ladder;
   ladder.replicas = 3;
   ap.roster = {ladder};
-  const auto strategy = make_strategy(SearchParams{ap});
-  EXPECT_EQ(strategy->replicas(), 6u);
+  EXPECT_EQ(replicas_of(SearchParams{ap}), 6u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// The pluggable search-strategy layer: SingleSa must be bit-identical to
-// calling simulated_annealing directly, ReplicaExchange must be a pure
+// The search-strategy layer: single-walk SA must be bit-identical to
+// calling simulated_annealing directly, replica exchange must be a pure
 // function of (problems, x0, params, seed) regardless of executor
 // scheduling, exchange_step must implement the Metropolis ladder swap, and
 // out-of-domain parameters must be rejected at solve entry.
@@ -52,7 +52,7 @@ qubo::QuboMatrix random_qubo(std::size_t n, util::Rng& rng) {
   return q;
 }
 
-/// Runs ReplicaExchange on `q` with the given executor.
+/// Runs replica exchange on `q` with the given executor.
 SearchResult tempered(const qubo::QuboMatrix& q, const TemperingParams& tp,
                       const SaParams& sa, std::uint64_t seed,
                       const Executor& executor) {
@@ -62,8 +62,8 @@ SearchResult tempered(const qubo::QuboMatrix& q, const TemperingParams& tp,
     problems.push_back(std::make_unique<QuboProblem>(q));
     ptrs.push_back(problems.back().get());
   }
-  return ReplicaExchange(tp).run(ptrs, qubo::BitVector(q.size(), 0), sa, seed,
-                                 executor, util::CancelToken{});
+  return run_search(tp, ptrs, qubo::BitVector(q.size(), 0), sa, seed,
+                    executor);
 }
 
 TEST(Validation, RejectsOutOfDomainSaParams) {
@@ -98,16 +98,16 @@ TEST(Validation, RejectsOutOfDomainSaParams) {
 TEST(Validation, RejectsOutOfDomainTemperingParams) {
   TemperingParams bad;
   bad.replicas = 1;
-  EXPECT_THROW(ReplicaExchange{bad}, std::invalid_argument);
+  EXPECT_THROW(replicas_of(bad), std::invalid_argument);
   bad = TemperingParams{};
   bad.exchange_interval = 0;
-  EXPECT_THROW(ReplicaExchange{bad}, std::invalid_argument);
+  EXPECT_THROW(replicas_of(bad), std::invalid_argument);
   bad = TemperingParams{};
   bad.t_ratio = 0.0;
-  EXPECT_THROW(ReplicaExchange{bad}, std::invalid_argument);
+  EXPECT_THROW(replicas_of(bad), std::invalid_argument);
   bad.t_ratio = 1.5;
-  EXPECT_THROW(ReplicaExchange{bad}, std::invalid_argument);
-  EXPECT_NO_THROW(ReplicaExchange{TemperingParams{}});
+  EXPECT_THROW(replicas_of(bad), std::invalid_argument);
+  EXPECT_NO_THROW(replicas_of(TemperingParams{}));
 }
 
 TEST(SingleSaStrategy, BitIdenticalToDirectEngineCall) {
@@ -124,9 +124,8 @@ TEST(SingleSaStrategy, BitIdenticalToDirectEngineCall) {
 
   QuboProblem via_strategy(q);
   SaProblem* ptr = &via_strategy;
-  const SearchResult got = SingleSa{}.run({&ptr, 1}, qubo::BitVector(14, 0),
-                                          params, 77, run_serial,
-                                          util::CancelToken{});
+  const SearchResult got =
+      run_search(SaSearch{}, {&ptr, 1}, qubo::BitVector(14, 0), params, 77);
   EXPECT_EQ(got.sa.best_x, expected.best_x);
   EXPECT_EQ(got.sa.best_energy, expected.best_energy);
   EXPECT_EQ(got.sa.accepted, expected.accepted);
@@ -257,10 +256,9 @@ TEST(ReplicaExchange, RejectsMismatchedProblemCount) {
   QuboProblem only(q);
   SaProblem* ptr = &only;
   TemperingParams tp;  // wants 4 replicas
-  EXPECT_THROW(ReplicaExchange(tp).run({&ptr, 1}, qubo::BitVector(6, 0),
-                                       SaParams{}, 1, run_serial,
-                                       util::CancelToken{}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      run_search(tp, {&ptr, 1}, qubo::BitVector(6, 0), SaParams{}, 1),
+      std::invalid_argument);
 }
 
 TEST(ReplicaExchange, RejectsMismatchedX0BeforeTouchingProblems) {
@@ -278,18 +276,15 @@ TEST(ReplicaExchange, RejectsMismatchedX0BeforeTouchingProblems) {
     ptrs.push_back(problems.back().get());
   }
   SaParams sa;  // t0 == 0 → calibration path
-  EXPECT_THROW(ReplicaExchange(tp).run(ptrs, qubo::BitVector(5, 0), sa, 1,
-                                       run_serial, util::CancelToken{}),
+  EXPECT_THROW(run_search(tp, ptrs, qubo::BitVector(5, 0), sa, 1),
                std::invalid_argument);
 }
 
-TEST(MakeStrategy, SelectsByVariantAlternative) {
-  const auto sa = make_strategy(SaSearch{});
-  EXPECT_EQ(sa->replicas(), 1u);
+TEST(ReplicasOf, CountsByVariantAlternative) {
+  EXPECT_EQ(replicas_of(SaSearch{}), 1u);
   TemperingParams tp;
   tp.replicas = 6;
-  const auto pt = make_strategy(SearchParams{tp});
-  EXPECT_EQ(pt->replicas(), 6u);
+  EXPECT_EQ(replicas_of(SearchParams{tp}), 6u);
 }
 
 }  // namespace

@@ -12,7 +12,14 @@
 //     scale);
 //   * four seeded D-QUBO runs: (best_x, proposed, evaluated, profit);
 //   * four seeded HyCiM runs on one fabricated chip with quantized energies
-//     and hardware filters: (best_x, proposed, evaluated, profit).
+//     and hardware filters: (best_x, proposed, evaluated, profit);
+//   * the ensemble searches, two seeded runs each: a 4-replica ladder on
+//     hardware filters (one cloned chip per replica), a 3-island
+//     {SA, PT-3} ring archipelago on software filters with resampling and
+//     adaptive ladders, and a tempered max-cut solve of the instance's
+//     profit graph (the QuboReplicaBatch layout) — each run absorbing
+//     best_x, the proposed/evaluated counts, the per-replica counters, the
+//     island statistics, and the exchange, migration and resample traces.
 //
 // Moving a literal is a trajectory change: the change must declare which
 // gate of the README's gating rule it falls under.  To regenerate, build
@@ -26,6 +33,7 @@
 
 #include "cim/crossbar/bit_slice.hpp"
 #include "cop/adapters.hpp"
+#include "cop/maxcut.hpp"
 #include "cop/qkp.hpp"
 #include "core/dqubo_onehot.hpp"
 #include "core/dqubo_solver.hpp"
@@ -75,6 +83,88 @@ void absorb_quantized(Digest& d, const cim::QuantizedQubo& q) {
   d.absorb(q.values);
   d.absorb(q.magnitude_bits);
   d.absorb(q.scale);
+}
+
+/// Absorbs a count as a fixed-width integer.
+void absorb_count(Digest& d, std::size_t value) {
+  d.absorb(static_cast<std::uint64_t>(value));
+}
+
+/// Absorbs every telemetry field of an ensemble solve, field by field (the
+/// event structs carry padding, so their object bytes are not a value).
+void absorb_ensemble(Digest& d, const core::SolveResult& result) {
+  d.absorb(result.best_x);
+  absorb_count(d, result.sa.proposed);
+  absorb_count(d, result.sa.evaluated);
+  for (const anneal::ReplicaCounters& r : result.replicas) {
+    absorb_count(d, r.evaluated);
+    absorb_count(d, r.proposed);
+    absorb_count(d, r.accepted);
+    absorb_count(d, r.rejected_infeasible);
+    absorb_count(d, r.rejected_metropolis);
+    absorb_count(d, r.exchanges_accepted);
+    d.absorb(r.best_energy);
+    d.absorb(r.final_energy);
+  }
+  for (const anneal::IslandStats& s : result.islands) {
+    absorb_count(d, s.replicas);
+    absorb_count(d, s.search_kind);
+    absorb_count(d, s.evaluated);
+    absorb_count(d, s.proposed);
+    absorb_count(d, s.accepted);
+    d.absorb(s.best_energy);
+    absorb_count(d, s.exchanges_proposed);
+    absorb_count(d, s.exchanges_accepted);
+    absorb_count(d, s.migrants_in);
+    absorb_count(d, s.migrants_out);
+    absorb_count(d, s.resamples);
+    absorb_count(d, s.respaces);
+    d.absorb(s.t_ratio);
+  }
+  for (const anneal::ExchangeEvent& e : result.exchange_trace) {
+    absorb_count(d, e.barrier);
+    absorb_count(d, e.slot);
+    absorb_count(d, e.replica_lo);
+    absorb_count(d, e.replica_hi);
+    absorb_count(d, e.accepted);
+  }
+  for (const anneal::MigrationEvent& e : result.migration_trace) {
+    absorb_count(d, e.epoch);
+    absorb_count(d, e.from_island);
+    absorb_count(d, e.to_island);
+    d.absorb(e.migrant_energy);
+    d.absorb(e.displaced_energy);
+    absorb_count(d, e.accepted);
+  }
+  for (const anneal::ResampleEvent& e : result.resample_trace) {
+    absorb_count(d, e.epoch);
+    absorb_count(d, e.island);
+    absorb_count(d, e.source_island);
+    d.absorb(e.stagnant_best);
+    d.absorb(e.elite_energy);
+  }
+  absorb_count(d, result.exchanges_proposed);
+  absorb_count(d, result.exchanges_accepted);
+  absorb_count(d, result.migrations_proposed);
+  absorb_count(d, result.migrations_accepted);
+  absorb_count(d, result.resamples);
+  absorb_count(d, result.respaces);
+}
+
+/// The instance's profit graph: one edge of weight p_ij per nonzero
+/// off-diagonal profit.
+cop::MaxCutInstance profit_graph(const cop::QkpInstance& inst) {
+  cop::MaxCutInstance g;
+  g.name = inst.name + "_cut";
+  g.num_vertices = inst.n;
+  for (std::size_t i = 0; i < inst.n; ++i) {
+    for (std::size_t j = i + 1; j < inst.n; ++j) {
+      if (inst.profit(i, j) != 0) {
+        g.edges.push_back({i, j, static_cast<double>(inst.profit(i, j))});
+      }
+    }
+  }
+  return g;
 }
 
 struct Golden {
@@ -148,6 +238,88 @@ TEST(Golden, PaperSuiteDigests) {
                  result.sa.evaluated, profit);
     }
     expect_digest("HyCiM runs", hycim_runs.value(), golden.hycim_runs);
+  }
+}
+
+struct EnsembleGolden {
+  std::size_t instance;
+  std::uint64_t ladder;
+  std::uint64_t archipelago;
+  std::uint64_t maxcut;
+};
+
+constexpr EnsembleGolden kEnsembleGolden[] = {
+    {0, 0xc6fc2cef9d6e44fbULL, 0xeabb2e4320d64599ULL, 0x90a0aa1e8b925551ULL},
+    {30, 0x7af466922c6d635eULL, 0x84b9a55bcd3dfcd6ULL, 0x084e4ce1fe3d0fb5ULL},
+};
+
+constexpr std::size_t kEnsembleRuns = 2;
+
+/// Digest of kEnsembleRuns seeded solves on clones of one fabricated chip,
+/// each from an initial configuration drawn by `init`.
+template <typename Init>
+std::uint64_t ensemble_digest(const core::ConstrainedQuboForm& form,
+                              const core::HyCimConfig& config, Init init) {
+  const core::HyCimSolver chip(form, config);
+  util::Rng rng(kRunSeed);
+  Digest digest;
+  for (std::size_t r = 0; r < kEnsembleRuns; ++r) {
+    const qubo::BitVector x0 = init(rng);
+    core::HyCimSolver run(chip, rng.next_u64() | 1);
+    absorb_ensemble(digest, run.solve(x0, rng.next_u64()));
+  }
+  return digest.value();
+}
+
+TEST(Golden, EnsembleDigests) {
+  const std::vector<cop::QkpInstance> suite = cop::generate_paper_suite();
+  for (const EnsembleGolden& golden : kEnsembleGolden) {
+    SCOPED_TRACE("paper-suite instance " + std::to_string(golden.instance));
+    const cop::QkpInstance& inst = suite.at(golden.instance);
+    const core::ConstrainedQuboForm form = cop::to_constrained_form(inst);
+    const auto feasible_init = [&inst](util::Rng& rng) {
+      return cop::random_feasible(inst, rng);
+    };
+
+    core::HyCimConfig ladder;
+    ladder.sa.iterations = kIterations;
+    ladder.fidelity = cim::VmvMode::kQuantized;
+    ladder.filter_mode = core::FilterMode::kHardware;
+    anneal::TemperingParams four;
+    four.replicas = 4;
+    ladder.search = four;
+    expect_digest("hardware ladder",
+                  ensemble_digest(form, ladder, feasible_init),
+                  golden.ladder);
+
+    core::HyCimConfig islands;
+    islands.sa.iterations = kIterations;
+    islands.filter_mode = core::FilterMode::kSoftware;
+    anneal::TemperingParams three;
+    three.replicas = 3;
+    anneal::ArchipelagoParams archipelago;
+    archipelago.islands = 3;
+    archipelago.roster = {anneal::SaSearch{}, three};
+    archipelago.topology = anneal::MigrationTopology::kRing;
+    archipelago.migration_interval = 100;
+    archipelago.stagnation_epochs = 1;
+    archipelago.adapt_ladder = true;
+    islands.search = archipelago;
+    expect_digest("archipelago",
+                  ensemble_digest(form, islands, feasible_init),
+                  golden.archipelago);
+
+    const cop::MaxCutInstance graph = profit_graph(inst);
+    core::HyCimConfig maxcut;
+    maxcut.sa.iterations = kIterations;
+    maxcut.filter_mode = core::FilterMode::kSoftware;
+    maxcut.search = anneal::TemperingParams{};
+    expect_digest("tempered max-cut",
+                  ensemble_digest(cop::to_constrained_form(graph), maxcut,
+                                  [&graph](util::Rng& rng) {
+                                    return rng.random_bits(graph.num_vertices);
+                                  }),
+                  golden.maxcut);
   }
 }
 

@@ -1,8 +1,10 @@
 // Cooperative cancellation and seeded fault injection: token semantics
 // (sticky cancel, deadlines, parent chaining), the burn-once transient
-// fault contract, and the batch-level any-time guarantees — cancelled
-// batches keep finished runs bit-identical, skipped runs can never win
-// aggregation, and an armed-but-silent token or injector changes nothing.
+// fault contract, the fault sites every search kind reaches (replica
+// segments, migration barriers), and the batch-level any-time guarantees
+// — cancelled batches keep finished runs bit-identical, skipped runs can
+// never win aggregation, and an armed-but-silent token or injector
+// changes nothing.
 #include "runtime/cancel.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "cop/adapters.hpp"
@@ -48,6 +51,16 @@ core::HyCimConfig tempered_config(std::size_t iterations) {
   tempering.replicas = 4;
   tempering.exchange_interval = 64;
   config.search = tempering;
+  return config;
+}
+
+core::HyCimConfig archipelago_config(std::size_t iterations) {
+  core::HyCimConfig config = software_config(iterations);
+  anneal::TemperingParams ladder;
+  ladder.replicas = 4;
+  anneal::ArchipelagoParams archipelago;
+  archipelago.roster = {anneal::SaSearch{}, ladder};
+  config.search = archipelago;
   return config;
 }
 
@@ -344,6 +357,48 @@ TEST(BatchFaults, SegmentFaultPropagatesOutOfTheBatch) {
   EXPECT_THROW(qkp_batch(inst, software_config(400), params),
                util::FaultError);
   EXPECT_GE(util::fault_injector().stats().injected, 1u);
+}
+
+/// The site of the fault a 1-restart software-filter QKP batch throws
+/// under `plan`, or nullopt when it completes.
+std::optional<util::FaultSite> batch_fault_site(
+    const core::HyCimConfig& config, const util::FaultPlan& plan) {
+  const FaultGuard guard;
+  util::fault_injector().arm(plan);
+  BatchParams params;
+  params.restarts = 1;
+  params.threads = 1;
+  params.seed = 41;
+  try {
+    qkp_batch(qkp_instance(6, 14), config, params);
+  } catch (const util::FaultError& e) {
+    return e.site();
+  }
+  return std::nullopt;
+}
+
+TEST(BatchFaults, TemperingSegmentsAreFaultSites) {
+  util::FaultPlan plan;
+  plan.seed = 19;
+  plan.segment_rate = 1.0;
+  EXPECT_EQ(batch_fault_site(tempered_config(400), plan),
+            util::FaultSite::kReplicaSegment);
+}
+
+TEST(BatchFaults, ArchipelagoSegmentsAreFaultSites) {
+  util::FaultPlan plan;
+  plan.seed = 19;
+  plan.segment_rate = 1.0;
+  EXPECT_EQ(batch_fault_site(archipelago_config(400), plan),
+            util::FaultSite::kReplicaSegment);
+}
+
+TEST(BatchFaults, ArchipelagoMigrationBarriersAreFaultSites) {
+  util::FaultPlan plan;
+  plan.seed = 19;
+  plan.barrier_rate = 1.0;
+  EXPECT_EQ(batch_fault_site(archipelago_config(400), plan),
+            util::FaultSite::kMigrationBarrier);
 }
 
 TEST(BatchFaults, ArmedButColdSiteIsBitIdentical) {
