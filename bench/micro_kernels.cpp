@@ -383,7 +383,7 @@ void BM_ConstraintIncidenceApply(benchmark::State& state) {
   const auto cs = banded_constraints(n);
   cim::InequalityFilterParams params;
   params.fab_seed = 5;
-  cim::FilterBank bank(params, cs, n);
+  cim::FilterBank bank(params, cs, {}, n);
   util::Rng rng(4);
   bank.bind(rng.random_bits(n, 0.3));
   std::size_t k = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "cim/filter/weight_decompose.hpp"
 #include "util/rng.hpp"
@@ -9,20 +10,25 @@
 namespace hycim::cim {
 
 FilterBank::FilterBank(const InequalityFilterParams& params,
-                       const std::vector<LinearConstraint>& constraints,
+                       const std::vector<LinearConstraint>& inequalities,
+                       const std::vector<LinearConstraint>& equalities,
                        std::size_t variables)
-    : variables_(variables) {
-  if (constraints.empty()) {
+    : variables_(variables), inequalities_(inequalities.size()) {
+  const std::size_t rows = inequalities.size() + equalities.size();
+  if (rows == 0) {
     throw std::invalid_argument("FilterBank: no constraints");
   }
   const long long column_max = max_representable_weight(
       params.array.rows, params.array.fefet.num_levels - 1);
-  filters_.reserve(constraints.size());
-  supports_.reserve(constraints.size());
-  for (std::size_t i = 0; i < constraints.size(); ++i) {
-    const auto& c = constraints[i];
+  filters_.reserve(rows);
+  supports_.reserve(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const bool equality = r >= inequalities_;
+    const auto& c =
+        equality ? equalities[r - inequalities_] : inequalities[r];
     if (c.weights.size() != variables) {
-      throw std::invalid_argument("FilterBank: constraint width mismatch");
+      throw std::invalid_argument("FilterBank: row " + std::to_string(r) +
+                                  " width mismatch");
     }
     // The support: only the wired (nonzero-weight) variables get a column.
     // An all-zero constraint yields a zero-column filter whose matchline
@@ -35,24 +41,27 @@ FilterBank::FilterBank(const InequalityFilterParams& params,
       weights.push_back(c.weights[k]);
     }
     // Representable capacities pass through untouched (noise margins
-    // unchanged); only a capacity beyond the support-sized replica's
+    // unchanged); only a ≤ capacity beyond the support-sized replica's
     // range — necessarily a vacuous constraint, since per-column weights
     // are bounded by column_max — clamps to the deepest representable
     // margin.  Negative capacities pass through to the filter's own
     // validation.
     const long long replica_range =
         static_cast<long long>(support.size()) * column_max;
-    const long long capacity =
-        c.capacity < 0 ? c.capacity : std::min(c.capacity, replica_range);
+    const long long capacity = equality || c.capacity < 0
+                                   ? c.capacity
+                                   : std::min(c.capacity, replica_range);
 
     InequalityFilterParams p = params;
-    p.fab_seed = params.fab_seed + i;  // independent fabrication per filter
+    // Independent fabrication per filter.
+    p.fab_seed = params.fab_seed + (equality ? 1000 + r - inequalities_ : r);
     if (params.decision_seed != 0) {
       // Hash-derived so no two filters (or their window comparators, which
       // stride +1/+2 off the base) ever share a noise stream.
-      p.decision_seed = util::fork_seed(params.decision_seed, i);
+      p.decision_seed = util::fork_seed(params.decision_seed, stream_id(r));
     }
-    filters_.emplace_back(p, weights, capacity);
+    filters_.emplace_back(p, weights, capacity,
+                          equality ? Relation::kEqual : Relation::kAtMost);
     supports_.push_back(std::move(support));
   }
   incidence_ = VariableIncidence(supports_, variables);
@@ -60,15 +69,20 @@ FilterBank::FilterBank(const InequalityFilterParams& params,
 
 FilterBank::FilterBank(const FilterBank& proto, std::uint64_t decision_seed)
     : variables_(proto.variables_),
+      inequalities_(proto.inequalities_),
       supports_(proto.supports_),
       incidence_(proto.incidence_) {
   filters_.reserve(proto.filters_.size());
-  for (std::size_t i = 0; i < proto.filters_.size(); ++i) {
-    filters_.emplace_back(proto.filters_[i],
+  for (std::size_t r = 0; r < proto.filters_.size(); ++r) {
+    filters_.emplace_back(proto.filters_[r],
                           decision_seed != 0
-                              ? util::fork_seed(decision_seed, i)
+                              ? util::fork_seed(decision_seed, stream_id(r))
                               : 0);
   }
+}
+
+std::uint64_t FilterBank::stream_id(std::size_t r) const {
+  return r < inequalities_ ? r : 0x80000000ULL + (r - inequalities_);
 }
 
 std::span<const std::uint8_t> FilterBank::gather(

@@ -1,15 +1,17 @@
-// A bank of inequality filters evaluating several linear constraints
-// simultaneously (paper Sec. 3.2 notes that COPs with *multiple* inequality
-// constraints — bin packing being the canonical case — generalize the
-// single-knapsack setting; each constraint maps to its own working/replica
-// array pair, all sharing the input configuration broadcast).
+// A bank of filters evaluating several linear constraints simultaneously
+// (paper Sec. 3.2 notes that COPs with *multiple* inequality constraints —
+// bin packing being the canonical case — generalize the single-knapsack
+// setting; each constraint maps to its own working/replica array pair, all
+// sharing the input configuration broadcast).  The bank owns every row of
+// a constrained form: the ≤ rows first, then the = rows, each an
+// InequalityFilter deciding its row's Relation.
 //
 // A configuration is feasible iff every filter in the bank accepts it.  In
 // hardware the filters evaluate in parallel and their comparator outputs
 // are AND-ed; behaviorally we evaluate sequentially but report per-filter
 // verdicts so benches can attribute rejections.
 //
-// Support compression + constraint incidence: constraint i's filter is
+// Support compression + constraint incidence: row i's filter is
 // fabricated over only its *support* — the variables with nonzero weight —
 // mirroring the physical wiring (a variable is simply not routed into a
 // filter it does not constrain).  A per-variable incidence index maps each
@@ -39,34 +41,39 @@
 
 namespace hycim::cim {
 
-/// One linear inequality ®w·®x <= c over the full variable vector (columns
-/// not involved in the constraint carry weight 0).
+/// One linear constraint ®w·®x <= c (or = c, by the list it is in) over
+/// the full variable vector (columns not involved in the constraint carry
+/// weight 0).
 struct LinearConstraint {
   std::vector<long long> weights;
   long long capacity = 0;
 };
 
-/// A parallel bank of inequality filters, one per constraint.
+/// A parallel bank of filters, one per constraint row.
 class FilterBank {
  public:
-  /// Builds one filter per constraint; all must have weights.size() ==
-  /// `variables`.  Filter i is fabricated with fab_seed + i over the
-  /// constraint's support columns only.  A capacity beyond what the
-  /// support-sized replica array can store (support × per-column maximum)
-  /// is clamped to that range — such a constraint is vacuous (capacity >
-  /// total support weight) and stays vacuous with the replica's deepest
-  /// representable margin; representable capacities pass through
-  /// unchanged, so noise margins are untouched.
+  /// Builds one filter per row — `inequalities` (Relation::kAtMost) as
+  /// rows 0..m-1, then `equalities` (Relation::kEqual) — each over its
+  /// row's support columns only; every row must have weights.size() ==
+  /// `variables`.  ≤ row i is fabricated with fab_seed + i and = row e
+  /// with fab_seed + 1000 + e; each decides on fork_seed(decision_seed,
+  /// stream id), the ids of the two kinds disjoint (see stream_id).  A ≤
+  /// capacity beyond what the support-sized replica array can store
+  /// (support × per-column maximum) is clamped to that range — such a
+  /// constraint is vacuous (capacity > total support weight) and stays
+  /// vacuous with the replica's deepest representable margin;
+  /// representable capacities pass through unchanged, so noise margins
+  /// are untouched.  An = target is never clamped.
   FilterBank(const InequalityFilterParams& params,
-             const std::vector<LinearConstraint>& constraints,
+             const std::vector<LinearConstraint>& inequalities,
+             const std::vector<LinearConstraint>& equalities,
              std::size_t variables);
 
   /// "Same chip, fresh measurement" duplicate of `proto`: copies every
-  /// fabricated filter and restarts the per-filter comparator noise
-  /// streams from fork_seed(decision_seed, i) — the same derivation the
-  /// fabricating constructor applies — so a clone is bit-identical to a
-  /// refabrication with that decision_seed.  0 keeps the fab-derived
-  /// default streams.
+  /// fabricated filter and restarts the per-row comparator noise streams
+  /// from decision_seed the way the fabricating constructor derives them,
+  /// so a clone is bit-identical to a refabrication with that
+  /// decision_seed.  0 keeps the fab-derived default streams.
   FilterBank(const FilterBank& proto, std::uint64_t decision_seed);
 
   /// Hardware verdict: true iff every filter accepts `x` (full-width x;
@@ -101,13 +108,13 @@ class FilterBank {
   /// Filter i's full-evaluation ML for a full-width configuration [V].
   double ml_voltage(std::size_t i, std::span<const std::uint8_t> x) const;
 
-  /// Per-filter hardware verdicts (same order as the constraints).
+  /// Per-filter hardware verdicts (row order).
   std::vector<bool> verdicts(std::span<const std::uint8_t> x);
 
   /// Exact (software) feasibility of all constraints.
   bool exact_feasible(std::span<const std::uint8_t> x) const;
 
-  /// Number of constraints / filters.
+  /// Number of rows / filters (≤ rows, then = rows).
   std::size_t size() const { return filters_.size(); }
 
   /// Number of variables of the full configuration vector.
@@ -132,11 +139,15 @@ class FilterBank {
   void reprogram();
 
  private:
+  /// Row r's decision stream id: ≤ rows count up from 0, = rows up from
+  /// 2^31.
+  std::uint64_t stream_id(std::size_t r) const;
   /// Gathers the support columns of filter i out of a full-width x.
   std::span<const std::uint8_t> gather(std::size_t i,
                                        std::span<const std::uint8_t> x) const;
 
   std::size_t variables_ = 0;
+  std::size_t inequalities_ = 0;  ///< ≤ rows (the bank's first rows)
   std::vector<InequalityFilter> filters_;
   std::vector<std::vector<std::uint32_t>> supports_;  ///< filter -> globals
   VariableIncidence incidence_;

@@ -1,10 +1,10 @@
 // Variable -> (filter, local column) incidence over a set of
-// support-compressed filters — the shared routing structure behind the
-// constraint-incidence hot path.  Both the inequality FilterBank and the
-// solver's equality-filter set fabricate each filter over its constraint's
-// support (the nonzero-weight variables) and use this index to translate a
-// move's global flip indices into per-incident-filter local column lists,
-// so trial/apply touch only the filters whose rows contain a flipped bit.
+// support-compressed filters — the routing structure behind the
+// constraint-incidence hot path.  The FilterBank fabricates each row's
+// filter (≤ and = rows alike) over the row's support (the nonzero-weight
+// variables) and uses this index to translate a move's global flip
+// indices into per-incident-filter local column lists, so trial/apply
+// touch only the filters whose rows contain a flipped bit.
 #pragma once
 
 #include <cstdint>

@@ -33,10 +33,18 @@ std::vector<long long> replica_weights(long long capacity, std::size_t columns,
 
 InequalityFilter::InequalityFilter(const InequalityFilterParams& params,
                                    const std::vector<long long>& weights,
-                                   long long capacity)
+                                   long long capacity, Relation relation)
     : weights_(weights),
       capacity_(capacity),
-      reprogram_rng_(params.fab_seed ^ 0xabcdef0123456789ULL) {
+      relation_(relation),
+      reprogram_rng_(params.fab_seed ^ (relation == Relation::kEqual
+                                            ? 0x0f0f1e1e2d2d3c3cULL
+                                            : 0xabcdef0123456789ULL)) {
+  if (relation == Relation::kEqual &&
+      (params.margin_units <= 0.0 || params.margin_units >= 1.0)) {
+    throw std::invalid_argument(
+        "InequalityFilter: an equality's margin_units must be in (0, 1)");
+  }
   fab_ = std::make_unique<device::VariationModel>(params.variation,
                                                   params.fab_seed);
   const long long column_max =
@@ -57,25 +65,25 @@ InequalityFilter::InequalityFilter(const InequalityFilterParams& params,
   decision_stream_seed_ = params.decision_seed != 0
                               ? params.decision_seed
                               : params.fab_seed * 0x9e3779b9ULL;
-  comparator_ = std::make_unique<Comparator>(params.comparator, fab_->rng(),
-                                             decision_stream_seed_);
+  if (relation == Relation::kEqual) {
+    upper_ = std::make_unique<Comparator>(params.comparator, fab_->rng(),
+                                          decision_stream_seed_ + 1);
+  }
+  comparator_ = std::make_unique<Comparator>(
+      params.comparator, fab_->rng(),
+      decision_stream_seed_ + (upper_ ? 2 : 0));
   margin_units_ = params.margin_units;
-  replica_ml_ = replica_->evaluate(replica_x_);
-  margin_v_ = margin_units_ * replica_ml_ *
-              working_->nominal_unit_drop_fraction();
+  refresh_thresholds();
 }
 
 InequalityFilter::InequalityFilter(const InequalityFilter& proto,
                                    std::uint64_t decision_seed)
     : weights_(proto.weights_),
       capacity_(proto.capacity_),
+      relation_(proto.relation_),
       working_(std::make_unique<FilterArray>(*proto.working_)),
       replica_(std::make_unique<FilterArray>(*proto.replica_)),
       replica_x_(proto.replica_x_),
-      comparator_(std::make_unique<Comparator>(
-          *proto.comparator_, decision_seed != 0
-                                  ? decision_seed
-                                  : proto.decision_stream_seed_)),
       fab_(std::make_unique<device::VariationModel>(*proto.fab_)),
       reprogram_rng_(proto.reprogram_rng_),
       replica_ml_(proto.replica_ml_),
@@ -83,6 +91,12 @@ InequalityFilter::InequalityFilter(const InequalityFilter& proto,
       margin_units_(proto.margin_units_),
       decision_stream_seed_(decision_seed != 0 ? decision_seed
                                                : proto.decision_stream_seed_) {
+  if (proto.upper_) {
+    upper_ = std::make_unique<Comparator>(*proto.upper_,
+                                          decision_stream_seed_ + 1);
+  }
+  comparator_ = std::make_unique<Comparator>(
+      *proto.comparator_, decision_stream_seed_ + (upper_ ? 2 : 0));
 }
 
 InequalityFilter::~InequalityFilter() = default;
@@ -94,10 +108,21 @@ bool InequalityFilter::is_feasible(std::span<const std::uint8_t> x) {
   return decide(working_->evaluate(x));
 }
 
+void InequalityFilter::refresh_thresholds() {
+  replica_ml_ = replica_->evaluate(replica_x_);
+  margin_v_ = margin_units_ * replica_ml_ *
+              working_->nominal_unit_drop_fraction();
+}
+
 bool InequalityFilter::decide(double ml) {
   // The design margin skews the decision threshold by half a weight unit so
-  // the <= boundary (ML == ReplicaML) resolves to "feasible" robustly.
-  const bool feasible = comparator_->compare(ml + margin_v_, replica_ml_);
+  // the <= boundary (ML == ReplicaML) resolves to "feasible" robustly.  An
+  // equality's window adds the mirrored upper check; both comparators
+  // decide on every evaluation.
+  const bool not_below = comparator_->compare(ml + margin_v_, replica_ml_);
+  const bool not_above =
+      !upper_ || upper_->compare(replica_ml_ + margin_v_, ml);
+  const bool feasible = not_below && not_above;
   ++stats_.evaluations;
   if (feasible) {
     ++stats_.feasible;
@@ -142,23 +167,19 @@ bool InequalityFilter::exact_feasible(std::span<const std::uint8_t> x) const {
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     if (x[i]) total += weights_[i];
   }
-  return total <= capacity_;
+  return holds(relation_, total, capacity_);
 }
 
 void InequalityFilter::reprogram() {
   working_->reprogram(reprogram_rng_);
   replica_->reprogram(reprogram_rng_);
-  replica_ml_ = replica_->evaluate(replica_x_);
-  margin_v_ = margin_units_ * replica_ml_ *
-              working_->nominal_unit_drop_fraction();
+  refresh_thresholds();
 }
 
 void InequalityFilter::age(double seconds) {
   working_->age(seconds);
   replica_->age(seconds);
-  replica_ml_ = replica_->evaluate(replica_x_);
-  margin_v_ = margin_units_ * replica_ml_ *
-              working_->nominal_unit_drop_fraction();
+  refresh_thresholds();
 }
 
 }  // namespace hycim::cim

@@ -11,6 +11,19 @@
 // The replica result is evaluated once per programming (its input is fixed)
 // and cached.  is_feasible() is the hot call the SA loop makes every
 // iteration for candidate configurations (paper Fig. 3/6(b)).
+//
+// Paper Sec. 3.2: "COPs without constraints or with equality constraints
+// can be considered as special cases of COPs with inequality".  A linear
+// equality ®w·®x = C (Relation::kEqual) runs on the same matchline pair
+// with a *window comparator* in place of the skewed one: two comparators
+// check
+//
+//   ML >= ReplicaML − ½·unit   and   ML <= ReplicaML + ½·unit
+//
+// which for integer weights holds exactly when Σwᵢxᵢ = C.  This lets
+// one-hot / cardinality / assignment structure move out of the penalty
+// QUBO and into hardware, the same separation the inequality-QUBO
+// transformation performs for inequalities.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +54,21 @@ struct InequalityFilterParams {
   /// produces ML == ReplicaML up to noise; skewing the decision threshold
   /// by half a unit centers the boundary on the feasible side (W == C) and
   /// the first infeasible weight (W == C+1) half a unit on the other —
-  /// a standard intentional-offset comparator design.
+  /// a standard intentional-offset comparator design.  An equality
+  /// filter's window has this half-width, which must be in (0, 1).
   double margin_units = 0.5;
 };
+
+/// The relation a filter decides between ®w·®x and C.
+enum class Relation {
+  kAtMost,  ///< ®w·®x <= C: one comparator skewed by margin_units
+  kEqual,   ///< ®w·®x == C: a window comparator of half-width margin_units
+};
+
+/// Exact (software) verdict of `relation` for a row total.
+constexpr bool holds(Relation relation, long long total, long long capacity) {
+  return relation == Relation::kEqual ? total == capacity : total <= capacity;
+}
 
 /// Statistics the filter keeps across evaluations (for the benches).
 struct FilterStats {
@@ -52,20 +77,26 @@ struct FilterStats {
   std::size_t infeasible = 0;
 };
 
-/// A fabricated, programmed inequality filter for constraint ®w·®x <= C.
+/// A fabricated, programmed filter for constraint ®w·®x <= C, or
+/// ®w·®x = C under Relation::kEqual.
 class InequalityFilter {
  public:
   /// Builds working + replica arrays for `weights` and `capacity`.
   /// Throws std::invalid_argument when a weight (or the replica's residual
-  /// capacity per column) exceeds what a column can store, or capacity < 0.
+  /// capacity per column) exceeds what a column can store, capacity < 0,
+  /// or an equality's margin_units is outside (0, 1).  An equality filter
+  /// draws its window's upper comparator, then its lower one, from the
+  /// fabrication stream, deciding on the streams one and two past the
+  /// decision seed.
   InequalityFilter(const InequalityFilterParams& params,
-                   const std::vector<long long>& weights, long long capacity);
+                   const std::vector<long long>& weights, long long capacity,
+                   Relation relation = Relation::kAtMost);
 
   /// "Same chip, fresh measurement": duplicates `proto`'s fabricated
-  /// arrays and comparator offset (bit-identical to refabricating with the
+  /// arrays and comparator offsets (bit-identical to refabricating with the
   /// same fab_seed, at the cost of a copy instead of a device-by-device
-  /// fabrication), zeroes the statistics, and restarts the comparator's
-  /// per-decision noise stream from `decision_seed` (0 = the fab-derived
+  /// fabrication), zeroes the statistics, and restarts the comparators'
+  /// per-decision noise streams from `decision_seed` (0 = the fab-derived
   /// default stream).  This is what lets batch protocols run N independent
   /// measurements on one programmed chip without N fabrications.
   InequalityFilter(const InequalityFilter& proto, std::uint64_t decision_seed);
@@ -74,7 +105,8 @@ class InequalityFilter {
   InequalityFilter(InequalityFilter&&) noexcept;
   InequalityFilter& operator=(InequalityFilter&&) noexcept;
 
-  /// Hardware feasibility decision for configuration `x`.
+  /// Hardware feasibility decision for configuration `x` (for an equality:
+  /// true iff the ML lands inside the window).
   bool is_feasible(std::span<const std::uint8_t> x);
 
   // --- Bound-state (incremental trial-move) API. ---------------------------
@@ -109,7 +141,8 @@ class InequalityFilter {
   double replica_voltage() const { return replica_ml_; }
 
   /// The realized comparator threshold skew [V] (margin_units × the ML
-  /// drop of one weight unit at the replica operating point).
+  /// drop of one weight unit at the replica operating point) — an
+  /// equality's window half-width.
   double margin_voltage() const { return margin_v_; }
 
   /// Working ML normalized by the replica ML (the y-axis of Fig. 8).
@@ -119,7 +152,8 @@ class InequalityFilter {
   bool exact_feasible(std::span<const std::uint8_t> x) const;
 
   /// Re-programs both arrays with fresh cycle-to-cycle noise and refreshes
-  /// the cached replica voltage.
+  /// the cached replica voltage.  The reprogramming stream is salted by
+  /// the relation, so a ≤ and an = filter of one fab_seed draw apart.
   void reprogram();
 
   /// Ages both arrays by `seconds` of retention time.  Working and replica
@@ -129,8 +163,10 @@ class InequalityFilter {
 
   /// Number of items (working-array columns).
   std::size_t items() const { return weights_.size(); }
-  /// The constraint capacity C.
+  /// The constraint capacity C (an equality's target).
   long long capacity() const { return capacity_; }
+  /// The relation this filter decides.
+  Relation relation() const { return relation_; }
   /// Evaluation counters.
   const FilterStats& stats() const { return stats_; }
   /// Access to the working array (for waveform benches).
@@ -143,13 +179,20 @@ class InequalityFilter {
  private:
   /// Comparator decision + stats for an already-evaluated working ML.
   bool decide(double ml);
+  /// Refreshes the cached replica ML and the margin after the arrays move.
+  void refresh_thresholds();
 
   std::vector<long long> weights_;
   long long capacity_ = 0;
+  Relation relation_ = Relation::kAtMost;
   std::unique_ptr<FilterArray> working_;
   std::unique_ptr<FilterArray> replica_;
   std::vector<std::uint8_t> replica_x_;
+  /// ML + margin >= Replica: the ≤ decision, and an equality window's
+  /// lower half.
   std::unique_ptr<Comparator> comparator_;
+  /// ML <= Replica + margin: an equality window's upper half (null for ≤).
+  std::unique_ptr<Comparator> upper_;
   std::unique_ptr<device::VariationModel> fab_;
   util::Rng reprogram_rng_;
   double replica_ml_ = 0.0;

@@ -12,11 +12,11 @@ long long constraint_total(const cim::LinearConstraint& c,
 }
 
 bool ConstrainedQuboForm::feasible(std::span<const std::uint8_t> x) const {
-  for (const auto& c : constraints) {
-    if (constraint_total(c, x) > c.capacity) return false;
-  }
-  for (const auto& c : equalities) {
-    if (constraint_total(c, x) != c.capacity) return false;
+  for (std::size_t r = 0; r < rows(); ++r) {
+    const cim::LinearConstraint& c = row(r);
+    if (!cim::holds(relation(r), constraint_total(c, x), c.capacity)) {
+      return false;
+    }
   }
   return true;
 }

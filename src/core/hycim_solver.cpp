@@ -16,10 +16,9 @@ namespace hycim::core {
 /// SaProblem adapter: energy via the configured fidelity path, feasibility
 /// via the hardware filters or the exact predicates.  The whole pipeline is
 /// incremental per trial move:
-///   * software feasibility — constraint totals tracked per commit, and a
-///     per-variable incidence index so a proposal touches only the
-///     constraints whose rows contain a flipped bit (O(incidence), not
-///     O(#constraints));
+///   * software feasibility — exact row totals tracked per commit, and a
+///     per-variable row index so a proposal touches only the rows that
+///     contain a flipped bit (O(incidence), not O(#rows));
 ///   * hardware feasibility — filters bound to the current configuration;
 ///     only the filters incident to the flipped bits are measured
 ///     (support-compressed arrays, see cim::FilterBank), each trial
@@ -38,30 +37,17 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
         eval_(owner.engine_->eval_matrix(),
               qubo::BitVector(owner.form_->size(), 0),
               owner.resolved_kernel_),
-        totals_(owner.form_->constraints.size(), 0),
-        eq_totals_(owner.form_->equalities.size(), 0) {}
+        totals_(owner.form_->rows(), 0) {}
 
   std::size_t num_bits() const override { return owner_.form_->size(); }
 
   double reset(const qubo::BitVector& x) override {
-    const auto& cs = owner_.form_->constraints;
     violated_ = 0;
-    for (std::size_t c = 0; c < cs.size(); ++c) {
-      totals_[c] = constraint_total(cs[c], x);
-      if (totals_[c] > cs[c].capacity) ++violated_;
+    for (std::size_t r = 0; r < totals_.size(); ++r) {
+      totals_[r] = constraint_total(owner_.form_->row(r), x);
+      if (!holds(r, totals_[r])) ++violated_;
     }
-    const auto& es = owner_.form_->equalities;
-    eq_violated_ = 0;
-    for (std::size_t c = 0; c < es.size(); ++c) {
-      eq_totals_[c] = constraint_total(es[c], x);
-      if (eq_totals_[c] != es[c].capacity) ++eq_violated_;
-    }
-    if (hardware()) {
-      if (owner_.bank_) owner_.bank_->bind(x);
-      for (std::size_t e = 0; e < owner_.equality_filters_.size(); ++e) {
-        owner_.equality_filters_[e].bind(owner_.eq_gather(e, x));
-      }
-    }
+    if (owner_.bank_) owner_.bank_->bind(x);
     if (circuit()) {
       owner_.engine_->bind(x);
       return owner_.engine_->bound_energy();
@@ -74,47 +60,25 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
     const auto flips = m.indices();
     if (owner_.config_.filter_mode == FilterMode::kSoftware) {
       const auto& x = state();
-      const auto& cs = owner_.form_->constraints;
-      // Only the constraints whose rows contain a flipped bit can change;
-      // an untouched satisfied constraint stays satisfied, an untouched
-      // violated one stays violated (counted below) — exactly the dense
-      // all-constraints scan's verdict at O(incidence) cost.
-      gather_touched(owner_.ineq_by_var_, flips);
+      // Only the rows that contain a flipped bit can change; an untouched
+      // satisfied row stays satisfied, an untouched violated one stays
+      // violated (counted below) — exactly the dense all-rows scan's
+      // verdict at O(incidence) cost.
+      gather_touched(flips);
       std::size_t were_violated = 0;
-      for (const std::uint32_t c : touched_ids_) {
-        long long t = totals_[c];
-        for (const std::size_t k : flips) {
-          t += x[k] ? -cs[c].weights[k] : cs[c].weights[k];
-        }
-        if (t > cs[c].capacity) return false;
-        if (totals_[c] > cs[c].capacity) ++were_violated;
+      for (const std::uint32_t r : touched_ids_) {
+        const auto& w = owner_.form_->row(r).weights;
+        long long t = totals_[r];
+        for (const std::size_t k : flips) t += x[k] ? -w[k] : w[k];
+        if (!holds(r, t)) return false;
+        if (!holds(r, totals_[r])) ++were_violated;
       }
-      if (violated_ > were_violated) return false;
-      const auto& es = owner_.form_->equalities;
-      gather_touched(owner_.eq_by_var_, flips);
-      were_violated = 0;
-      for (const std::uint32_t c : touched_ids_) {
-        long long t = eq_totals_[c];
-        for (const std::size_t k : flips) {
-          t += x[k] ? -es[c].weights[k] : es[c].weights[k];
-        }
-        if (t != es[c].capacity) return false;
-        if (eq_totals_[c] != es[c].capacity) ++were_violated;
-      }
-      return eq_violated_ <= were_violated;
+      return violated_ <= were_violated;
     }
     if (owner_.config_.check_incremental) check_filter_trials(m);
-    // Same evaluation order as before the incidence index: the bank's AND
-    // short-circuit first (ascending filter order), then the equality
-    // windows — but only the filters wired to a flipped bit are measured.
-    if (owner_.bank_ && !owner_.bank_->trial_feasible(flips)) return false;
-    for (const auto& touched : owner_.eq_incidence_.group(flips)) {
-      if (!owner_.equality_filters_[touched.filter].trial_satisfied(
-              touched.locals)) {
-        return false;
-      }
-    }
-    return true;
+    // The bank measures only the filters wired to a flipped bit, ≤ rows
+    // before = rows, with the AND short-circuit.
+    return !owner_.bank_ || owner_.bank_->trial_feasible(flips);
   }
 
   double trial_delta(const anneal::Move& m) override {
@@ -133,12 +97,7 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
   void commit(const anneal::Move& m) override {
     const auto flips = m.indices();
     apply_totals(flips);
-    if (hardware()) {
-      if (owner_.bank_) owner_.bank_->apply(flips);
-      for (const auto& touched : owner_.eq_incidence_.group(flips)) {
-        owner_.equality_filters_[touched.filter].apply(touched.locals);
-      }
-    }
+    if (owner_.bank_) owner_.bank_->apply(flips);
     if (circuit()) {
       owner_.engine_->apply(flips);
     } else if (m.is_swap()) {
@@ -160,21 +119,23 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
     return owner_.config_.fidelity == cim::VmvMode::kCircuit;
   }
 
-  bool hardware() const {
-    return owner_.config_.filter_mode == FilterMode::kHardware;
-  }
-
   bool adc_noiseless() const {
     return owner_.engine_->params().adc.sigma_noise_a == 0.0;
   }
 
-  /// Unique constraint ids (from a per-variable incidence table) touched
-  /// by `flips`, into touched_ids_.
-  void gather_touched(const std::vector<std::vector<std::uint32_t>>& by_var,
-                      std::span<const std::size_t> flips) {
+  /// Whether row r's exact total satisfies the row's relation.
+  bool holds(std::size_t r, long long total) const {
+    const ConstrainedQuboForm& form = *owner_.form_;
+    return cim::holds(form.relation(r), total, form.row(r).capacity);
+  }
+
+  /// Unique row ids touched by `flips`, ascending, into touched_ids_.
+  void gather_touched(std::span<const std::size_t> flips) {
     touched_ids_.clear();
     for (const std::size_t k : flips) {
-      for (const std::uint32_t c : by_var[k]) touched_ids_.push_back(c);
+      for (const std::uint32_t r : owner_.rows_by_var_[k]) {
+        touched_ids_.push_back(r);
+      }
     }
     std::sort(touched_ids_.begin(), touched_ids_.end());
     touched_ids_.erase(std::unique(touched_ids_.begin(), touched_ids_.end()),
@@ -202,32 +163,14 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
   /// comparator-free paths so the decision noise streams are untouched;
   /// untouched filters must report an unchanged matchline.
   void check_filter_trials(const anneal::Move& m) {
+    if (!owner_.bank_) return;
     const auto flips = m.indices();
     const qubo::BitVector candidate = candidate_of(m);
-    if (owner_.bank_) {
-      for (std::size_t i = 0; i < owner_.bank_->size(); ++i) {
-        check_near(owner_.bank_->trial_ml(i, flips),
-                   owner_.bank_->ml_voltage(i, candidate), kMlTolVolts,
-                   "inequality-filter trial ML");
-      }
+    for (std::size_t r = 0; r < owner_.bank_->size(); ++r) {
+      check_near(owner_.bank_->trial_ml(r, flips),
+                 owner_.bank_->ml_voltage(r, candidate), kMlTolVolts,
+                 "filter trial ML");
     }
-    for (std::size_t e = 0; e < owner_.equality_filters_.size(); ++e) {
-      const auto& eq = owner_.equality_filters_[e];
-      check_near(eq_trial_ml(e, flips),
-                 eq.ml_voltage(owner_.eq_gather(e, candidate)), kMlTolVolts,
-                 "equality-filter trial ML");
-    }
-  }
-
-  /// Equality filter e's incremental trial ML for global flips (bound ML
-  /// when untouched).
-  double eq_trial_ml(std::size_t e, std::span<const std::size_t> flips) {
-    for (const auto& touched : owner_.eq_incidence_.group(flips)) {
-      if (touched.filter == e) {
-        return owner_.equality_filters_[e].trial_ml(touched.locals);
-      }
-    }
-    return owner_.equality_filters_[e].bound_ml();
   }
 
   /// Cross-checks the incremental energy delta against full recomputation.
@@ -262,45 +205,25 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
       check_near(e, eval_.recompute(), 1e-6 * std::max(1.0, std::abs(e)),
                  "committed energy");
     }
-    if (hardware()) {
-      if (owner_.bank_) {
-        for (std::size_t i = 0; i < owner_.bank_->size(); ++i) {
-          check_near(owner_.bank_->bound_ml(i),
-                     owner_.bank_->ml_voltage(i, x), kMlTolVolts,
-                     "committed filter ML");
-        }
-      }
-      for (std::size_t e = 0; e < owner_.equality_filters_.size(); ++e) {
-        const auto& eq = owner_.equality_filters_[e];
-        check_near(eq.bound_ml(), eq.ml_voltage(owner_.eq_gather(e, x)),
-                   kMlTolVolts, "committed equality ML");
+    if (owner_.bank_) {
+      for (std::size_t r = 0; r < owner_.bank_->size(); ++r) {
+        check_near(owner_.bank_->bound_ml(r), owner_.bank_->ml_voltage(r, x),
+                   kMlTolVolts, "committed filter ML");
       }
     }
   }
 
-  /// Updates the tracked constraint totals (and violation counts) for a
-  /// committed move — only the incident constraints change.
+  /// Updates the tracked row totals (and the violation count) for a
+  /// committed move — only the incident rows change.
   void apply_totals(std::span<const std::size_t> flips) {
     const auto& x = state();  // pre-commit: the energy path flips after this
-    const auto& cs = owner_.form_->constraints;
-    gather_touched(owner_.ineq_by_var_, flips);
-    for (const std::uint32_t c : touched_ids_) {
-      const bool was = totals_[c] > cs[c].capacity;
-      for (const std::size_t k : flips) {
-        totals_[c] += x[k] ? -cs[c].weights[k] : cs[c].weights[k];
-      }
-      const bool now = totals_[c] > cs[c].capacity;
-      if (was != now) violated_ += now ? 1 : -1;
-    }
-    const auto& es = owner_.form_->equalities;
-    gather_touched(owner_.eq_by_var_, flips);
-    for (const std::uint32_t c : touched_ids_) {
-      const bool was = eq_totals_[c] != es[c].capacity;
-      for (const std::size_t k : flips) {
-        eq_totals_[c] += x[k] ? -es[c].weights[k] : es[c].weights[k];
-      }
-      const bool now = eq_totals_[c] != es[c].capacity;
-      if (was != now) eq_violated_ += now ? 1 : -1;
+    gather_touched(flips);
+    for (const std::uint32_t r : touched_ids_) {
+      const auto& w = owner_.form_->row(r).weights;
+      const bool was = holds(r, totals_[r]);
+      for (const std::size_t k : flips) totals_[r] += x[k] ? -w[k] : w[k];
+      const bool now = holds(r, totals_[r]);
+      if (was != now) violated_ += now ? -1 : 1;
     }
   }
 
@@ -311,10 +234,8 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
 
   HyCimSolver& owner_;
   qubo::IncrementalEvaluator eval_;
-  std::vector<long long> totals_;
-  std::vector<long long> eq_totals_;
-  std::size_t violated_ = 0;     ///< inequality rows the current state breaks
-  std::size_t eq_violated_ = 0;  ///< equality rows the current state breaks
+  std::vector<long long> totals_;  ///< exact ®w·®x per row
+  std::size_t violated_ = 0;       ///< rows the current state breaks
   // Scratch for the incidence-gated software-totals path.
   std::vector<std::uint32_t> touched_ids_;
 };
@@ -323,6 +244,18 @@ HyCimSolver::HyCimSolver(const ConstrainedQuboForm& form,
                          const HyCimConfig& config)
     : form_(std::make_shared<const ConstrainedQuboForm>(form)),
       config_(config) {
+  // Every later pass reads a row's weights at the form's variable indices.
+  for (std::size_t r = 0; r < form.rows(); ++r) {
+    if (form.row(r).weights.size() == form.size()) continue;
+    const bool equality = form.relation(r) == cim::Relation::kEqual;
+    throw std::invalid_argument(
+        std::string("HyCimSolver: ") +
+        (equality ? "equality " : "inequality ") +
+        std::to_string(equality ? r - form.constraints.size() : r) +
+        " has " + std::to_string(form.row(r).weights.size()) +
+        " weights for " + std::to_string(form.size()) + " variables");
+  }
+
   cim::VmvEngineParams vmv = config_.vmv;
   vmv.mode = config_.fidelity;
   vmv.matrix_bits = config_.matrix_bits;
@@ -341,68 +274,17 @@ HyCimSolver::HyCimSolver(const ConstrainedQuboForm& form,
     eval.dense_rows();
   }
 
-  if (config_.filter_mode == FilterMode::kHardware) {
-    if (!form_->constraints.empty()) {
-      bank_ = std::make_unique<cim::FilterBank>(
-          config_.filter, form_->constraints, form_->size());
-    }
-    for (std::size_t e = 0; e < form_->equalities.size(); ++e) {
-      cim::InequalityFilterParams p = config_.filter;
-      p.fab_seed = config_.filter.fab_seed + 1000 + e;
-      // Hash-derived (not additive) per-filter noise streams: additive
-      // offsets would collide with the bank's and with the +1/+2 strides
-      // the window comparators apply inside one filter.
-      if (p.decision_seed != 0) {
-        p.decision_seed =
-            util::fork_seed(p.decision_seed, 0x80000000ULL + e);
-      }
-      // Support compression, like the bank: the filter's columns are the
-      // variables the equality actually weights.
-      std::vector<long long> weights;
-      std::vector<std::uint32_t> support;
-      for (std::size_t k = 0; k < form_->size(); ++k) {
-        if (form_->equalities[e].weights[k] == 0) continue;
-        support.push_back(static_cast<std::uint32_t>(k));
-        weights.push_back(form_->equalities[e].weights[k]);
-      }
-      eq_supports_.push_back(std::move(support));
-      equality_filters_.emplace_back(p, weights,
-                                     form_->equalities[e].capacity);
+  if (config_.filter_mode == FilterMode::kHardware && form_->rows() > 0) {
+    bank_ = std::make_unique<cim::FilterBank>(
+        config_.filter, form_->constraints, form_->equalities, form_->size());
+  }
+  rows_by_var_.assign(form_->size(), {});
+  for (std::size_t r = 0; r < form_->rows(); ++r) {
+    const auto& w = form_->row(r).weights;
+    for (std::size_t k = 0; k < w.size(); ++k) {
+      if (w[k] != 0) rows_by_var_[k].push_back(static_cast<std::uint32_t>(r));
     }
   }
-  build_incidence();
-}
-
-void HyCimSolver::build_incidence() {
-  const std::size_t n = form_->size();
-  ineq_by_var_.assign(n, {});
-  for (std::size_t c = 0; c < form_->constraints.size(); ++c) {
-    const auto& w = form_->constraints[c].weights;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (w[k] != 0) {
-        ineq_by_var_[k].push_back(static_cast<std::uint32_t>(c));
-      }
-    }
-  }
-  eq_by_var_.assign(n, {});
-  for (std::size_t c = 0; c < form_->equalities.size(); ++c) {
-    const auto& w = form_->equalities[c].weights;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (w[k] != 0) {
-        eq_by_var_[k].push_back(static_cast<std::uint32_t>(c));
-      }
-    }
-  }
-  // Equality-filter incidence (hardware mode; empty supports otherwise).
-  eq_incidence_ = cim::VariableIncidence(eq_supports_, n);
-}
-
-qubo::BitVector HyCimSolver::eq_gather(std::size_t e,
-                                       std::span<const std::uint8_t> x) const {
-  const auto& support = eq_supports_.at(e);
-  qubo::BitVector local(support.size());
-  for (std::size_t s = 0; s < support.size(); ++s) local[s] = x[support[s]];
-  return local;
 }
 
 HyCimSolver::HyCimSolver(const HyCimSolver& proto,
@@ -411,22 +293,10 @@ HyCimSolver::HyCimSolver(const HyCimSolver& proto,
       config_(proto.config_),
       engine_(std::make_unique<cim::VmvEngine>(*proto.engine_)),
       resolved_kernel_(proto.resolved_kernel_),
-      ineq_by_var_(proto.ineq_by_var_),
-      eq_by_var_(proto.eq_by_var_),
-      eq_supports_(proto.eq_supports_),
-      eq_incidence_(proto.eq_incidence_) {
+      rows_by_var_(proto.rows_by_var_) {
   if (decision_seed != 0) config_.filter.decision_seed = decision_seed;
   if (proto.bank_) {
     bank_ = std::make_unique<cim::FilterBank>(*proto.bank_, decision_seed);
-  }
-  equality_filters_.reserve(proto.equality_filters_.size());
-  for (std::size_t e = 0; e < proto.equality_filters_.size(); ++e) {
-    // Same hash-derived per-filter stream the fabricating constructor uses.
-    const std::uint64_t seed =
-        decision_seed != 0
-            ? util::fork_seed(decision_seed, 0x80000000ULL + e)
-            : 0;
-    equality_filters_.emplace_back(proto.equality_filters_[e], seed);
   }
 }
 
@@ -461,8 +331,7 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   // bit-identical to the cloned-chip path; only the layout changes.
   const bool batch_replicas =
       replica_count > 1 && config_.fidelity != cim::VmvMode::kCircuit &&
-      config_.filter_mode == FilterMode::kSoftware &&
-      form_->constraints.empty() && form_->equalities.empty() &&
+      config_.filter_mode == FilterMode::kSoftware && form_->rows() == 0 &&
       !config_.check_incremental;
   std::optional<anneal::QuboReplicaBatch> batch;
   if (batch_replicas) {
@@ -508,7 +377,6 @@ void HyCimSolver::retarget_solve(const HyCimConfig& config) {
 void HyCimSolver::reprogram() {
   engine_->reprogram();
   if (bank_) bank_->reprogram();
-  for (auto& eq : equality_filters_) eq.reprogram();
 }
 
 }  // namespace hycim::core

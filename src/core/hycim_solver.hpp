@@ -5,8 +5,8 @@
 // ConstrainedQuboForm — the one shape every COP lowers to via the
 // to_constrained_form() adapters in src/cop/ (QKP, MDKP, bin packing,
 // graph coloring, ...) — and knows nothing about the originating problem.
-// Each inequality constraint maps to its own inequality-filter array in a
-// cim::FilterBank; each equality to a window-comparator equality filter.
+// Every constraint row maps to its own filter in one cim::FilterBank: an
+// inequality to a skewed comparator, an equality to a window comparator.
 //
 // Fidelity is configurable on two axes:
 //   * the QUBO computation (VmvMode: ideal / quantized / full circuit);
@@ -25,7 +25,6 @@
 #include "anneal/sa_engine.hpp"
 #include "anneal/strategy.hpp"
 #include "cim/crossbar/vmv_engine.hpp"
-#include "cim/filter/equality_filter.hpp"
 #include "cim/filter/filter_bank.hpp"
 #include "cim/filter/inequality_filter.hpp"
 #include "core/constrained_form.hpp"
@@ -96,6 +95,8 @@ struct SolveResult : anneal::SearchTelemetry {
 /// One fabricated HyCiM instance bound to a constrained QUBO form.
 class HyCimSolver {
  public:
+  /// Fabricates a chip for `form`.  Throws std::invalid_argument, naming
+  /// the row, when a constraint row's width is not form.size().
   HyCimSolver(const ConstrainedQuboForm& form, const HyCimConfig& config);
 
   /// "Program once, solve many": duplicates `proto`'s fabricated hardware
@@ -151,14 +152,10 @@ class HyCimSolver {
   /// Number of binary variables.
   std::size_t size() const { return form_->size(); }
 
-  /// The inequality filter bank (nullptr in software filter mode or when
-  /// the form has no inequality constraints).  Per-constraint filters are
-  /// reached through FilterBank::filter(i).
+  /// The filter bank of every constraint row (nullptr in software filter
+  /// mode or when the form has no rows).  Inequality i is
+  /// FilterBank::filter(i); equality e is filter(constraints.size() + e).
   cim::FilterBank* filter_bank() { return bank_.get(); }
-  /// The equality filters (empty in software mode / no equalities).
-  std::vector<cim::EqualityFilter>& equality_filters() {
-    return equality_filters_;
-  }
   /// The VMV engine computing xᵀQx.
   cim::VmvEngine& engine() { return *engine_; }
   /// The frozen matrix the incremental fast path walks, with the mirror or
@@ -175,38 +172,19 @@ class HyCimSolver {
  private:
   class Problem;
 
-  /// Builds the per-variable constraint-incidence lists (software totals)
-  /// and, in hardware mode, the equality filters' support compression +
-  /// incidence CSR.
-  void build_incidence();
-
-  /// Gathers equality filter e's support columns out of a full-width
-  /// configuration (the filters are support-compressed).
-  qubo::BitVector eq_gather(std::size_t e,
-                            std::span<const std::uint8_t> x) const;
-
   std::shared_ptr<const ConstrainedQuboForm> form_;
   HyCimConfig config_;
   /// Owns the frozen matrices (original, quantized, and the evaluation
   /// matrix behind the incremental fast path); clones share them.
   std::unique_ptr<cim::VmvEngine> engine_;
   std::unique_ptr<cim::FilterBank> bank_;
-  std::vector<cim::EqualityFilter> equality_filters_;
   qubo::Kernel resolved_kernel_ = qubo::Kernel::kDense;
-  // Constraint incidence: variable -> the inequality / equality constraint
-  // ids whose weight row contains it, so per-flip totals updates and
-  // feasibility trials touch O(incidence) constraints instead of all of
-  // them (the MDKP / bin-packing win; a QKP has one all-variables row and
-  // is unaffected).
-  std::vector<std::vector<std::uint32_t>> ineq_by_var_;
-  std::vector<std::vector<std::uint32_t>> eq_by_var_;
-  // Equality filters are fabricated over their support only (like the
-  // FilterBank's inequality filters); eq_supports_[e] maps local column ->
-  // global variable and eq_incidence_ routes flips to the incident
-  // filters' local columns (the same cim::VariableIncidence the bank
-  // uses).
-  std::vector<std::vector<std::uint32_t>> eq_supports_;
-  cim::VariableIncidence eq_incidence_;
+  // Row incidence of the exact totals: variable -> the ids of the rows
+  // (ConstrainedQuboForm::row order) whose weights contain it, so per-flip
+  // totals updates and feasibility trials touch O(incidence) rows instead
+  // of all of them (the MDKP / bin-packing win; a QKP has one
+  // all-variables row and is unaffected).
+  std::vector<std::vector<std::uint32_t>> rows_by_var_;
 };
 
 }  // namespace hycim::core

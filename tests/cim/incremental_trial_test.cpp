@@ -7,7 +7,6 @@
 #include <array>
 
 #include "cim/crossbar/vmv_engine.hpp"
-#include "cim/filter/equality_filter.hpp"
 #include "cim/filter/filter_array.hpp"
 #include "cim/filter/filter_bank.hpp"
 #include "cim/filter/inequality_filter.hpp"
@@ -160,8 +159,8 @@ TEST(EqualityFilterBoundState, TrialVerdictsMatchFullPath) {
   p.fab_seed = 31;
   p.decision_seed = 99;
   const std::vector<long long> weights{1, 1, 1, 1, 1};  // one-hot cardinality
-  EqualityFilter full(p, weights, 1);
-  EqualityFilter incremental(p, weights, 1);
+  InequalityFilter full(p, weights, 1, Relation::kEqual);
+  InequalityFilter incremental(p, weights, 1, Relation::kEqual);
 
   util::Rng rng(5);
   std::vector<std::uint8_t> x{0, 0, 1, 0, 0};
@@ -174,8 +173,8 @@ TEST(EqualityFilterBoundState, TrialVerdictsMatchFullPath) {
     candidate[i] ^= 1;
     candidate[j] ^= 1;
     const std::array<std::size_t, 2> flips{i, j};
-    const bool want = full.is_satisfied(candidate);
-    const bool got = incremental.trial_satisfied(flips);
+    const bool want = full.is_feasible(candidate);
+    const bool got = incremental.trial_feasible(flips);
     ASSERT_EQ(got, want) << "step " << step;
     if (got && rng.uniform() < 0.5) {
       incremental.apply(flips);
@@ -204,7 +203,7 @@ TEST(FilterBankBoundState, IncidenceGatedTrialsMatchExactVerdicts) {
   cs[0].capacity = 6;
   cs[1].weights = {0, 0, 1, 5, 2, 4, 0};
   cs[1].capacity = 7;
-  FilterBank bank(p, cs, 7);
+  FilterBank bank(p, cs, {}, 7);
 
   util::Rng rng(6);
   auto x = random_bits(rng, 7, 0.0);  // start empty: feasible

@@ -297,8 +297,10 @@ TEST(ConstrainedSolver, HardwareEqualityFilterInTheLoop) {
   config.filter.comparator.sigma_offset = 0.0;
   config.filter.comparator.sigma_noise = 0.0;
   HyCimSolver solver(form, config);
-  EXPECT_EQ(solver.equality_filters().size(), 1u);
-  EXPECT_EQ(solver.filter_bank(), nullptr);  // no inequalities
+  ASSERT_NE(solver.filter_bank(), nullptr);
+  ASSERT_EQ(solver.filter_bank()->size(), 1u);  // one kEqual row
+  EXPECT_EQ(solver.filter_bank()->filter(0).relation(),
+            cim::Relation::kEqual);
 
   qubo::BitVector x0(inst.n, 0);
   for (std::size_t i = 0; i < 4; ++i) x0[i] = 1;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -140,6 +141,38 @@ TEST(HyCimSolver, HardwareFilterModeSolves) {
   EXPECT_GT(solver.filter_bank()->filter(0).stats().evaluations, 0u);
   EXPECT_EQ(solver.filter_bank()->total_evaluations(),
             solver.filter_bank()->filter(0).stats().evaluations);
+}
+
+TEST(HyCimSolver, RejectsRowsOfTheWrongWidth) {
+  // Narrow and wide rows, each as an inequality and as an equality, each
+  // with software and hardware filters: the fabricating constructor names
+  // the offending row before anything reads its weights.
+  for (const std::size_t width : {std::size_t{5}, std::size_t{11}}) {
+    for (const bool equality : {false, true}) {
+      for (const FilterMode mode :
+           {FilterMode::kSoftware, FilterMode::kHardware}) {
+        ConstrainedQuboForm form;
+        form.q = qubo::QuboMatrix(8);
+        form.q.add(0, 0, -1.0);
+        auto& rows = equality ? form.equalities : form.constraints;
+        rows.push_back({std::vector<long long>(8, 1), 2});  // well-formed
+        rows.push_back({std::vector<long long>(width, 1), 2});
+        HyCimConfig config = fast_config(100);
+        config.filter_mode = mode;
+        const std::string row = equality ? "equality 1" : "inequality 1";
+        SCOPED_TRACE(row + " of width " + std::to_string(width) +
+                     (mode == FilterMode::kHardware ? ", hardware"
+                                                    : ", software"));
+        try {
+          HyCimSolver solver(form, config);
+          ADD_FAILURE() << "no exception";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(row), std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
 }
 
 TEST(HyCimSolver, SoftwareModeHasNoFilter) {

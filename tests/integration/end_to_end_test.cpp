@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "anneal/sa_engine.hpp"
-#include "core/coloring_qubo.hpp"
 #include "core/dqubo_solver.hpp"
 #include "core/exact.hpp"
 #include "cop/adapters.hpp"
@@ -142,28 +141,6 @@ class PlainQubo final : public anneal::SaProblem {
   qubo::IncrementalEvaluator eval_;
 };
 }  // namespace
-
-TEST(EndToEnd, GraphColoringAnnealsToValidColoring) {
-  // Equality-constrained path (paper Table 1 row): one-hot penalties stay
-  // in the QUBO and SA must anneal them to zero on a colorable graph.
-  const auto g = cop::generate_coloring(12, 0.35, 4, 3);
-  const auto q = core::to_coloring_qubo(g);
-  PlainQubo problem(q);
-  anneal::SaParams params;
-  params.iterations = 20000;
-  bool solved = false;
-  util::Rng rng(5);
-  for (std::uint64_t seed = 1; seed <= 5 && !solved; ++seed) {
-    params.seed = seed;
-    const auto result = anneal::simulated_annealing(
-        problem, rng.random_bits(q.size(), 0.25), params);
-    if (result.best_energy < 0.5) {
-      solved = true;
-      EXPECT_TRUE(g.valid_coloring(result.best_x));
-    }
-  }
-  EXPECT_TRUE(solved);
-}
 
 TEST(EndToEnd, MaxCutMatchesBruteForceThroughAnnealer) {
   const auto g = cop::generate_maxcut(14, 0.5, 9, 1.0, 3.0);

@@ -21,19 +21,27 @@
 //     best_x, the proposed/evaluated counts, the per-replica counters, the
 //     island statistics, and the exchange, migration and resample traces.
 //
+// A second table pins every constraint-row path the QKP (one ≤ row) does
+// not reach: a multi-row MDKP bank, equality rows only (graph coloring)
+// and a mixed ≤/= form (exact-k selection), each with software filters
+// and with hardware filters at a noisy comparator corner.
+//
 // Moving a literal is a trajectory change: the change must declare which
 // gate of the README's gating rule it falls under.  To regenerate, build
 // and run tests/integration_golden_test; every failing check prints the
 // digest the current code produces — paste it over the old literal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "cim/crossbar/bit_slice.hpp"
 #include "cop/adapters.hpp"
+#include "cop/graph_coloring.hpp"
 #include "cop/maxcut.hpp"
+#include "cop/mdkp.hpp"
 #include "cop/qkp.hpp"
 #include "core/dqubo_onehot.hpp"
 #include "core/dqubo_solver.hpp"
@@ -320,6 +328,135 @@ TEST(Golden, EnsembleDigests) {
                                     return rng.random_bits(graph.num_vertices);
                                   }),
                   golden.maxcut);
+  }
+}
+
+/// A constrained form with a feasible initial configuration.
+struct RowCase {
+  const char* name;
+  core::ConstrainedQuboForm form;
+  qubo::BitVector x0;
+};
+
+/// MDKP with 8 resource rows, each item wired into 2 of them.
+RowCase mdkp_case() {
+  cop::MdkpGeneratorParams params;
+  params.n = 60;
+  params.dimensions = 8;
+  params.incident_dimensions = 2;
+  const cop::MdkpInstance inst = cop::generate_mdkp(params, 11);
+  util::Rng rng(kRunSeed);
+  return {"mdkp 8x2", cop::to_constrained_form(inst),
+          cop::random_feasible(inst, rng)};
+}
+
+/// Graph coloring: one one-hot equality row per vertex, no ≤ rows.
+RowCase coloring_case() {
+  const cop::ColoringForm cf =
+      cop::to_constrained_form(cop::generate_coloring(8, 0.4, 3, 11));
+  return {"coloring", cf.form,
+          cop::encode_coloring(cf, std::vector<std::size_t>(cf.vertices, 0))};
+}
+
+/// The exact-k portfolio of examples/exact_k_portfolio: a risk budget
+/// (≤ row) and an exactly-k cardinality (= row).
+RowCase exact_k_case() {
+  const std::size_t n = 24;
+  const std::size_t k = 8;
+  util::Rng gen(31);
+  std::vector<long long> ret(n), risk(n);
+  for (auto& r : ret) r = gen.uniform_int(20, 90);
+  for (auto& r : risk) r = gen.uniform_int(5, 30);
+  core::ConstrainedQuboForm form;
+  form.q = qubo::QuboMatrix(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    form.q.add(i, i, -static_cast<double>(ret[i]));
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (gen.bernoulli(0.2)) {
+        form.q.add(i, j, -static_cast<double>(gen.uniform_int(5, 25)));
+      }
+    }
+  }
+  form.constraints.push_back({risk, 140});
+  form.equalities.push_back(
+      {std::vector<long long>(n, 1), static_cast<long long>(k)});
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return risk[a] < risk[b]; });
+  qubo::BitVector x0(n, 0);
+  for (std::size_t i = 0; i < k; ++i) x0[order[i]] = 1;
+  return {"exact-k", std::move(form), std::move(x0)};
+}
+
+/// Absorbs best_x, the walk counts and the per-replica counters.
+void absorb_rows(Digest& d, const core::SolveResult& result) {
+  d.absorb(result.best_x);
+  absorb_count(d, result.sa.proposed);
+  absorb_count(d, result.sa.evaluated);
+  absorb_count(d, result.sa.rejected_infeasible);
+  for (const anneal::ReplicaCounters& r : result.replicas) {
+    absorb_count(d, r.evaluated);
+    absorb_count(d, r.proposed);
+    absorb_count(d, r.accepted);
+    absorb_count(d, r.rejected_infeasible);
+    absorb_count(d, r.rejected_metropolis);
+    absorb_count(d, r.exchanges_accepted);
+    d.absorb(r.best_energy);
+    d.absorb(r.final_energy);
+  }
+}
+
+/// Under SA and then 3-replica tempering: fabricates one chip, solves on
+/// its clones with decision seeds 12345 and 0, then reprograms the chip
+/// and solves on it.
+std::uint64_t rows_digest(const RowCase& c, core::HyCimConfig config) {
+  anneal::TemperingParams three;
+  three.replicas = 3;
+  const anneal::SearchParams searches[] = {anneal::SaSearch{}, three};
+  Digest digest;
+  for (const anneal::SearchParams& search : searches) {
+    config.search = search;
+    core::HyCimSolver chip(c.form, config);
+    for (const std::uint64_t decision_seed : {12345ULL, 0ULL}) {
+      core::HyCimSolver run(chip, decision_seed);
+      absorb_rows(digest, run.solve(c.x0, kRunSeed));
+    }
+    chip.reprogram();
+    absorb_rows(digest, chip.solve(c.x0, kRunSeed + 1));
+  }
+  return digest.value();
+}
+
+struct RowGolden {
+  std::uint64_t software;
+  std::uint64_t hardware;
+};
+
+TEST(Golden, ConstraintRowDigests) {
+  const RowCase cases[] = {mdkp_case(), coloring_case(), exact_k_case()};
+  constexpr RowGolden kRowGolden[] = {
+      {0xd4a3fd614280eeb2ULL, 0x41021a4c090ad44aULL},
+      {0xc1f9fa143cb4facaULL, 0x43648b997ab5b7a6ULL},
+      {0x5eb22c0042711e3aULL, 0x2a22d3abd8620a81ULL},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    SCOPED_TRACE(cases[i].name);
+    core::HyCimConfig software;
+    software.sa.iterations = kIterations;
+    software.filter_mode = core::FilterMode::kSoftware;
+    expect_digest("software rows", rows_digest(cases[i], software),
+                  kRowGolden[i].software);
+
+    // A noisy comparator corner: at the default corners the ±½-unit
+    // equality window sits about 10σ from the decision noise, so a change
+    // to the window comparators' streams would not show.
+    core::HyCimConfig hardware = software;
+    hardware.filter_mode = core::FilterMode::kHardware;
+    hardware.filter.comparator.sigma_noise = 2e-4;
+    hardware.filter.comparator.sigma_offset = 1e-4;
+    expect_digest("hardware rows", rows_digest(cases[i], hardware),
+                  kRowGolden[i].hardware);
   }
 }
 

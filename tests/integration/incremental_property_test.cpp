@@ -94,7 +94,8 @@ TEST(CheckIncremental, ColoringEqualityFiltersHardwareMode) {
   core::HyCimSolver solver(
       cf.form, checked_config(cim::VmvMode::kQuantized,
                               core::FilterMode::kHardware, 300));
-  ASSERT_EQ(solver.equality_filters().size(), cf.vertices);
+  ASSERT_NE(solver.filter_bank(), nullptr);
+  ASSERT_EQ(solver.filter_bank()->size(), cf.vertices);
   std::vector<std::size_t> colors(cf.vertices, 0);
   const auto x0 = cop::encode_coloring(cf, colors);
   ASSERT_NO_THROW(solver.solve(x0, 31));

@@ -388,6 +388,28 @@ TEST(Service, RejectsDegenerateRequests) {
                std::invalid_argument);
 }
 
+TEST(Service, SolveFormRejectsRowsOfTheWrongWidth) {
+  // A narrow equality row on hardware filters and a narrow inequality row
+  // on software filters: neither path may read past the row's weights.
+  runtime::BatchParams batch;
+  batch.restarts = 2;
+  Service service;
+  for (const bool equality : {true, false}) {
+    core::ConstrainedQuboForm form;
+    form.q = qubo::QuboMatrix(8);
+    form.q.add(0, 0, -1.0);
+    (equality ? form.equalities : form.constraints)
+        .push_back({std::vector<long long>(5, 1), 2});
+    core::HyCimConfig config;
+    if (!equality) config.filter_mode = core::FilterMode::kSoftware;
+    EXPECT_THROW(service.solve_form(
+                     form, config,
+                     [](util::Rng&) { return qubo::BitVector(8, 0); }, batch),
+                 std::invalid_argument)
+        << (equality ? "equality" : "inequality");
+  }
+}
+
 TEST(Service, RejectsZeroExchangeAndMigrationIntervals) {
   // The trace guard divides by both intervals, so an out-of-domain search
   // must be rejected at the call site before anything reads them.
