@@ -459,31 +459,9 @@ BENCHMARK(BM_CircuitTrialDeltaByKernel)
     ->Args({200, 0})
     ->Args({200, 1});
 
-void BM_SwapIndexRebuild(benchmark::State& state) {
-  // The pre-sampler SA move generator: rebuild the ones/zeros index lists
-  // from the state (O(n)) for every swap proposal, then sample both lists.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(7);
-  const auto x = rng.random_bits(n, 0.4);
-  std::vector<std::size_t> ones, zeros;
-  ones.reserve(n);
-  zeros.reserve(n);
-  for (auto _ : state) {
-    ones.clear();
-    zeros.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      (x[i] ? ones : zeros).push_back(i);
-    }
-    benchmark::DoNotOptimize(ones[rng.index(ones.size())] +
-                             zeros[rng.index(zeros.size())]);
-  }
-}
-BENCHMARK(BM_SwapIndexRebuild)->Arg(100)->Arg(400)->Arg(1600);
-
-void BM_SwapIndexSampler(benchmark::State& state) {
-  // The incremental generator: O(log n) order-statistic picks plus the
-  // O(log n) commit that keeps the sampler in sync — the cost the SA engine
-  // now pays per swap proposal instead of BM_SwapIndexRebuild's O(n).
+void BM_SwapIndexSample(benchmark::State& state) {
+  // What every swap proposal pays, filtered and rejected ones included:
+  // one k-th set and one k-th cleared index from the sampler's lists.
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(7);
   anneal::IndexSampler sampler;
@@ -491,12 +469,27 @@ void BM_SwapIndexSampler(benchmark::State& state) {
   for (auto _ : state) {
     const std::size_t out = sampler.kth_one(rng.index(sampler.ones()));
     const std::size_t in = sampler.kth_zero(rng.index(sampler.zeros()));
-    sampler.flip(out);  // commit the swap so the walk keeps moving
-    sampler.flip(in);
     benchmark::DoNotOptimize(out + in);
   }
 }
-BENCHMARK(BM_SwapIndexSampler)->Arg(100)->Arg(400)->Arg(1600);
+BENCHMARK(BM_SwapIndexSample)->Arg(100)->Arg(400)->Arg(1600);
+
+void BM_SwapIndexCommit(benchmark::State& state) {
+  // What only a committed swap pays: two flips, each moving one index
+  // between the lists.  Walks sample several times per commit (about 20
+  // swap samples per committed bit on e2ebench's anneal_large), so read
+  // this against BM_SwapIndexSample weighted by that ratio.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(7);
+  anneal::IndexSampler sampler;
+  sampler.reset(rng.random_bits(n, 0.4));
+  for (auto _ : state) {
+    sampler.flip(rng.index(n));
+    sampler.flip(rng.index(n));
+    benchmark::DoNotOptimize(sampler.ones());
+  }
+}
+BENCHMARK(BM_SwapIndexCommit)->Arg(100)->Arg(400)->Arg(1600);
 
 void BM_ExchangeStep(benchmark::State& state) {
   // One replica-exchange barrier over an R-slot ladder: the serial

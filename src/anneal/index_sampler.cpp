@@ -1,75 +1,35 @@
 #include "anneal/index_sampler.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hycim::anneal {
 
 void IndexSampler::reset(std::span<const std::uint8_t> x) {
-  n_ = x.size();
   bits_.assign(x.begin(), x.end());
-  ones_ = 0;
-  tree_.assign(n_ + 1, 0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (x[i]) {
-      ++tree_[i + 1];
-      ++ones_;
-    }
+  ones_.clear();
+  zeros_.clear();
+  ones_.reserve(x.size());
+  zeros_.reserve(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    (x[i] ? ones_ : zeros_).push_back(static_cast<std::uint32_t>(i));
   }
-  // O(n) Fenwick construction: fold each node into its parent.
-  for (std::size_t i = 1; i <= n_; ++i) {
-    const std::size_t parent = i + (i & (~i + 1));
-    if (parent <= n_) tree_[parent] += tree_[i];
-  }
-  top_ = 1;
-  while (top_ * 2 <= n_) top_ *= 2;
-  if (n_ == 0) top_ = 0;
 }
 
 void IndexSampler::flip(std::size_t i) {
-  if (i >= n_) throw std::out_of_range("IndexSampler::flip: index");
-  const bool was_set = bits_[i] != 0;
+  if (i >= bits_.size()) throw std::out_of_range("IndexSampler::flip: index");
+  auto& from = bits_[i] ? ones_ : zeros_;
+  auto& to = bits_[i] ? zeros_ : ones_;
   bits_[i] ^= 1;
-  ones_ += was_set ? std::size_t(-1) : std::size_t(1);
-  for (std::size_t j = i + 1; j <= n_; j += j & (~j + 1)) {
-    if (was_set) {
-      --tree_[j];
-    } else {
-      ++tree_[j];
-    }
-  }
-}
-
-std::size_t IndexSampler::kth_one(std::size_t k) const {
-  if (k >= ones_) throw std::out_of_range("IndexSampler::kth_one: k");
-  // Binary lifting: after the descent `pos` counts the positions whose
-  // prefix holds fewer than k+1 ones, i.e. the 0-based index of the k-th.
-  std::size_t pos = 0;
-  std::size_t remaining = k + 1;
-  for (std::size_t step = top_; step != 0; step >>= 1) {
-    const std::size_t next = pos + step;
-    if (next <= n_ && tree_[next] < remaining) {
-      remaining -= tree_[next];
-      pos = next;
-    }
-  }
-  return pos;
-}
-
-std::size_t IndexSampler::kth_zero(std::size_t k) const {
-  if (k >= zeros()) throw std::out_of_range("IndexSampler::kth_zero: k");
-  std::size_t pos = 0;
-  std::size_t remaining = k + 1;
-  for (std::size_t step = top_; step != 0; step >>= 1) {
-    const std::size_t next = pos + step;
-    if (next <= n_) {
-      const std::size_t zeros_in_block = step - tree_[next];
-      if (zeros_in_block < remaining) {
-        remaining -= zeros_in_block;
-        pos = next;
-      }
-    }
-  }
-  return pos;
+  // i sits at position p of its list, so p of the indices below i share
+  // its value and the other i - p are in the other list: that is where i
+  // goes.
+  const auto at = std::lower_bound(from.begin(), from.end(),
+                                   static_cast<std::uint32_t>(i));
+  const auto p = static_cast<std::size_t>(at - from.begin());
+  from.erase(at);
+  to.insert(to.begin() + static_cast<std::ptrdiff_t>(i - p),
+            static_cast<std::uint32_t>(i));
 }
 
 }  // namespace hycim::anneal

@@ -58,6 +58,9 @@ SaWalk::SaWalk(SaProblem& problem, const qubo::BitVector& x0,
 
 void SaWalk::init(const qubo::BitVector& x0) {
   validate(params_);
+  if (problem_.num_bits() == 0) {
+    throw std::invalid_argument("SaWalk: the problem has no variables");
+  }
   if (x0.size() != problem_.num_bits()) {
     throw std::invalid_argument("SaWalk: x0 size mismatch");
   }
@@ -70,11 +73,8 @@ void SaWalk::init(const qubo::BitVector& x0) {
   swaps_enabled_ =
       params_.swap_probability > 0.0 && problem_.supports_swaps();
   // Swap proposals need a uniformly random (selected, unselected) index
-  // pair.  The sampler answers k-th order statistics over the state's bits
-  // in O(log n) and is maintained incrementally against commits — replacing
-  // the O(n) ones/zeros list rebuild per proposal — while sampling the
-  // exact indices those ascending lists would have produced, so walks are
-  // bit-identical to the rebuild implementation.
+  // pair; the sampler keeps the ascending ones/zeros lists against commits
+  // instead of rebuilding them per proposal, so walks are bit-identical.
   if (swaps_enabled_) sampler_.reset(problem_.state());
 }
 
@@ -86,8 +86,11 @@ void SaWalk::set_temperature(double temperature) {
 }
 
 double SaWalk::temperature() const {
-  return schedule_ ? schedule_->temperature(result_.evaluated)
-                   : fixed_temperature_;
+  return temperature_at(result_.evaluated);
+}
+
+double SaWalk::temperature_at(std::size_t step) const {
+  return schedule_ ? schedule_->temperature(step) : fixed_temperature_;
 }
 
 void SaWalk::reseed(const qubo::BitVector& x) {
@@ -112,7 +115,6 @@ void SaWalk::run_to(std::size_t evaluated_target) {
   while (result_.evaluated < evaluated_target &&
          result_.proposed < proposal_cap_) {
     ++result_.proposed;
-    const double temperature = this->temperature();
 
     // Choose a move: swap (one-in/one-out) or single-bit flip.
     bool is_swap = false;
@@ -132,10 +134,11 @@ void SaWalk::run_to(std::size_t evaluated_target) {
       ++result_.rejected_infeasible;
       continue;
     }
-    ++result_.evaluated;
+    // Only an uphill move reads this step's temperature.
+    const std::size_t step = result_.evaluated++;
     const double d = problem_.trial_delta(move);
     const bool accept =
-        d <= 0.0 || rng_.uniform() < std::exp(-d / temperature);
+        d <= 0.0 || rng_.uniform() < std::exp(-d / temperature_at(step));
     if (accept) {
       problem_.commit(move);
       if (swaps_enabled_) {

@@ -143,7 +143,8 @@ double calibrate_t0(SaProblem& problem, util::Rng& rng);
 /// walk is bit-identical to the pre-refactor engine.
 class SaWalk {
  public:
-  /// Schedule-driven walk (validates `params`, throws on x0 size mismatch).
+  /// Schedule-driven walk (validates `params`; throws std::invalid_argument
+  /// on an x0 size mismatch or a problem with no variables).
   SaWalk(SaProblem& problem, const qubo::BitVector& x0, const SaParams& params,
          util::Rng rng);
 
@@ -154,6 +155,7 @@ class SaWalk {
 
   /// Retargets a fixed-mode walk after a ladder exchange.
   void set_temperature(double temperature);
+  /// Temperature of the next QUBO computation.
   double temperature() const;
 
   /// Reseats the walk on a migrant configuration (archipelago migration /
@@ -181,6 +183,8 @@ class SaWalk {
 
  private:
   void init(const qubo::BitVector& x0);
+  /// Temperature of the QUBO computation numbered `step` (from 0).
+  double temperature_at(std::size_t step) const;
 
   SaProblem& problem_;
   SaParams params_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -37,7 +38,9 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
         eval_(owner.engine_->eval_matrix(),
               qubo::BitVector(owner.form_->size(), 0),
               owner.resolved_kernel_),
-        totals_(owner.form_->rows(), 0) {}
+        totals_(owner.form_->rows(), 0) {
+    touched_ids_.reserve(owner.form_->rows());
+  }
 
   std::size_t num_bits() const override { return owner_.form_->size(); }
 
@@ -64,9 +67,8 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
       // satisfied row stays satisfied, an untouched violated one stays
       // violated (counted below) — exactly the dense all-rows scan's
       // verdict at O(incidence) cost.
-      gather_touched(flips);
       std::size_t were_violated = 0;
-      for (const std::uint32_t r : touched_ids_) {
+      for (const std::uint32_t r : touched_rows(m)) {
         const auto& w = owner_.form_->row(r).weights;
         long long t = totals_[r];
         for (const std::size_t k : flips) t += x[k] ? -w[k] : w[k];
@@ -96,7 +98,7 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
 
   void commit(const anneal::Move& m) override {
     const auto flips = m.indices();
-    apply_totals(flips);
+    apply_totals(m);
     if (owner_.bank_) owner_.bank_->apply(flips);
     if (circuit()) {
       owner_.engine_->apply(flips);
@@ -129,17 +131,17 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
     return cim::holds(form.relation(r), total, form.row(r).capacity);
   }
 
-  /// Unique row ids touched by `flips`, ascending, into touched_ids_.
-  void gather_touched(std::span<const std::size_t> flips) {
+  /// Unique row ids touched by `m`, ascending: a flip's row list in place,
+  /// or the union of a swap's two (each list is ascending and unique).
+  std::span<const std::uint32_t> touched_rows(const anneal::Move& m) {
+    const auto& by_var = owner_.rows_by_var_;
+    if (!m.is_swap()) return by_var[m.bits[0]];
+    const auto& a = by_var[m.bits[0]];
+    const auto& b = by_var[m.bits[1]];
     touched_ids_.clear();
-    for (const std::size_t k : flips) {
-      for (const std::uint32_t r : owner_.rows_by_var_[k]) {
-        touched_ids_.push_back(r);
-      }
-    }
-    std::sort(touched_ids_.begin(), touched_ids_.end());
-    touched_ids_.erase(std::unique(touched_ids_.begin(), touched_ids_.end()),
-                       touched_ids_.end());
+    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                   std::back_inserter(touched_ids_));
+    return touched_ids_;
   }
 
   qubo::BitVector candidate_of(const anneal::Move& m) const {
@@ -215,10 +217,10 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
 
   /// Updates the tracked row totals (and the violation count) for a
   /// committed move — only the incident rows change.
-  void apply_totals(std::span<const std::size_t> flips) {
+  void apply_totals(const anneal::Move& m) {
+    const auto flips = m.indices();
     const auto& x = state();  // pre-commit: the energy path flips after this
-    gather_touched(flips);
-    for (const std::uint32_t r : touched_ids_) {
+    for (const std::uint32_t r : touched_rows(m)) {
       const auto& w = owner_.form_->row(r).weights;
       const bool was = holds(r, totals_[r]);
       for (const std::size_t k : flips) totals_[r] += x[k] ? -w[k] : w[k];
@@ -244,6 +246,9 @@ HyCimSolver::HyCimSolver(const ConstrainedQuboForm& form,
                          const HyCimConfig& config)
     : form_(std::make_shared<const ConstrainedQuboForm>(form)),
       config_(config) {
+  if (form.size() == 0) {
+    throw std::invalid_argument("HyCimSolver: the form has no variables");
+  }
   // Every later pass reads a row's weights at the form's variable indices.
   for (std::size_t r = 0; r < form.rows(); ++r) {
     if (form.row(r).weights.size() == form.size()) continue;

@@ -95,8 +95,9 @@ struct SolveResult : anneal::SearchTelemetry {
 /// One fabricated HyCiM instance bound to a constrained QUBO form.
 class HyCimSolver {
  public:
-  /// Fabricates a chip for `form`.  Throws std::invalid_argument, naming
-  /// the row, when a constraint row's width is not form.size().
+  /// Fabricates a chip for `form`.  Throws std::invalid_argument when the
+  /// form has no variables, or, naming the row, when a constraint row's
+  /// width is not form.size().
   HyCimSolver(const ConstrainedQuboForm& form, const HyCimConfig& config);
 
   /// "Program once, solve many": duplicates `proto`'s fabricated hardware

@@ -1,7 +1,7 @@
 #include "util/rng.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace hycim::util {
 
@@ -62,14 +62,24 @@ double Rng::uniform() {
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+  if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
+  // Modular unsigned arithmetic: exact for every range, even INT64_MIN..MAX.
+  const auto base = static_cast<std::uint64_t>(lo);
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - base + 1;
   if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % span);
+  return static_cast<std::int64_t>(base + below(span));
+}
+
+std::uint64_t Rng::below(std::uint64_t span) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
   std::uint64_t r = next_u64();
-  while (r >= limit) r = next_u64();
-  return lo + static_cast<std::int64_t>(r % span);
+  // Rejection sampling against modulo bias.  The limit (the largest
+  // multiple of span) exceeds kMax - span: only draws above that need it.
+  if (r > kMax - span) {
+    const std::uint64_t limit = kMax - (kMax % span);
+    while (r >= limit) r = next_u64();
+  }
+  return r % span;
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
@@ -103,9 +113,8 @@ std::vector<std::uint8_t> Rng::random_bits(std::size_t n, double p) {
 }
 
 std::size_t Rng::index(std::size_t n) {
-  assert(n > 0);
-  return static_cast<std::size_t>(
-      uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  if (n == 0) throw std::invalid_argument("Rng::index: empty range");
+  return static_cast<std::size_t>(below(n));
 }
 
 }  // namespace hycim::util

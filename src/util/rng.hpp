@@ -54,7 +54,8 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Uniform integer in the inclusive range [lo, hi].  Requires lo <= hi.
+  /// Uniform integer in the inclusive range [lo, hi].  Throws
+  /// std::invalid_argument when lo > hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Bernoulli trial: true with probability `p` (clamped to [0,1]).
@@ -83,10 +84,14 @@ class Rng {
   /// Random binary vector of length n where each bit is 1 with probability p.
   std::vector<std::uint8_t> random_bits(std::size_t n, double p = 0.5);
 
-  /// Index sampled uniformly from [0, n).  Requires n > 0.
+  /// Index sampled uniformly from [0, n).  Throws std::invalid_argument
+  /// when n == 0.
   std::size_t index(std::size_t n);
 
  private:
+  /// Uniform offset in [0, span).  Requires span > 0.
+  std::uint64_t below(std::uint64_t span);
+
   std::array<std::uint64_t, 4> state_{};
   double spare_gaussian_ = 0.0;
   bool has_spare_ = false;

@@ -1,8 +1,8 @@
-// The Fenwick order-statistics sampler behind SA swap proposals: k-th
-// set/cleared index queries must match the ascending ones/zeros lists the
-// engine used to rebuild per proposal (that equality is what keeps walks
-// bit-identical across the O(n) -> O(log n) change), under arbitrary
-// interleaved flips.
+// The order-statistics sampler behind SA swap proposals: k-th set/cleared
+// index queries must match the ascending ones/zeros lists rebuilt from the
+// state (that equality is what keeps walks bit-identical to the rebuild
+// implementation), under arbitrary interleaved flips that move indices
+// between the sampler's two maintained lists.
 #include "anneal/index_sampler.hpp"
 
 #include <gtest/gtest.h>

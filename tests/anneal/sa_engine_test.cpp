@@ -71,6 +71,18 @@ TEST(SaEngine, RejectsSizeMismatch) {
                std::invalid_argument);
 }
 
+TEST(SaEngine, RejectsEmptyProblem) {
+  // With no variables there is no move to propose: both walk modes refuse
+  // the problem at construction, in every build type.
+  const qubo::QuboMatrix q(0);
+  QuboProblem problem(q);
+  const qubo::BitVector x0;
+  EXPECT_THROW(simulated_annealing(problem, x0, SaParams{}),
+               std::invalid_argument);
+  EXPECT_THROW(SaWalk(problem, x0, SaParams{}, util::Rng(1), 1.0),
+               std::invalid_argument);
+}
+
 TEST(SaEngine, FindsGlobalMinimumOfSmallQubo) {
   util::Rng rng(1);
   const auto q = random_qubo(10, rng);

@@ -175,6 +175,24 @@ TEST(HyCimSolver, RejectsRowsOfTheWrongWidth) {
   }
 }
 
+TEST(HyCimSolver, RejectsFormWithNoVariables) {
+  // Nothing to anneal: the fabricating constructor refuses the form, with
+  // no rows and with a zero-width row, in either filter mode.
+  for (const bool with_row : {false, true}) {
+    for (const FilterMode mode :
+         {FilterMode::kSoftware, FilterMode::kHardware}) {
+      SCOPED_TRACE(std::string(with_row ? "one row" : "no rows") +
+                   (mode == FilterMode::kHardware ? ", hardware"
+                                                  : ", software"));
+      ConstrainedQuboForm form;
+      if (with_row) form.constraints.push_back({{}, 1});
+      HyCimConfig config = fast_config(100);
+      config.filter_mode = mode;
+      EXPECT_THROW(HyCimSolver(form, config), std::invalid_argument);
+    }
+  }
+}
+
 TEST(HyCimSolver, SoftwareModeHasNoFilter) {
   const auto inst = small_instance(8);
   HyCimSolver solver(cop::to_constrained_form(inst), fast_config());

@@ -26,6 +26,11 @@
 // and a mixed ≤/= form (exact-k selection), each with software filters
 // and with hardware filters at a noisy comparator corner.
 //
+// A third table pins the proposal path of the walk on software filters:
+// every cooling law with and without swap moves on instance 0, and swap
+// walks on e2ebench's anneal_large instances (QKP n=400, and an MDKP with
+// 8 rows, 2 incident per item) under SA and 8-replica tempering.
+//
 // Moving a literal is a trajectory change: the change must declare which
 // gate of the README's gating rule it falls under.  To regenerate, build
 // and run tests/integration_golden_test; every failing check prints the
@@ -264,17 +269,20 @@ constexpr EnsembleGolden kEnsembleGolden[] = {
 constexpr std::size_t kEnsembleRuns = 2;
 
 /// Digest of kEnsembleRuns seeded solves on clones of one fabricated chip,
-/// each from an initial configuration drawn by `init`.
+/// each from an initial configuration drawn by `init`, each result folded
+/// in by `absorb`.
 template <typename Init>
-std::uint64_t ensemble_digest(const core::ConstrainedQuboForm& form,
-                              const core::HyCimConfig& config, Init init) {
+std::uint64_t ensemble_digest(
+    const core::ConstrainedQuboForm& form, const core::HyCimConfig& config,
+    Init init,
+    void (*absorb)(Digest&, const core::SolveResult&) = absorb_ensemble) {
   const core::HyCimSolver chip(form, config);
   util::Rng rng(kRunSeed);
   Digest digest;
   for (std::size_t r = 0; r < kEnsembleRuns; ++r) {
     const qubo::BitVector x0 = init(rng);
     core::HyCimSolver run(chip, rng.next_u64() | 1);
-    absorb_ensemble(digest, run.solve(x0, rng.next_u64()));
+    absorb(digest, run.solve(x0, rng.next_u64()));
   }
   return digest.value();
 }
@@ -389,12 +397,8 @@ RowCase exact_k_case() {
   return {"exact-k", std::move(form), std::move(x0)};
 }
 
-/// Absorbs best_x, the walk counts and the per-replica counters.
-void absorb_rows(Digest& d, const core::SolveResult& result) {
-  d.absorb(result.best_x);
-  absorb_count(d, result.sa.proposed);
-  absorb_count(d, result.sa.evaluated);
-  absorb_count(d, result.sa.rejected_infeasible);
+/// Absorbs the per-replica counters (empty for a single walk).
+void absorb_replicas(Digest& d, const core::SolveResult& result) {
   for (const anneal::ReplicaCounters& r : result.replicas) {
     absorb_count(d, r.evaluated);
     absorb_count(d, r.proposed);
@@ -405,6 +409,15 @@ void absorb_rows(Digest& d, const core::SolveResult& result) {
     d.absorb(r.best_energy);
     d.absorb(r.final_energy);
   }
+}
+
+/// Absorbs best_x, the walk counts and the per-replica counters.
+void absorb_rows(Digest& d, const core::SolveResult& result) {
+  d.absorb(result.best_x);
+  absorb_count(d, result.sa.proposed);
+  absorb_count(d, result.sa.evaluated);
+  absorb_count(d, result.sa.rejected_infeasible);
+  absorb_replicas(d, result);
 }
 
 /// Under SA and then 3-replica tempering: fabricates one chip, solves on
@@ -457,6 +470,101 @@ TEST(Golden, ConstraintRowDigests) {
     hardware.filter.comparator.sigma_offset = 1e-4;
     expect_digest("hardware rows", rows_digest(cases[i], hardware),
                   kRowGolden[i].hardware);
+  }
+}
+
+/// Absorbs best_x, every walk counter and the per-replica counters.
+void absorb_walk(Digest& d, const core::SolveResult& result) {
+  d.absorb(result.best_x);
+  absorb_count(d, result.sa.proposed);
+  absorb_count(d, result.sa.evaluated);
+  absorb_count(d, result.sa.accepted);
+  absorb_count(d, result.sa.rejected_infeasible);
+  absorb_count(d, result.sa.rejected_metropolis);
+  absorb_replicas(d, result);
+}
+
+TEST(Golden, WalkPathDigests) {
+  core::HyCimConfig config;
+  config.sa.iterations = kIterations;
+  config.filter_mode = core::FilterMode::kSoftware;
+
+  // Each cooling law, with single-bit flips only and with swaps.
+  const cop::QkpInstance inst = cop::generate_paper_suite().at(0);
+  struct ScheduleGolden {
+    const char* name;
+    anneal::ScheduleKind kind;
+    double swap_probability;
+    std::uint64_t digest;
+  };
+  using anneal::ScheduleKind;
+  constexpr ScheduleGolden kScheduleGolden[] = {
+      {"geometric, flips", ScheduleKind::kGeometric, 0.0,
+       0x4840fe87934a8786ULL},
+      {"geometric, swaps", ScheduleKind::kGeometric, 0.5,
+       0x1421fc9d4a0147e3ULL},
+      {"linear, flips", ScheduleKind::kLinear, 0.0, 0x9f7b841d115f384fULL},
+      {"linear, swaps", ScheduleKind::kLinear, 0.5, 0xbc1ed24c60105130ULL},
+      {"constant, flips", ScheduleKind::kConstant, 0.0,
+       0x6f3d4f675cbc4847ULL},
+      {"constant, swaps", ScheduleKind::kConstant, 0.5,
+       0x6a32ad67278326b4ULL},
+  };
+  for (const ScheduleGolden& golden : kScheduleGolden) {
+    SCOPED_TRACE(golden.name);
+    core::HyCimConfig walk = config;
+    walk.sa.schedule = golden.kind;
+    walk.sa.swap_probability = golden.swap_probability;
+    expect_digest("schedule walk",
+                  ensemble_digest(cop::to_constrained_form(inst), walk,
+                                  [&inst](util::Rng& rng) {
+                                    return cop::random_feasible(inst, rng);
+                                  },
+                                  absorb_walk),
+                  golden.digest);
+  }
+
+  // e2ebench's anneal_large instances and tempering ladder, at 2000
+  // iterations per replica.
+  cop::QkpGeneratorParams qkp_params;
+  qkp_params.n = 400;
+  qkp_params.density_percent = 25;
+  const cop::QkpInstance qkp = cop::generate_qkp(qkp_params, 2024);
+  cop::MdkpGeneratorParams mdkp_params;
+  mdkp_params.n = 400;
+  mdkp_params.dimensions = 8;
+  mdkp_params.incident_dimensions = 2;
+  mdkp_params.density_percent = 25;
+  mdkp_params.tightness_lo = 0.6;
+  mdkp_params.tightness_hi = 0.9;
+  const cop::MdkpInstance mdkp = cop::generate_mdkp(mdkp_params, 2026);
+  anneal::TemperingParams eight;
+  eight.replicas = 8;
+  eight.exchange_interval = 500;
+  eight.record_trace = false;
+  const anneal::SearchParams searches[] = {anneal::SaSearch{}, eight};
+  constexpr std::uint64_t kLargeGolden[][2] = {
+      {0xc6d633bbf537830eULL, 0x4e5d9ceb30901f59ULL},  // QKP: SA, PT-8
+      {0x87417009d5d8370eULL, 0x434565ba7ccd6a63ULL},  // MDKP: SA, PT-8
+  };
+  config.sa.iterations = 2000;
+  for (std::size_t s = 0; s < std::size(searches); ++s) {
+    SCOPED_TRACE(s == 0 ? "SA" : "PT-8");
+    config.search = searches[s];
+    expect_digest("QKP n=400",
+                  ensemble_digest(cop::to_constrained_form(qkp), config,
+                                  [&qkp](util::Rng& rng) {
+                                    return cop::random_feasible(qkp, rng);
+                                  },
+                                  absorb_walk),
+                  kLargeGolden[0][s]);
+    expect_digest("MDKP n=400 8x2",
+                  ensemble_digest(cop::to_constrained_form(mdkp), config,
+                                  [&mdkp](util::Rng& rng) {
+                                    return cop::random_feasible(mdkp, rng);
+                                  },
+                                  absorb_walk),
+                  kLargeGolden[1][s]);
   }
 }
 

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 namespace hycim::util {
 namespace {
@@ -186,6 +190,72 @@ TEST(Rng, RandomBitsDensity) {
 TEST(Rng, IndexStaysInRange) {
   Rng r(23);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(r.index(17), 17u);
+}
+
+TEST(Rng, IndexOfZeroThrows) {
+  // [0, 0) is empty: no index can be drawn from it, in any build type.
+  Rng r(24);
+  EXPECT_THROW(r.index(0), std::invalid_argument);
+}
+
+TEST(Rng, UniformIntRejectsInvertedRange) {
+  Rng r(25);
+  EXPECT_THROW(r.uniform_int(5, 4), std::invalid_argument);
+  EXPECT_THROW(r.uniform_int(std::numeric_limits<std::int64_t>::max(),
+                             std::numeric_limits<std::int64_t>::min()),
+               std::invalid_argument);
+}
+
+/// Offset in [0, span) by the two-division rejection sampler, span 0
+/// meaning the full 64-bit range: a draw at or above the largest multiple
+/// of span is redrawn.  The oracle for uniform_int and index.
+std::uint64_t reference_offset(Rng& rng, std::uint64_t span) {
+  if (span == 0) return rng.next_u64();
+  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % span);
+  std::uint64_t r = rng.next_u64();
+  while (r >= limit) r = rng.next_u64();
+  return r % span;
+}
+
+TEST(Rng, UniformIntMatchesTwoDivisionReference) {
+  // Narrow spans never reach the rejection loop; at 2^63 + 1 about half
+  // of the draws do.  Each range is anchored at both ends of int64, so the
+  // widest ones cross zero and span more than INT64_MAX.
+  constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kTwo62 = std::uint64_t{1} << 62;
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  const std::uint64_t spans[] = {1,          2,          3,
+                                 100,        400,        kTwo32 + 1,
+                                 kTwo62 + 1, kTwo63,     kTwo63 + 1,
+                                 ~std::uint64_t{0}};
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  for (const std::uint64_t span : spans) {
+    SCOPED_TRACE("span " + std::to_string(span));
+    const auto lo_low = kMin;
+    const auto hi_low = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(kMin) + (span - 1));
+    const auto lo_high = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(kMax) - (span - 1));
+    Rng reference(26), low(26), high(26), indices(26);
+    for (int i = 0; i < 100000; ++i) {
+      const std::uint64_t offset = reference_offset(reference, span);
+      const auto want_low = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(lo_low) + offset);
+      const auto want_high = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(lo_high) + offset);
+      ASSERT_EQ(low.uniform_int(lo_low, hi_low), want_low) << "draw " << i;
+      ASSERT_EQ(high.uniform_int(lo_high, kMax), want_high) << "draw " << i;
+      ASSERT_EQ(indices.index(span), offset) << "draw " << i;
+    }
+    // All four streams consumed the same number of draws.
+    EXPECT_EQ(low.next_u64(), reference.next_u64());
+    EXPECT_EQ(high.next_u64(), indices.next_u64());
+  }
+  // The full int64 range is one raw draw.
+  Rng full(27), raw(27);
+  EXPECT_EQ(full.uniform_int(kMin, kMax),
+            static_cast<std::int64_t>(raw.next_u64()));
 }
 
 TEST(Fork, SeedsAreDistinctPerStreamId) {
