@@ -1,20 +1,18 @@
-// Micro-benchmarks (google-benchmark) of the hot kernels: full vs
-// incremental QUBO energy, inequality-filter evaluation, crossbar column
-// currents, and the circuit-level VMV path.  These justify the fidelity-
-// mode choices documented in DESIGN.md.
+// Micro-benchmarks (google-benchmark) of the hot kernels whose costs feed
+// a live decision: full vs incremental QUBO energy, dense vs sparse flips
+// (the kernel crossover), the filter and circuit trial paths, the swap
+// sampler, the ensemble barriers, and pool dispatch.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "anneal/archipelago.hpp"
 #include "anneal/index_sampler.hpp"
 #include "anneal/moves.hpp"
-#include "anneal/replica_batch.hpp"
 #include "anneal/strategy.hpp"
 #include "cim/crossbar/crossbar.hpp"
 #include "cim/crossbar/vmv_engine.hpp"
@@ -134,65 +132,9 @@ void BM_SparseFlipMaxCut(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseFlipMaxCut)->Arg(400)->Arg(1600);
 
-/// The pre-word-parallel dense flip kernel, kept verbatim for head-to-head
-/// timing: guarded per-element at() walks over the packed triangle (each
-/// element pays the triangular index arithmetic and a branch).
-class ScalarFlipReference {
- public:
-  ScalarFlipReference(const qubo::QuboMatrix& q, qubo::BitVector x0)
-      : q_(&q), x_(std::move(x0)) {
-    const std::size_t n = x_.size();
-    phi_.assign(n, 0.0);
-    for (std::size_t k = 0; k < n; ++k) {
-      double s = q_->at(k, k);
-      for (std::size_t i = 0; i < k; ++i) {
-        if (x_[i]) s += q_->at(i, k);
-      }
-      for (std::size_t j = k + 1; j < n; ++j) {
-        if (x_[j]) s += q_->at(k, j);
-      }
-      phi_[k] = s;
-    }
-  }
-
-  void flip(std::size_t k) {
-    const double sign = x_[k] ? -1.0 : 1.0;
-    x_[k] ^= 1;
-    for (std::size_t i = 0; i < k; ++i) phi_[i] += sign * q_->at(i, k);
-    for (std::size_t j = k + 1; j < x_.size(); ++j) {
-      phi_[j] += sign * q_->at(k, j);
-    }
-  }
-
-  const std::vector<double>& fields() const { return phi_; }
-
- private:
-  const qubo::QuboMatrix* q_;
-  qubo::BitVector x_;
-  std::vector<double> phi_;
-};
-
-void BM_ScalarFlip(benchmark::State& state) {
-  // The dense commit before the word-parallel rewrite: guarded two-loop
-  // at() walk over the packed triangle, one triangular index computation
-  // and one branch per element.
-  const auto inst = instance(static_cast<std::size_t>(state.range(0)));
-  const auto form = core::to_inequality_qubo(inst);
-  util::Rng rng(3);
-  ScalarFlipReference eval(form.q, rng.random_bits(inst.n));
-  std::size_t k = 0;
-  for (auto _ : state) {
-    eval.flip(k);
-    k = (k + 1) % inst.n;
-  }
-  benchmark::DoNotOptimize(eval.fields().data());
-}
-BENCHMARK(BM_ScalarFlip)->Arg(400)->Arg(1600);
-
 void BM_WordFlip(benchmark::State& state) {
   // The word-parallel dense commit: one contiguous branch-free fma pass
-  // over the flipped variable's DenseRows mirror row (auto-vectorizes),
-  // bit-identical to BM_ScalarFlip's guarded triangle walk.
+  // over the flipped variable's DenseRows mirror row (auto-vectorizes).
   const auto inst = instance(static_cast<std::size_t>(state.range(0)));
   const auto form = core::to_inequality_qubo(inst);
   util::Rng rng(3);
@@ -206,61 +148,6 @@ void BM_WordFlip(benchmark::State& state) {
   benchmark::DoNotOptimize(eval.energy());
 }
 BENCHMARK(BM_WordFlip)->Arg(400)->Arg(1600);
-
-constexpr std::size_t kBatchReplicas = 8;
-
-void BM_PerReplicaTrial(benchmark::State& state) {
-  // The pre-SoA ensemble: every replica owns its own matrix copy and its
-  // own DenseRows mirror, so R independent n²-sized working sets march
-  // through cache even though every replica walks the same couplings.
-  // Replicas commit at staggered rows (each tempering walk proposes its
-  // own moves), so the cost is the ensemble's aggregate working set.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto inst = instance(n);
-  const auto form = core::to_inequality_qubo(inst);
-  util::Rng rng(12);
-  std::vector<qubo::IncrementalEvaluator> evals;
-  evals.reserve(kBatchReplicas);
-  for (std::size_t r = 0; r < kBatchReplicas; ++r) {
-    // A private frozen copy per replica: its own matrix and mirror.
-    evals.emplace_back(form.q.freeze(), rng.random_bits(n),
-                       qubo::Kernel::kDense);
-  }
-  std::size_t k = 0;
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < kBatchReplicas; ++r) {
-      evals[r].flip((k + r * n / kBatchReplicas) % n);
-    }
-    k = (k + 1) % n;
-  }
-  benchmark::DoNotOptimize(evals[0].energy());
-}
-BENCHMARK(BM_PerReplicaTrial)->Arg(800)->Arg(1600);
-
-void BM_BatchedReplicaTrial(benchmark::State& state) {
-  // The SoA batch: R replica views over ONE shared DenseRows mirror
-  // (contiguous R×n field block), so the same staggered commits stream a
-  // single n²-sized working set instead of R of them.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto inst = instance(n);
-  const auto form = core::to_inequality_qubo(inst);
-  anneal::QuboReplicaBatch batch(form.q.freeze(), kBatchReplicas,
-                                 qubo::Kernel::kDense);
-  util::Rng rng(12);
-  for (std::size_t r = 0; r < kBatchReplicas; ++r) {
-    batch.problem(r).reset(rng.random_bits(n));
-  }
-  std::size_t k = 0;
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < kBatchReplicas; ++r) {
-      batch.problem(r).commit(
-          anneal::Move::flip((k + r * n / kBatchReplicas) % n));
-    }
-    k = (k + 1) % n;
-  }
-  benchmark::DoNotOptimize(batch.problem(0).state().data());
-}
-BENCHMARK(BM_BatchedReplicaTrial)->Arg(800)->Arg(1600);
 
 void BM_DenseVmvRow(benchmark::State& state) {
   // One crossbar column evaluation after the column-major cache mirror:
@@ -349,31 +236,6 @@ std::vector<cim::LinearConstraint> banded_constraints(std::size_t n) {
   for (auto& c : cs) c.capacity /= 2;  // ~50% tightness
   return cs;
 }
-
-void BM_ConstraintDenseApply(benchmark::State& state) {
-  // The pre-incidence commit path: every committed flip walks *every*
-  // filter of the bank (full-width arrays, zero-weight columns included).
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto cs = banded_constraints(n);
-  cim::InequalityFilterParams params;
-  params.fab_seed = 5;
-  std::vector<cim::InequalityFilter> filters;
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    cim::InequalityFilterParams p = params;
-    p.fab_seed = params.fab_seed + i;
-    filters.emplace_back(p, cs[i].weights, cs[i].capacity);
-  }
-  util::Rng rng(4);
-  const auto x = rng.random_bits(n, 0.3);
-  for (auto& f : filters) f.bind(x);
-  std::size_t k = 0;
-  for (auto _ : state) {
-    const std::array<std::size_t, 1> flips{k};
-    for (auto& f : filters) f.apply(flips);
-    k = (k + 1) % n;
-  }
-}
-BENCHMARK(BM_ConstraintDenseApply)->Arg(256)->Arg(1024);
 
 void BM_ConstraintIncidenceApply(benchmark::State& state) {
   // The incidence-gated commit: the bank routes the flip to the 2 filters
@@ -514,9 +376,6 @@ void BM_ExchangeStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ExchangeStep)->Arg(4)->Arg(16)->Arg(64);
 
-constexpr std::size_t kFanTasks = 8;
-constexpr unsigned kFanWidth = 4;
-
 void BM_MigrationStep(benchmark::State& state) {
   // One archipelago migration barrier over N islands: a serial
   // ascending-destination sweep with at most one rng draw per destination
@@ -561,31 +420,11 @@ void BM_LadderRespace(benchmark::State& state) {
 }
 BENCHMARK(BM_LadderRespace);
 
-void BM_ThreadSpawnJoin(benchmark::State& state) {
-  // The pre-pool run_batch scheduler: construct a thread vector per call,
-  // join, destroy — one clone/spawn/teardown cycle per batch even when the
-  // per-run work is tiny.
-  std::atomic<std::size_t> sink{0};
-  for (auto _ : state) {
-    std::vector<std::thread> threads;
-    threads.reserve(kFanWidth);
-    std::atomic<std::size_t> next{0};
-    for (unsigned t = 0; t < kFanWidth; ++t) {
-      threads.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < kFanTasks;
-             i = next.fetch_add(1)) {
-          sink.fetch_add(i, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  benchmark::DoNotOptimize(sink.load());
-}
-BENCHMARK(BM_ThreadSpawnJoin);
+constexpr std::size_t kFanTasks = 8;
+constexpr unsigned kFanWidth = 4;
 
 void BM_PoolDispatch(benchmark::State& state) {
-  // The same fan through a warm ExecutorPool: tokens onto the resident
+  // An 8-task fan through a warm ExecutorPool: tokens onto the resident
   // worker deques, caller participates, zero thread constructions.
   runtime::ExecutorPool pool(kFanWidth);
   std::atomic<std::size_t> sink{0};
@@ -615,8 +454,9 @@ BENCHMARK(BM_QuantizedEnergy)->Arg(100)->Arg(400);
 /// Direct head-to-head timing of the flip kernels (outside the
 /// google-benchmark harness so the ratio lands in the output as one
 /// number): M committed flips through each kernel on one density-25
-/// instance at n = 800.  This is the acceptance number for the
-/// sparsity-aware kernel layer — expect >= 3x at density 25.
+/// instance at n = 800.  This ratio places the kernel crossover
+/// (qubo::kSparseDensityThreshold); it reads 1.69–1.85x on a 4-core Xeon
+/// VM, a thin margin at this density.
 void report_flip_ratio() {
   constexpr std::size_t kN = 800;
   constexpr std::size_t kFlips = 100000;
@@ -643,147 +483,6 @@ void report_flip_ratio() {
       "\n[sparse-kernel] dense/sparse flip-throughput ratio at n=%zu "
       "density=25%%: %.2fx (dense %.0f ns/flip, sparse %.0f ns/flip)\n",
       kN, dense / sparse, 1e9 * dense / kFlips, 1e9 * sparse / kFlips);
-}
-
-/// Head-to-head timing of the dense commit kernels: M committed flips
-/// through the old guarded at() triangle walk vs the word-parallel
-/// contiguous mirror-row pass, same instance, same start state.  This is
-/// the acceptance number for the word-parallel layer — expect >= 2x.
-void report_word_flip_ratio() {
-  constexpr std::size_t kN = 800;
-  constexpr std::size_t kFlips = 100000;
-  const auto inst = instance(kN);
-  const auto form = core::to_inequality_qubo(inst);
-  util::Rng rng(11);
-  const auto x0 = rng.random_bits(kN);
-  const auto start_scalar = std::chrono::steady_clock::now();
-  {
-    ScalarFlipReference eval(form.q, x0);
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < kFlips; ++i) {
-      eval.flip(k);
-      k = (k + 1) % kN;
-    }
-    benchmark::DoNotOptimize(eval.fields().data());
-  }
-  const auto mid = std::chrono::steady_clock::now();
-  {
-    qubo::IncrementalEvaluator eval(form.q.freeze(), x0, qubo::Kernel::kDense);
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < kFlips; ++i) {
-      eval.flip(k);
-      k = (k + 1) % kN;
-    }
-    benchmark::DoNotOptimize(eval.energy());
-  }
-  const auto end = std::chrono::steady_clock::now();
-  const double scalar = std::chrono::duration<double>(mid - start_scalar).count();
-  const double word = std::chrono::duration<double>(end - mid).count();
-  std::printf(
-      "[word-parallel] scalar/word dense-flip ratio at n=%zu: %.2fx "
-      "(scalar %.0f ns/flip, word %.0f ns/flip)\n",
-      kN, scalar / word, 1e9 * scalar / kFlips, 1e9 * word / kFlips);
-}
-
-/// Head-to-head timing of the replica-ensemble layouts: M staggered
-/// commits across R=8 replicas through per-replica chip clones (R matrix
-/// copies, R DenseRows mirrors) vs the SoA QuboReplicaBatch (one shared
-/// mirror).  This is the acceptance number for the SoA layer — expect
-/// >= 1.5x.
-void report_batched_replica_ratio() {
-  constexpr std::size_t kN = 1600;
-  constexpr std::size_t kSweeps = 10000;
-  const auto inst = instance(kN);
-  const auto form = core::to_inequality_qubo(inst);
-  util::Rng rng(12);
-  std::vector<qubo::BitVector> x0;
-  for (std::size_t r = 0; r < kBatchReplicas; ++r) {
-    x0.push_back(rng.random_bits(kN));
-  }
-  const auto start_split = std::chrono::steady_clock::now();
-  {
-    std::vector<qubo::IncrementalEvaluator> evals;
-    evals.reserve(kBatchReplicas);
-    for (std::size_t r = 0; r < kBatchReplicas; ++r) {
-      evals.emplace_back(form.q.freeze(), x0[r], qubo::Kernel::kDense);
-    }
-    for (std::size_t i = 0; i < kSweeps; ++i) {
-      for (std::size_t r = 0; r < kBatchReplicas; ++r) {
-        evals[r].flip((i + r * kN / kBatchReplicas) % kN);
-      }
-    }
-    benchmark::DoNotOptimize(evals[0].energy());
-  }
-  const auto mid = std::chrono::steady_clock::now();
-  {
-    anneal::QuboReplicaBatch batch(form.q.freeze(), kBatchReplicas,
-                                   qubo::Kernel::kDense);
-    for (std::size_t r = 0; r < kBatchReplicas; ++r) {
-      batch.problem(r).reset(x0[r]);
-    }
-    for (std::size_t i = 0; i < kSweeps; ++i) {
-      for (std::size_t r = 0; r < kBatchReplicas; ++r) {
-        batch.problem(r).commit(
-            anneal::Move::flip((i + r * kN / kBatchReplicas) % kN));
-      }
-    }
-    benchmark::DoNotOptimize(batch.problem(0).state().data());
-  }
-  const auto end = std::chrono::steady_clock::now();
-  const double split = std::chrono::duration<double>(mid - start_split).count();
-  const double batched = std::chrono::duration<double>(end - mid).count();
-  const double commits = static_cast<double>(kSweeps * kBatchReplicas);
-  std::printf(
-      "[soa-replicas] per-replica/batched commit-throughput ratio at n=%zu "
-      "R=%zu: %.2fx (split %.0f ns/commit, batched %.0f ns/commit)\n",
-      kN, kBatchReplicas, split / batched, 1e9 * split / commits,
-      1e9 * batched / commits);
-}
-
-/// Head-to-head timing of the batch-fan schedulers: M dispatch rounds of
-/// an 8-task fan at width 4 through spawn-and-join thread vectors (the
-/// pre-pool run_batch) vs a warm ExecutorPool (tokens onto resident
-/// worker deques).  This is the acceptance number for the persistent-pool
-/// layer — expect >= 10x.
-void report_pool_dispatch_ratio() {
-  constexpr std::size_t kRounds = 2000;
-  std::atomic<std::size_t> sink{0};
-  const auto start_spawn = std::chrono::steady_clock::now();
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    std::vector<std::thread> threads;
-    threads.reserve(kFanWidth);
-    std::atomic<std::size_t> next{0};
-    for (unsigned t = 0; t < kFanWidth; ++t) {
-      threads.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < kFanTasks;
-             i = next.fetch_add(1)) {
-          sink.fetch_add(i, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  const auto mid = std::chrono::steady_clock::now();
-  {
-    runtime::ExecutorPool pool(kFanWidth);
-    const anneal::Task task = [&](std::size_t i) {
-      sink.fetch_add(i, std::memory_order_relaxed);
-    };
-    pool.run(kFanTasks, task, kFanWidth);  // warm the worker set
-    for (std::size_t round = 0; round < kRounds; ++round) {
-      pool.run(kFanTasks, task, kFanWidth);
-    }
-  }
-  const auto end = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(sink.load());
-  const double spawn = std::chrono::duration<double>(mid - start_spawn).count();
-  const double pool = std::chrono::duration<double>(end - mid).count();
-  std::printf(
-      "[executor-pool] spawn-join/pool dispatch-overhead ratio at "
-      "tasks=%zu width=%u: %.2fx (spawn %.0f ns/round, pool %.0f "
-      "ns/round)\n",
-      kFanTasks, kFanWidth, spawn / pool, 1e9 * spawn / kRounds,
-      1e9 * pool / kRounds);
 }
 
 /// Head-to-head timing of one archipelago epoch's halves: the walk work an
@@ -851,9 +550,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   report_flip_ratio();
-  report_word_flip_ratio();
-  report_batched_replica_ratio();
-  report_pool_dispatch_ratio();
   report_migration_barrier_ratio();
   return 0;
 }

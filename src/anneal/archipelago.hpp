@@ -87,9 +87,7 @@ const IslandSearch& island_search(const ArchipelagoParams& params,
 
 /// The island-model loop behind run_search(ArchipelagoParams): island i
 /// drives problems [offset_i, offset_i + its replica count) as one
-/// anneal::Island, so the flat problem span keeps the SoA
-/// QuboReplicaBatch fast path working unchanged.  run_search validates
-/// the arguments.
+/// anneal::Island.  run_search validates the arguments.
 SearchResult run_archipelago(const ArchipelagoParams& params,
                              std::span<SaProblem* const> problems,
                              const qubo::BitVector& x0, const SaParams& sa,

@@ -84,25 +84,30 @@ void Island::retarget() {
   }
 }
 
-bool Island::step(std::size_t target, const Executor& executor) {
-  const std::size_t next_barrier = (barrier_ + 1) * interval_;
-  const std::size_t end = is_ladder() ? std::min(target, next_barrier) : target;
-  const std::size_t segment = segments_++;
+void Island::advance(std::size_t r) {
   // The fault seam draws no walk randomness, so an armed-but-silent
   // injector is bit-identical to a disarmed one.
-  const auto advance = [&](std::size_t r) {
-    util::fault_injector().maybe_fault(util::FaultSite::kReplicaSegment, seed_,
-                                       first_ + r, segment);
-    walks_[r]->run_to(end);
-  };
+  util::fault_injector().maybe_fault(util::FaultSite::kReplicaSegment, seed_,
+                                     first_ + r, segment_);
+  walks_[r]->run_to(segment_end_);
+}
+
+bool Island::step(std::size_t target, const Executor& executor) {
+  const std::size_t next_barrier = (barrier_ + 1) * interval_;
+  segment_end_ = is_ladder() ? std::min(target, next_barrier) : target;
+  segment_ = segments_++;
   // A single walk has no barrier to hold: it advances inline, no fan.
   if (!is_ladder()) {
     advance(0);
     return false;
   }
-  executor(walks_.size(), advance);
+  // Capturing `this` alone keeps the task inside std::function's inline
+  // buffer, so a barrier allocates nothing.
+  executor(walks_.size(), [this](std::size_t r) { advance(r); });
   // No barrier after the final segment.
-  if (end < next_barrier || end >= iterations_) return false;
+  if (segment_end_ < next_barrier || segment_end_ >= iterations_) {
+    return false;
+  }
   // Every walk hit its proposal cap: no further moves are possible, so
   // more barriers would only shuffle temperature labels.
   if (exhausted()) return false;

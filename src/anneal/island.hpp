@@ -85,6 +85,8 @@ class Island {
 
  private:
   bool is_ladder() const { return interval_ != 0; }
+  /// Runs walk r to the current segment's end (one executor task).
+  void advance(std::size_t r);
   void rebuild_ladder();
   /// Points every walk at its slot's (possibly new) temperature.
   void retarget();
@@ -109,6 +111,8 @@ class Island {
   util::Rng exchange_rng_;
   std::size_t barrier_ = 0;
   std::size_t segments_ = 0;
+  std::size_t segment_ = 0;      ///< index of the segment being run
+  std::size_t segment_end_ = 0;  ///< its evaluated-count target
   std::size_t exchanges_proposed_ = 0;
   std::size_t exchanges_accepted_ = 0;
   std::size_t window_proposed_ = 0;  ///< since the last respace

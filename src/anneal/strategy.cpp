@@ -71,7 +71,11 @@ std::size_t ladder_events(const TemperingParams& ladder,
   return (iterations / ladder.exchange_interval) * (ladder.replicas / 2);
 }
 
-/// The classic single cooled walk: simulated_annealing() on Rng(seed).
+/// The classic single cooled walk, simulated_annealing() on Rng(seed), run
+/// in resumable segments so the token (and the fault seam) get a say
+/// between them.  run_to() is idempotent and resumable, so an unarmed or
+/// never-firing token produces exactly the bits simulated_annealing()
+/// would.
 SearchResult run_single(SaProblem& problem, const qubo::BitVector& x0,
                         const SaParams& sa, std::uint64_t seed,
                         const util::CancelToken& cancel) {
@@ -79,14 +83,6 @@ SearchResult run_single(SaProblem& problem, const qubo::BitVector& x0,
   params.seed = seed;
   SearchResult out;
   util::FaultInjector& faults = util::fault_injector();
-  if (!cancel.armed() && !faults.armed()) {
-    out.sa = simulated_annealing(problem, x0, params);
-    return out;
-  }
-  // Checkpointed path: same walk, run in resumable segments so the token
-  // (and the fault seam) get a say between them.  run_to() is idempotent
-  // and resumable, so an armed-but-never-firing token produces exactly
-  // the bits simulated_annealing() would.
   SaWalk walk(problem, x0, params, util::Rng(params.seed));
   for (std::size_t segment = 0;; ++segment) {
     out.stopped = cancel.should_stop();

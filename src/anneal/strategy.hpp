@@ -290,10 +290,11 @@ std::size_t trace_events(const SearchParams& search, std::size_t iterations);
 /// `cancel` is polled at segment / exchange / migration boundaries: when
 /// it fires, the search stops early and returns its any-time best-so-far
 /// with SearchResult::stopped set.  An unarmed (default) token costs one
-/// null check — results stay bit-identical to the pre-cancellation code,
-/// and an armed token that never fires does not perturb any stream
-/// either.  Throws std::invalid_argument on out-of-domain parameters, a
-/// replica-count mismatch, a null problem, or an x0 size mismatch.
+/// null check per checkpoint — results stay bit-identical to the
+/// pre-cancellation code, and an armed token that never fires does not
+/// perturb any stream either.  Throws std::invalid_argument on
+/// out-of-domain parameters, a replica-count mismatch, a null problem, or
+/// an x0 size mismatch.
 SearchResult run_search(const SearchParams& search,
                         std::span<SaProblem* const> problems,
                         const qubo::BitVector& x0, const SaParams& sa,

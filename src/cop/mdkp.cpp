@@ -172,9 +172,10 @@ qubo::BitVector greedy_solution(const MdkpInstance& inst) {
                 static_cast<double>(inst.capacities[d]);
       }
       if (!fits || load <= 0) continue;
+      // Row k of the symmetric matrix: contiguous, unlike column k.
       long long gain = inst.profit(k, k);
       for (std::size_t i = 0; i < inst.n; ++i) {
-        if (i != k && x[i]) gain += inst.profit(i, k);
+        if (i != k && x[i]) gain += inst.profit(k, i);
       }
       if (gain <= 0) continue;
       const double score = static_cast<double>(gain) / load;

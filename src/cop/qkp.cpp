@@ -122,9 +122,11 @@ namespace {
 /// interactions with already-selected items).
 long long marginal_profit(const QkpInstance& inst,
                           std::span<const std::uint8_t> x, std::size_t k) {
+  // Row k, not column k: the matrix is symmetric (validate() checks it),
+  // and the row is contiguous where the column strides n entries.
   long long p = inst.profit(k, k);
   for (std::size_t i = 0; i < inst.n; ++i) {
-    if (i != k && x[i]) p += inst.profit(i, k);
+    if (i != k && x[i]) p += inst.profit(k, i);
   }
   return p;
 }

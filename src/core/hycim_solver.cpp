@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "anneal/replica_batch.hpp"
+#include "anneal/qubo_problem.hpp"
 #include "qubo/energy.hpp"
 #include "util/rng.hpp"
 
@@ -319,29 +318,27 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   anneal::validate(config_.sa);
   const std::size_t replica_count = anneal::replicas_of(config_.search);
 
-  // Replica chips: tempering binds each replica to its own clone of this
-  // programmed chip with an independent comparator decision stream forked
-  // from the run seed ("program once, temper many") — N independent
-  // measurements on one fabrication, same as the batch runner's protocol.
-  // Single-walk SA anneals on this chip directly, byte-identical to the
-  // pre-strategy engine.
+  // Replica problems.  A form without rows has nothing to filter, so
+  // unless its energies come from the circuit or every step is
+  // cross-checked, each replica walks a plain anneal::QuboProblem over
+  // this chip's frozen evaluation matrix: the matrix every clone shares,
+  // read by the same kernels, so the solve is bit-identical to the chip
+  // path for any search kind and filter mode.  Otherwise single-walk SA
+  // anneals on this chip directly, and a multi-replica search binds each
+  // replica to its own clone of it with an independent comparator
+  // decision stream forked from the run seed ("program once, temper
+  // many") — N independent measurements on one fabrication, same as the
+  // batch runner's protocol.
+  const bool plain_replicas = form_->rows() == 0 &&
+                              config_.fidelity != cim::VmvMode::kCircuit &&
+                              !config_.check_incremental;
   std::vector<HyCimSolver> chips;
-  std::vector<std::unique_ptr<Problem>> problems;
-  std::vector<anneal::SaProblem*> problem_ptrs;
-  // A tempered solve that reduces to a pure QUBO walk — software filters
-  // with nothing to filter, energies from the incremental evaluator, no
-  // cross-checking — batches its replicas through one shared-matrix SoA
-  // arena instead of one chip clone (filters + engine state) per replica.
-  // The views run the same kernels over the same matrix, so the solve is
-  // bit-identical to the cloned-chip path; only the layout changes.
-  const bool batch_replicas =
-      replica_count > 1 && config_.fidelity != cim::VmvMode::kCircuit &&
-      config_.filter_mode == FilterMode::kSoftware && form_->rows() == 0 &&
-      !config_.check_incremental;
-  std::optional<anneal::QuboReplicaBatch> batch;
-  if (batch_replicas) {
-    batch.emplace(engine_->eval_matrix(), replica_count, resolved_kernel_);
-    problem_ptrs = batch->problems();
+  std::vector<std::unique_ptr<anneal::SaProblem>> problems;
+  if (plain_replicas) {
+    for (std::size_t r = 0; r < replica_count; ++r) {
+      problems.push_back(std::make_unique<anneal::QuboProblem>(
+          engine_->eval_matrix(), resolved_kernel_));
+    }
   } else if (replica_count == 1) {
     problems.push_back(std::make_unique<Problem>(*this));
   } else {
@@ -358,6 +355,7 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
       problems.push_back(std::make_unique<Problem>(chips[r]));
     }
   }
+  std::vector<anneal::SaProblem*> problem_ptrs;
   for (const auto& p : problems) problem_ptrs.push_back(p.get());
 
   anneal::SearchResult search = anneal::run_search(

@@ -118,8 +118,11 @@ class HyCimSolver {
   /// initial configuration (must be size() bits and satisfy every
   /// constraint).  `run_seed` drives all run-level randomness — the walk
   /// proposals and, under tempering, the per-replica comparator decision
-  /// streams — so repeated calls explore independently.  Tempering clones
-  /// this solver once per replica ("program once, temper many").
+  /// streams — so repeated calls explore independently.  A multi-replica
+  /// search clones this solver once per replica ("program once, temper
+  /// many"); a form with no rows walks plain anneal::QuboProblems over the
+  /// shared evaluation matrix instead (unless the fidelity is kCircuit or
+  /// check_incremental is on), bit-identical to the clones.
   ///
   /// Replica segments are dispatched through `executor` (anneal::Executor
   /// contract; serial by default) — the result is bit-identical for any

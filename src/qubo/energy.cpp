@@ -19,21 +19,6 @@ IncrementalEvaluator::IncrementalEvaluator(FrozenQuboPtr q, BitVector x0,
   reset(std::move(x0));
 }
 
-double IncrementalEvaluator::delta(std::size_t k) const {
-  assert(k < x_.size());
-  return (x_[k] ? -1.0 : 1.0) * phi_[k];
-}
-
-double IncrementalEvaluator::delta_pair(std::size_t i, std::size_t j) const {
-  assert(i != j);
-  const double si = x_[i] ? -1.0 : 1.0;
-  const double sj = x_[j] ? -1.0 : 1.0;
-  // The mirror holds the exact same double as at(i, j) (i != j here), so
-  // reading it skips the triangle index math without changing a bit.
-  const double q_ij = rows_ ? rows_->row(i)[j] : q_->matrix().at(i, j);
-  return delta(i) + delta(j) + si * sj * q_ij;
-}
-
 void IncrementalEvaluator::flip(std::size_t k) {
   assert(k < x_.size());
   energy_ += delta(k);

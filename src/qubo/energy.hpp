@@ -16,6 +16,7 @@
 // staying exact.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -29,10 +30,9 @@ namespace hycim::qubo {
 
 namespace kernels {
 
-/// The word-parallel dense flip kernel, shared by IncrementalEvaluator and
-/// the batched replica problems (anneal::QuboReplicaBatch): one contiguous
-/// branch-free pass phi[j] += sign·row[j] over the mirror row of the
-/// flipped bit.  row[k] is zero by DenseRows construction, but phi[k] is
+/// The word-parallel dense flip kernel of IncrementalEvaluator: one
+/// contiguous branch-free pass phi[j] += sign·row[j] over the mirror row of
+/// the flipped bit.  row[k] is zero by DenseRows construction, but phi[k] is
 /// saved and restored around the pass so the flipped bit's own field is
 /// untouched bit-for-bit (adding ±0.0 could flip a -0.0) — with that, the
 /// pass performs exactly the adds of the scalar two-loop kernel it
@@ -52,9 +52,9 @@ inline void sparse_flip(double* phi, const NeighborIndex& index,
   }
 }
 
-/// The per-reset rebuild, shared by IncrementalEvaluator and the batched
-/// replica problems: fills phi[0, n) with every bit's local field under the
-/// state packed in `words` and returns that state's energy xᵀQx + offset.
+/// The per-reset rebuild of IncrementalEvaluator: fills phi[0, n) with
+/// every bit's local field under the state packed in `words` and returns
+/// that state's energy xᵀQx + offset.
 ///
 /// It streams instead of gathering.  Each field starts at its diagonal
 /// coefficient, then every set bit j, ascending, adds its row through the
@@ -117,13 +117,25 @@ class IncrementalEvaluator {
   /// The kernel this evaluator runs (kDense or kSparse, never kAuto).
   Kernel kernel() const { return kernel_; }
 
-  /// Energy change if bit k were flipped (state unchanged).  O(1).
-  double delta(std::size_t k) const;
+  /// Energy change if bit k were flipped (state unchanged).  O(1), and
+  /// inline: every proposal a walk evaluates makes this read.
+  double delta(std::size_t k) const {
+    assert(k < x_.size());
+    return (x_[k] ? -1.0 : 1.0) * phi_[k];
+  }
 
   /// Energy change if bits i and j (i != j) were both flipped.  O(1):
   /// delta(i) + delta(j) + q_ij·(1−2x_i)(1−2x_j), the coupling correction
   /// accounting for the joint flip.  Used for swap moves in SA.
-  double delta_pair(std::size_t i, std::size_t j) const;
+  double delta_pair(std::size_t i, std::size_t j) const {
+    assert(i != j);
+    const double si = x_[i] ? -1.0 : 1.0;
+    const double sj = x_[j] ? -1.0 : 1.0;
+    // The mirror holds the exact same double as at(i, j) (i != j here), so
+    // reading it skips the triangle index math without changing a bit.
+    const double q_ij = rows_ ? rows_->row(i)[j] : q_->matrix().at(i, j);
+    return delta(i) + delta(j) + si * sj * q_ij;
+  }
 
   /// Flips bit k, updating energy and all local fields.  O(n) dense,
   /// O(degree(k)) sparse.

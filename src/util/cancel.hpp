@@ -3,10 +3,9 @@
 //
 // A CancelToken is a cheap, copyable view onto shared state owned by a
 // CancelSource.  A default-constructed token is permanently "never stops",
-// so unplumbed call sites pay one null check and nothing else — the hot
-// annealing loops only take the segmented/checkpointed path when a token
-// is actually armed, which keeps unarmed solves bit-identical to the
-// pre-cancellation code.
+// so unplumbed call sites pay one null check per checkpoint and nothing
+// else.  Polling draws no randomness, so a token that never fires leaves
+// solves bit-identical to the pre-cancellation code.
 //
 // Tokens compose: a source may chain parent tokens (service abort ∘
 // caller token ∘ per-request deadline), and should_stop() reports the

@@ -1,9 +1,10 @@
 // The zero-allocation steady-state contract: after warmup (construction,
 // field rebuilds, first segment growing the scratch capacities), the
 // proposal→trial→commit loop performs NO heap allocations per trial — on
-// the dense word-parallel kernel, the sparse kernel, the SoA replica
-// batch, and the filter-incidence grouping that sits inside the
-// constrained proposal path.
+// the dense word-parallel kernel, the sparse kernel, and the
+// filter-incidence grouping that sits inside the constrained proposal
+// path — and a whole solve's allocation count does not grow with its
+// length, exchange barriers included.
 //
 // Enforced the blunt way: this binary replaces global operator new/delete
 // with counting malloc wrappers (one executable per test file, so the
@@ -13,14 +14,17 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
-#include "anneal/replica_batch.hpp"
+#include "anneal/qubo_problem.hpp"
 #include "anneal/sa_engine.hpp"
 #include "cim/filter/incidence.hpp"
-#include "qubo/energy.hpp"
+#include "cop/adapters.hpp"
+#include "cop/maxcut.hpp"
+#include "cop/mdkp.hpp"
+#include "core/hycim_solver.hpp"
 #include "qubo/qubo_matrix.hpp"
 #include "util/rng.hpp"
 
@@ -117,42 +121,12 @@ QuboMatrix random_matrix(std::size_t n, double density, util::Rng& rng) {
   return q;
 }
 
-/// Minimal pure-QUBO SaProblem over an IncrementalEvaluator, with swap
-/// moves enabled so the walk exercises both move arities.
-class EvalProblem final : public anneal::SaProblem {
- public:
-  EvalProblem(const QuboMatrix& q, qubo::Kernel kernel)
-      : eval_(q.freeze(), BitVector(q.size(), 0), kernel) {}
-
-  std::size_t num_bits() const override { return eval_.state().size(); }
-  double reset(const BitVector& x) override {
-    eval_.reset(x);
-    return eval_.energy();
-  }
-  double trial_delta(const anneal::Move& m) override {
-    return m.is_swap() ? eval_.delta_pair(m.bits[0], m.bits[1])
-                       : eval_.delta(m.bits[0]);
-  }
-  void commit(const anneal::Move& m) override {
-    if (m.is_swap()) {
-      eval_.flip_pair(m.bits[0], m.bits[1]);
-    } else {
-      eval_.flip(m.bits[0]);
-    }
-  }
-  const BitVector& state() const override { return eval_.state(); }
-  bool supports_swaps() const override { return true; }
-
- private:
-  qubo::IncrementalEvaluator eval_;
-};
-
 void expect_walk_steady_state_is_allocation_free(qubo::Kernel kernel,
                                                  double density) {
   util::Rng rng(31);
   const std::size_t n = 96;
   const QuboMatrix q = random_matrix(n, density, rng);
-  EvalProblem problem(q, kernel);
+  anneal::QuboProblem problem(q.freeze(), kernel);
   anneal::SaParams params;
   params.iterations = 6000;
   params.swap_probability = 0.4;
@@ -175,29 +149,51 @@ TEST(AllocationFree, SparseWalkSteadyState) {
   expect_walk_steady_state_is_allocation_free(qubo::Kernel::kSparse, 0.1);
 }
 
-TEST(AllocationFree, BatchedReplicaSteadyState) {
-  util::Rng rng(32);
-  const std::size_t n = 96;
-  const std::size_t replicas = 4;
-  const QuboMatrix q = random_matrix(n, 0.5, rng);
-  anneal::QuboReplicaBatch batch(q.freeze(), replicas);
-  anneal::SaParams params;
-  params.iterations = 4000;
-  params.swap_probability = 0.4;
-  std::vector<std::unique_ptr<anneal::SaWalk>> walks;
-  walks.reserve(replicas);
-  for (std::size_t r = 0; r < replicas; ++r) {
-    walks.push_back(std::make_unique<anneal::SaWalk>(
-        batch.problem(r), rng.random_bits(n), params, util::Rng(100 + r),
-        1.5));
+/// Heap allocations one serial, trace-free solve makes.  Setup and result
+/// assembly allocate; the walk and its exchange barriers must not.
+std::size_t solve_allocations(const core::ConstrainedQuboForm& form,
+                              core::FilterMode mode, bool tempered,
+                              std::size_t iterations) {
+  core::HyCimConfig config;
+  config.sa.iterations = iterations;
+  config.filter_mode = mode;
+  if (tempered) {
+    anneal::TemperingParams ladder;  // 4 replicas, a barrier every 25
+    ladder.record_trace = false;
+    config.search = ladder;
   }
-  for (auto& walk : walks) walk->run_to(400);  // warmup
+  core::HyCimSolver solver(form, config);
+  const BitVector x0(form.size(), 0);  // feasible under every ≤ row
   const std::size_t before = allocation_count();
-  // Interleaved segments, like the exchange loop drives them.
-  for (std::size_t target = 800; target <= 4000; target += 400) {
-    for (auto& walk : walks) walk->run_to(target);
+  const core::SolveResult result = solver.solve(x0, 5);
+  const std::size_t count = allocation_count() - before;
+  EXPECT_EQ(result.sa.evaluated, tempered ? 4 * iterations : iterations);
+  return count;
+}
+
+TEST(AllocationFree, SolveAllocationsDoNotGrowWithIterations) {
+  cop::MdkpGeneratorParams mdkp;
+  mdkp.n = 40;
+  const struct {
+    const char* name;
+    core::ConstrainedQuboForm form;
+  } forms[] = {
+      {"max-cut", cop::to_constrained_form(cop::generate_maxcut(40, 0.3, 3))},
+      {"mdkp", cop::to_constrained_form(cop::generate_mdkp(mdkp, 4))},
+  };
+  for (const auto& f : forms) {
+    for (const auto mode :
+         {core::FilterMode::kSoftware, core::FilterMode::kHardware}) {
+      for (const bool tempered : {false, true}) {
+        SCOPED_TRACE(std::string(f.name) +
+                     (mode == core::FilterMode::kSoftware ? " software"
+                                                          : " hardware") +
+                     (tempered ? " tempering" : " SA"));
+        EXPECT_EQ(solve_allocations(f.form, mode, tempered, 2000),
+                  solve_allocations(f.form, mode, tempered, 20000));
+      }
+    }
   }
-  EXPECT_EQ(allocation_count() - before, 0u);
 }
 
 TEST(AllocationFree, IncidenceGroupingSteadyState) {

@@ -2,6 +2,7 @@
 // metrics — miniature versions of the paper's evaluation pipeline.
 #include <gtest/gtest.h>
 
+#include "anneal/qubo_problem.hpp"
 #include "anneal/sa_engine.hpp"
 #include "core/dqubo_solver.hpp"
 #include "core/exact.hpp"
@@ -13,7 +14,6 @@
 #include "hw/cost_model.hpp"
 #include "hw/search_space.hpp"
 #include "qubo/brute_force.hpp"
-#include "qubo/energy.hpp"
 
 namespace hycim {
 namespace {
@@ -112,41 +112,11 @@ TEST(EndToEnd, ReferencePipelineTracksExactOnMini) {
   EXPECT_EQ(ref.profit, truth.best_profit);
 }
 
-namespace {
-/// Unconstrained QUBO adapter for the equality-penalty COPs.
-class PlainQubo final : public anneal::SaProblem {
- public:
-  explicit PlainQubo(const qubo::QuboMatrix& q)
-      : eval_(q.freeze(), qubo::BitVector(q.size(), 0)) {}
-  std::size_t num_bits() const override { return eval_.state().size(); }
-  double reset(const qubo::BitVector& x) override {
-    eval_.reset(x);
-    return eval_.energy();
-  }
-  double trial_delta(const anneal::Move& m) override {
-    return m.is_swap() ? eval_.delta_pair(m.bits[0], m.bits[1])
-                       : eval_.delta(m.bits[0]);
-  }
-  void commit(const anneal::Move& m) override {
-    if (m.is_swap()) {
-      eval_.flip_pair(m.bits[0], m.bits[1]);
-    } else {
-      eval_.flip(m.bits[0]);
-    }
-  }
-  const qubo::BitVector& state() const override { return eval_.state(); }
-  bool supports_swaps() const override { return true; }
-
- private:
-  qubo::IncrementalEvaluator eval_;
-};
-}  // namespace
-
 TEST(EndToEnd, MaxCutMatchesBruteForceThroughAnnealer) {
   const auto g = cop::generate_maxcut(14, 0.5, 9, 1.0, 3.0);
   const auto q = core::to_maxcut_qubo(g);
   const auto truth = qubo::brute_force_minimize(q);
-  PlainQubo problem(q);
+  anneal::QuboProblem problem(q.freeze());
   anneal::SaParams params;
   params.iterations = 15000;
   params.seed = 2;

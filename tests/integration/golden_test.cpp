@@ -17,7 +17,7 @@
 //     hardware filters (one cloned chip per replica), a 3-island
 //     {SA, PT-3} ring archipelago on software filters with resampling and
 //     adaptive ladders, and a tempered max-cut solve of the instance's
-//     profit graph (the QuboReplicaBatch layout) — each run absorbing
+//     profit graph (plain anneal::QuboProblem replicas) — each run absorbing
 //     best_x, the proposed/evaluated counts, the per-replica counters, the
 //     island statistics, and the exchange, migration and resample traces.
 //

@@ -1,9 +1,9 @@
 // Bitwise equivalence of the word-parallel dense path against a scalar
 // reference evaluator (a verbatim copy of the pre-word-parallel at()-based
 // kernel), over random walks exercising flip, flip_pair, and reset — plus
-// the solver-level pin that the SoA batched-replica layout changes layout,
-// not behavior: a tempered solve batched through anneal::QuboReplicaBatch
-// must be indistinguishable from the same solve on per-replica chip clones.
+// the solver-level pin that the replica layout changes cost, not behavior:
+// a tempered solve of a row-less form on plain anneal::QuboProblems must
+// be indistinguishable from the same solve on per-replica chip clones.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -142,39 +142,46 @@ TEST(WordParallel, DenseKernelBitIdenticalToScalarReference) {
   }
 }
 
-/// A pure-QUBO tempered solve, which HyCimSolver batches into one SoA
-/// arena — unless `cloned_chips` turns on check_incremental, which keeps
-/// per-replica chip clones and draws no randomness of its own.
-core::SolveResult tempered_maxcut_solve(bool cloned_chips,
+/// A pure-QUBO tempered solve, which HyCimSolver runs on plain
+/// QuboProblems — unless `cloned_chips` turns on check_incremental, which
+/// keeps per-replica chip clones and draws no randomness of its own.
+core::SolveResult tempered_maxcut_solve(core::FilterMode mode,
+                                        bool cloned_chips,
                                         std::uint64_t run_seed) {
   const auto g = cop::generate_maxcut(60, 0.5, 13, 1.0, 3.0);
   core::HyCimConfig config;
   config.sa.iterations = 400;
   config.search = anneal::TemperingParams{};  // 4 replicas
   config.fidelity = cim::VmvMode::kIdeal;
-  config.filter_mode = core::FilterMode::kSoftware;
+  config.filter_mode = mode;
   config.check_incremental = cloned_chips;
   core::HyCimSolver solver(cop::to_constrained_form(g), config);
   util::Rng rng(run_seed);  // same x0 both ways
   return solver.solve(rng.random_bits(solver.size()), run_seed);
 }
 
-TEST(WordParallel, SoaReplicaBatchMatchesClonedChips) {
-  for (const std::uint64_t run_seed : {1u, 2u, 3u}) {
-    SCOPED_TRACE("run_seed=" + std::to_string(run_seed));
-    const auto soa = tempered_maxcut_solve(false, run_seed);
-    const auto cloned = tempered_maxcut_solve(true, run_seed);
-    EXPECT_EQ(soa.best_energy, cloned.best_energy);  // bitwise
-    EXPECT_EQ(soa.best_x, cloned.best_x);
-    EXPECT_EQ(soa.sa.evaluated, cloned.sa.evaluated);
-    EXPECT_EQ(soa.sa.accepted, cloned.sa.accepted);
-    EXPECT_EQ(soa.sa.proposed, cloned.sa.proposed);
-    EXPECT_EQ(soa.exchanges_proposed, cloned.exchanges_proposed);
-    EXPECT_EQ(soa.exchanges_accepted, cloned.exchanges_accepted);
-    ASSERT_EQ(soa.exchange_trace.size(), cloned.exchange_trace.size());
-    for (std::size_t e = 0; e < soa.exchange_trace.size(); ++e) {
-      EXPECT_EQ(soa.exchange_trace[e], cloned.exchange_trace[e])
-          << "exchange " << e;
+TEST(WordParallel, PlainReplicasMatchClonedChips) {
+  for (const auto mode :
+       {core::FilterMode::kSoftware, core::FilterMode::kHardware}) {
+    for (const std::uint64_t run_seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(mode == core::FilterMode::kSoftware
+                                   ? "software"
+                                   : "hardware") +
+                   " filters, run_seed=" + std::to_string(run_seed));
+      const auto plain = tempered_maxcut_solve(mode, false, run_seed);
+      const auto cloned = tempered_maxcut_solve(mode, true, run_seed);
+      EXPECT_EQ(plain.best_energy, cloned.best_energy);  // bitwise
+      EXPECT_EQ(plain.best_x, cloned.best_x);
+      EXPECT_EQ(plain.sa.evaluated, cloned.sa.evaluated);
+      EXPECT_EQ(plain.sa.accepted, cloned.sa.accepted);
+      EXPECT_EQ(plain.sa.proposed, cloned.sa.proposed);
+      EXPECT_EQ(plain.exchanges_proposed, cloned.exchanges_proposed);
+      EXPECT_EQ(plain.exchanges_accepted, cloned.exchanges_accepted);
+      ASSERT_EQ(plain.exchange_trace.size(), cloned.exchange_trace.size());
+      for (std::size_t e = 0; e < plain.exchange_trace.size(); ++e) {
+        EXPECT_EQ(plain.exchange_trace[e], cloned.exchange_trace[e])
+            << "exchange " << e;
+      }
     }
   }
 }
