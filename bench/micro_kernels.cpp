@@ -424,8 +424,9 @@ constexpr std::size_t kFanTasks = 8;
 constexpr unsigned kFanWidth = 4;
 
 void BM_PoolDispatch(benchmark::State& state) {
-  // An 8-task fan through a warm ExecutorPool: tokens onto the resident
-  // worker deques, caller participates, zero thread constructions.
+  // An 8-task fan through a warm ExecutorPool: one publish to the pool's
+  // open-group list, one broadcast to the parked workers, the caller
+  // participates, zero thread constructions.
   runtime::ExecutorPool pool(kFanWidth);
   std::atomic<std::size_t> sink{0};
   const anneal::Task task = [&](std::size_t i) {

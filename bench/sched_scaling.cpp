@@ -8,11 +8,12 @@
 //
 //   * identity flags: the batch must be bit-identical at every width and
 //     under the serial-over-runs schedule (the determinism contract) —
-//     these are CI-pinned by tools/check_sched_regression.py;
+//     these are CI-pinned by tools/check_bench.py;
 //   * deterministic work counters: tasks executed per width are a pure
 //     function of the protocol, so any drift is a scheduling bug;
-//   * wall clocks + pool counters (dispatches, steals, utilization):
-//     machine-dependent, reported for the trajectory, never failed on.
+//   * wall clocks + pool counters (dispatches, steals = task indices run
+//     by helper workers, utilization): machine-dependent, reported for the
+//     trajectory, never failed on.
 //
 // Console emits one `[executor-pool]` line per width for the CI smoke
 // grep, mirroring micro_kernels' `[word-parallel]` convention.

@@ -21,52 +21,47 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// The shared concurrency cap of one batch's whole task tree.  The root
-/// run() call creates it; every nested group joins it, so runs and their
-/// replica segments draw slots from one counter — K concurrent batches
-/// each respect their own width and the pool's worker set bounds the
-/// physical total.
+/// run() call owns it (on its stack: the root outlives every nested group
+/// of its tree); every nested group joins it, so runs and their replica
+/// segments draw slots from one counter.  `active` is guarded by the
+/// owning pool's mutex once a group of the tree is published.
 struct Budget {
+  const ExecutorPool* owner = nullptr;
   unsigned limit = 1;
-  std::atomic<unsigned> active{0};
+  unsigned active = 1;  ///< slots held: the root caller plus every helper
 };
 
-/// One fork-join dispatch: `count` task indices claimed lock-free by up to
-/// `cap` concurrent participants.  Tokens in the deques are shared_ptrs to
-/// this, so a stale token (group already drained) is harmless to pop late.
+/// One fork-join dispatch, on its caller's stack: `count` task indices
+/// claimed lock-free by up to `cap` participants, the caller included.
+/// Workers touch it only between joining and leaving under the pool mutex,
+/// and the caller returns only once every helper has left.
 struct TaskGroup {
-  const anneal::Task* task = nullptr;
-  std::size_t count = 0;
-  unsigned cap = 1;  ///< participant cap of this group (≤ budget->limit)
-  std::shared_ptr<Budget> budget;
+  const anneal::Task& task;
+  const std::size_t count;
+  const unsigned cap;
+  Budget& budget;
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> remaining{0};
-  std::atomic<unsigned> participants{0};
   std::atomic<bool> cancelled{false};
-  std::mutex mutex;  ///< guards failure; paired with done_cv
-  std::condition_variable done_cv;
-  std::exception_ptr failure;
-
-  bool drained() const {
-    return next.load(std::memory_order_relaxed) >= count;
-  }
+  // Guarded by the pool mutex.
+  unsigned participants = 1;  ///< the caller plus the helpers inside
+  std::exception_ptr failure{};
+  std::condition_variable left{};  ///< signalled as the last helper leaves
 };
 
-/// The ambient batch budget of the executing thread: set while a thread
-/// runs a group's tasks, so nested run() calls join the same tree.
-thread_local std::shared_ptr<Budget> tl_budget;
+/// The ambient budget of the executing thread: set while a thread runs a
+/// group's tasks, so nested run() calls join the same tree.
+thread_local Budget* tl_budget = nullptr;
 
 class ScopedAmbient {
  public:
-  explicit ScopedAmbient(std::shared_ptr<Budget> budget)
-      : saved_(std::move(tl_budget)) {
-    tl_budget = std::move(budget);
-  }
-  ~ScopedAmbient() { tl_budget = std::move(saved_); }
+  explicit ScopedAmbient(Budget* budget)
+      : saved_(std::exchange(tl_budget, budget)) {}
+  ~ScopedAmbient() { tl_budget = saved_; }
   ScopedAmbient(const ScopedAmbient&) = delete;
   ScopedAmbient& operator=(const ScopedAmbient&) = delete;
 
  private:
-  std::shared_ptr<Budget> saved_;
+  Budget* saved_;
 };
 
 }  // namespace
@@ -76,31 +71,19 @@ struct ExecutorPool::Impl {
 
   const unsigned explicit_budget;  ///< 0 = track core::thread_budget()
 
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::shared_ptr<TaskGroup>> deque;  ///< back = newest
-    std::thread thread;
-  };
-
-  // Workers are appended (never removed) under spawn_mutex; unique_ptr
-  // keeps their addresses stable while the vector grows.
-  std::mutex spawn_mutex;
-  std::vector<std::unique_ptr<Worker>> workers;
-  std::atomic<unsigned> worker_count{0};
-
-  std::mutex inject_mutex;
-  std::deque<std::shared_ptr<TaskGroup>> injection;  ///< front = oldest
+  // One lock guards the worker set, the posted jobs, the open groups and
+  // every group's participant and budget slots.  Idle workers park on
+  // `wake`; a publish wakes them all, a post wakes one.
+  mutable std::mutex mutex;
+  std::condition_variable wake;
+  std::vector<std::thread> workers;  ///< appended, never removed
   std::deque<std::function<void()>> jobs;
-
-  // Idle parking: workers wait for the epoch to advance.  Bumped on token
-  // pushes, posted jobs, budget-slot releases, and shutdown.
-  std::mutex park_mutex;
-  std::condition_variable park_cv;
-  std::uint64_t epoch = 0;
+  std::vector<TaskGroup*> open;  ///< published groups, oldest first
   bool stopping = false;
+  Clock::time_point start_time{};  ///< first worker spawn
 
-  // Counters (PoolStats).
-  std::atomic<unsigned> threads_spawned{0};
+  // Counters (PoolStats): relaxed atomics, so the inline paths and the
+  // claim loops bump them without the lock.
   std::atomic<std::size_t> dispatches{0};
   std::atomic<std::size_t> inline_runs{0};
   std::atomic<std::size_t> tasks_executed{0};
@@ -108,10 +91,7 @@ struct ExecutorPool::Impl {
   std::atomic<std::size_t> parks{0};
   std::atomic<std::size_t> posted{0};
   std::atomic<std::size_t> suppressed_exceptions{0};
-  std::atomic<std::size_t> queue_depth{0};
   std::atomic<std::int64_t> busy_ns{0};
-  std::atomic<bool> started{false};
-  Clock::time_point start_time{};
 
   unsigned resolved_budget() const {
     const unsigned budget =
@@ -119,290 +99,112 @@ struct ExecutorPool::Impl {
     return budget == 0 ? 1 : budget;
   }
 
-  void bump_epoch() {
-    {
-      const std::lock_guard<std::mutex> lock(park_mutex);
-      ++epoch;
-    }
-    park_cv.notify_all();
-  }
-
-  /// Grows the worker set to `target` threads (idempotent, monotonic).
-  void ensure_workers(unsigned target) {
-    if (worker_count.load(std::memory_order_acquire) >= target) return;
-    const std::lock_guard<std::mutex> lock(spawn_mutex);
-    if (!started.exchange(true)) start_time = Clock::now();
+  /// Grows the worker set to `target` threads.  Called with `mutex` held;
+  /// a new worker blocks on it until the caller releases it.
+  void grow(unsigned target) {
+    if (workers.empty() && target > 0) start_time = Clock::now();
     while (workers.size() < target) {
-      workers.push_back(std::make_unique<Worker>());
-      Worker* worker = workers.back().get();
-      worker->thread = std::thread([this, worker] { worker_main(*worker); });
-      threads_spawned.fetch_add(1, std::memory_order_relaxed);
-      worker_count.store(static_cast<unsigned>(workers.size()),
-                         std::memory_order_release);
+      workers.emplace_back([this] { worker_main(); });
     }
   }
 
-  /// Marks one task index finished; the last one wakes the joining caller.
-  static void complete_index(TaskGroup& group) {
-    if (group.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      const std::lock_guard<std::mutex> lock(group.mutex);
-      group.done_cv.notify_all();
-    }
+  void add_busy(Clock::time_point begin) {
+    busy_ns.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          Clock::now() - begin)
+                          .count(),
+                      std::memory_order_relaxed);
   }
 
-  /// Claims and executes task indices until the group is drained.  The
-  /// first exception cancels the group (remaining claims are skipped) and
-  /// is rethrown to the joining caller.
-  void claim_loop(TaskGroup& group, bool stolen, bool timed) {
+  /// Claims and executes task indices until none is left; returns how many
+  /// ran.  The first exception cancels the group (remaining claims are
+  /// skipped) and is rethrown by the group's caller.
+  std::size_t claim_loop(TaskGroup& group) {
+    const ScopedAmbient ambient(&group.budget);
+    std::size_t ran = 0;
     for (;;) {
       const std::size_t index =
           group.next.fetch_add(1, std::memory_order_relaxed);
-      if (index >= group.count) return;
-      if (group.cancelled.load(std::memory_order_relaxed)) {
-        complete_index(group);
-        continue;
-      }
-      const Clock::time_point begin = timed ? Clock::now() : Clock::time_point{};
+      if (index >= group.count) break;
+      if (group.cancelled.load(std::memory_order_relaxed)) continue;
       try {
-        (*group.task)(index);
+        group.task(index);
       } catch (...) {
-        bool stored = false;
-        {
-          const std::lock_guard<std::mutex> lock(group.mutex);
-          if (!group.failure) {
-            group.failure = std::current_exception();
-            stored = true;
-          }
-        }
         group.cancelled.store(true, std::memory_order_relaxed);
-        // Only the first failure reaches the group's join; count the ones
-        // the protocol drops so they are visible in PoolStats instead of
-        // vanishing.
-        if (!stored) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        // Only the first failure reaches the caller; count the ones the
+        // protocol drops so they are visible in PoolStats.
+        if (group.failure) {
           suppressed_exceptions.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          group.failure = std::current_exception();
         }
       }
-      if (timed) {
-        busy_ns.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              Clock::now() - begin)
-                              .count(),
-                          std::memory_order_relaxed);
-      }
-      tasks_executed.fetch_add(1, std::memory_order_relaxed);
-      if (stolen) steals.fetch_add(1, std::memory_order_relaxed);
-      complete_index(group);
+      ++ran;
     }
+    tasks_executed.fetch_add(ran, std::memory_order_relaxed);
+    return ran;
   }
 
-  /// A worker's attempt to join a group popped from a deque.  Fails (and
-  /// leaves the token to be re-enqueued) when the group's participant cap
-  /// or its batch budget is saturated.
-  bool try_participate(const std::shared_ptr<TaskGroup>& group, bool stolen) {
-    if (group->drained()) return true;  // stale token: nothing left to do
-    unsigned participants = group->participants.load(std::memory_order_relaxed);
-    for (;;) {
-      if (participants >= group->cap) return false;
-      if (group->participants.compare_exchange_weak(
-              participants, participants + 1, std::memory_order_relaxed)) {
-        break;
+  /// The oldest open group with an unclaimed index, a free participant
+  /// slot and a free slot in its tree's budget.  Called with `mutex` held.
+  TaskGroup* claimable() const {
+    for (TaskGroup* group : open) {
+      if (group->next.load(std::memory_order_relaxed) < group->count &&
+          group->participants < group->cap &&
+          group->budget.active < group->budget.limit) {
+        return group;
       }
     }
-    Budget& budget = *group->budget;
-    unsigned active = budget.active.load(std::memory_order_relaxed);
-    for (;;) {
-      if (active >= budget.limit) {
-        group->participants.fetch_sub(1, std::memory_order_relaxed);
-        return false;
-      }
-      if (budget.active.compare_exchange_weak(active, active + 1,
-                                              std::memory_order_relaxed)) {
-        break;
-      }
-    }
-    {
-      ScopedAmbient ambient(group->budget);
-      claim_loop(*group, stolen, /*timed=*/true);
-    }
-    budget.active.fetch_sub(1, std::memory_order_relaxed);
-    group->participants.fetch_sub(1, std::memory_order_relaxed);
-    // A freed slot may make a skipped (budget-saturated) token claimable.
-    bump_epoch();
-    return true;
+    return nullptr;
   }
 
-  /// Pushes `tokens` join invitations for `group`.  A worker pushes onto
-  /// its own deque (LIFO pops favor its freshest child work); external
-  /// callers inject into the shared queue.
-  void push_tokens(const std::shared_ptr<TaskGroup>& group,
-                   unsigned tokens, Worker* self) {
-    if (tokens == 0) return;
-    if (self != nullptr) {
-      const std::lock_guard<std::mutex> lock(self->mutex);
-      for (unsigned t = 0; t < tokens; ++t) self->deque.push_back(group);
-    } else {
-      const std::lock_guard<std::mutex> lock(inject_mutex);
-      for (unsigned t = 0; t < tokens; ++t) injection.push_back(group);
+  /// Runs posted jobs first, then helps the oldest claimable group, and
+  /// parks when there is neither.  Releasing a slot wakes nobody: this
+  /// worker rescans and takes the slot itself if any group wants it.
+  void worker_main() {
+    std::unique_lock<std::mutex> lock(mutex);
+    while (!stopping) {
+      if (!jobs.empty()) {
+        {
+          const std::function<void()> job = std::move(jobs.front());
+          jobs.pop_front();
+          lock.unlock();
+          const Clock::time_point begin = Clock::now();
+          job();
+          add_busy(begin);
+        }
+        tasks_executed.fetch_add(1, std::memory_order_relaxed);
+        lock.lock();
+      } else if (TaskGroup* group = claimable()) {
+        ++group->participants;
+        ++group->budget.active;
+        lock.unlock();
+        const Clock::time_point begin = Clock::now();
+        steals.fetch_add(claim_loop(*group), std::memory_order_relaxed);
+        add_busy(begin);
+        lock.lock();
+        --group->budget.active;
+        if (--group->participants == 1) group->left.notify_one();
+      } else {
+        parks.fetch_add(1, std::memory_order_relaxed);
+        wake.wait(lock);
+      }
     }
-    queue_depth.fetch_add(tokens, std::memory_order_relaxed);
-    bump_epoch();
   }
-
-  /// One token popped from a queue: discard if stale, execute if a slot is
-  /// free, otherwise re-inject and remember the group for this pass.
-  /// Returns true if tasks were executed.
-  bool handle_token(const std::shared_ptr<TaskGroup>& group, bool stolen,
-                    std::vector<const TaskGroup*>& skipped) {
-    queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    if (group->drained()) return false;
-    if (std::find(skipped.begin(), skipped.end(), group.get()) !=
-        skipped.end()) {
-      reinject(group);
-      return false;
-    }
-    if (try_participate(group, stolen)) return true;
-    skipped.push_back(group.get());
-    reinject(group);
-    return false;
-  }
-
-  void reinject(const std::shared_ptr<TaskGroup>& group) {
-    {
-      const std::lock_guard<std::mutex> lock(inject_mutex);
-      injection.push_back(group);
-    }
-    queue_depth.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// One scan over every work source.  Returns true if anything ran.
-  bool work_pass(Worker& self, std::vector<const TaskGroup*>& skipped) {
-    skipped.clear();
-    bool executed = false;
-
-    // Posted one-shot jobs first: they are the service's submission
-    // drainers and typically become long-running batch callers.
-    for (;;) {
-      std::function<void()> job;
-      {
-        const std::lock_guard<std::mutex> lock(inject_mutex);
-        if (jobs.empty()) break;
-        job = std::move(jobs.front());
-        jobs.pop_front();
-      }
-      const Clock::time_point begin = Clock::now();
-      job();
-      busy_ns.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            Clock::now() - begin)
-                            .count(),
-                        std::memory_order_relaxed);
-      tasks_executed.fetch_add(1, std::memory_order_relaxed);
-      executed = true;
-    }
-
-    // Own deque, newest first (depth-first into the freshest subtree).
-    for (;;) {
-      std::shared_ptr<TaskGroup> group;
-      {
-        const std::lock_guard<std::mutex> lock(self.mutex);
-        if (self.deque.empty()) break;
-        group = std::move(self.deque.back());
-        self.deque.pop_back();
-      }
-      if (handle_token(group, /*stolen=*/false, skipped)) executed = true;
-    }
-
-    // Shared injection queue, oldest first.  Bounded pops: skipped tokens
-    // cycle back to the tail, so one lap covers every distinct entry.
-    std::size_t laps;
-    {
-      const std::lock_guard<std::mutex> lock(inject_mutex);
-      laps = injection.size();
-    }
-    for (; laps > 0; --laps) {
-      std::shared_ptr<TaskGroup> group;
-      {
-        const std::lock_guard<std::mutex> lock(inject_mutex);
-        if (injection.empty()) break;
-        group = std::move(injection.front());
-        injection.pop_front();
-      }
-      if (handle_token(group, /*stolen=*/true, skipped)) executed = true;
-    }
-
-    // Steal oldest-first from the other workers (breadth-first: spread
-    // top-level batches before descending into their children).  Victims
-    // are snapshotted so no pool-wide lock is held while tasks execute
-    // (workers are append-only with stable addresses).
-    std::vector<Worker*> victims;
-    {
-      const std::lock_guard<std::mutex> spawn_lock(spawn_mutex);
-      victims.reserve(workers.size());
-      for (const auto& victim : workers) {
-        if (victim.get() != &self) victims.push_back(victim.get());
-      }
-    }
-    for (Worker* victim : victims) {
-      std::shared_ptr<TaskGroup> group;
-      {
-        const std::lock_guard<std::mutex> lock(victim->mutex);
-        if (victim->deque.empty()) continue;
-        group = std::move(victim->deque.front());
-        victim->deque.pop_front();
-      }
-      if (handle_token(group, /*stolen=*/true, skipped)) executed = true;
-    }
-    return executed;
-  }
-
-  void worker_main(Worker& self);  // defined after the thread_locals below
 };
-
-namespace {
-
-/// The worker's own record, used so a caller inside a pool task pushes
-/// child tokens onto its own deque.  Paired with the owning Impl so
-/// private test pools and the global pool cannot cross wires.
-thread_local ExecutorPool::Impl* tl_pool = nullptr;
-thread_local ExecutorPool::Impl::Worker* tl_worker = nullptr;
-
-}  // namespace
-
-void ExecutorPool::Impl::worker_main(Worker& self) {
-  tl_pool = this;
-  tl_worker = &self;
-  std::vector<const TaskGroup*> skipped;
-  for (;;) {
-    std::uint64_t seen;
-    {
-      const std::lock_guard<std::mutex> lock(park_mutex);
-      if (stopping) return;
-      seen = epoch;
-    }
-    if (work_pass(self, skipped)) continue;
-    std::unique_lock<std::mutex> lock(park_mutex);
-    if (stopping) return;
-    if (epoch == seen) {
-      parks.fetch_add(1, std::memory_order_relaxed);
-      park_cv.wait(lock, [&] { return stopping || epoch != seen; });
-      if (stopping) return;
-    }
-  }
-}
 
 ExecutorPool::ExecutorPool(unsigned budget)
     : impl_(std::make_unique<Impl>(budget)) {}
 
 ExecutorPool::~ExecutorPool() {
   {
-    const std::lock_guard<std::mutex> lock(impl_->park_mutex);
+    const std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->stopping = true;
   }
-  impl_->park_cv.notify_all();
-  // No spawn_mutex here: holding it while joining would deadlock against a
-  // worker's steal scan, and the no-run()/post()-in-flight contract means
-  // the worker set cannot grow under us.
-  for (auto& worker : impl_->workers) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
+  impl_->wake.notify_all();
+  // The no-run()/post()-in-flight contract means the worker set cannot
+  // grow while it is joined.
+  for (std::thread& worker : impl_->workers) worker.join();
 }
 
 ExecutorPool& ExecutorPool::global() {
@@ -417,31 +219,26 @@ void ExecutorPool::run(std::size_t count, const anneal::Task& task,
   if (count == 0) return;
   Impl& impl = *impl_;
 
-  // Budget resolution: nested calls (ambient budget set) join their
-  // batch's tree and may only narrow its cap; root calls open a new tree.
-  std::shared_ptr<Budget> budget = tl_budget;
-  const bool root = budget == nullptr;
-  unsigned cap;
-  if (root) {
+  // Budget resolution: nested calls (an ambient budget of this pool) join
+  // their batch's tree and may only narrow its cap; root calls open a new
+  // tree, whose one slot the caller holds.
+  Budget root{this};
+  Budget* budget = tl_budget;
+  if (budget == nullptr || budget->owner != this) {
     const unsigned pool_budget = impl.resolved_budget();
-    cap = width == 0 ? pool_budget : std::min(width, pool_budget);
-    if (cap == 0) cap = 1;
-    budget = std::make_shared<Budget>();
-    budget->limit = cap;
-  } else {
-    cap = width == 0 ? budget->limit
-                     : std::min(width, budget->limit);
-    if (cap == 0) cap = 1;
+    root.limit = width == 0 ? pool_budget : std::min(width, pool_budget);
+    budget = &root;
   }
+  const unsigned cap = std::max(
+      1u, width == 0 ? budget->limit : std::min(width, budget->limit));
 
-  // Serial subtree: run inline on the caller with a width-1 ambient
-  // budget, so descendants of a threads=1 batch stay serial too.  No
-  // queues touched, nothing spawned.
-  if (cap <= 1) {
-    auto serial = std::make_shared<Budget>();
-    serial->limit = 1;
-    serial->active.store(1, std::memory_order_relaxed);
-    ScopedAmbient ambient(std::move(serial));
+  // Inline: a serial subtree runs on the caller under a width-1 ambient
+  // budget, so descendants of a threads=1 batch stay serial too; a single
+  // task runs under the full-width ambient budget, so its children may
+  // still fan out across the tree's free slots.  No lock, no spawn.
+  if (cap == 1 || count == 1) {
+    Budget serial{this};
+    const ScopedAmbient ambient(cap == 1 ? &serial : budget);
     impl.inline_runs.fetch_add(1, std::memory_order_relaxed);
     for (std::size_t i = 0; i < count; ++i) {
       task(i);
@@ -450,79 +247,40 @@ void ExecutorPool::run(std::size_t count, const anneal::Task& task,
     return;
   }
 
-  // Single task: execute inline, but under the full-width ambient budget
-  // (a size-1 fan spawns nothing at THIS level; its children may still
-  // fan out across the tree's remaining slots).
-  if (count == 1) {
-    if (root) budget->active.fetch_add(1, std::memory_order_relaxed);
-    ScopedAmbient ambient(budget);
-    impl.inline_runs.fetch_add(1, std::memory_order_relaxed);
-    try {
-      task(0);
-    } catch (...) {
-      if (root) {
-        budget->active.fetch_sub(1, std::memory_order_relaxed);
-        impl.bump_epoch();
-      }
-      impl.tasks_executed.fetch_add(1, std::memory_order_relaxed);
-      throw;
-    }
-    impl.tasks_executed.fetch_add(1, std::memory_order_relaxed);
-    if (root) {
-      budget->active.fetch_sub(1, std::memory_order_relaxed);
-      impl.bump_epoch();
-    }
-    return;
+  // Parallel fork-join: publish once, wake every parked worker, claim
+  // alongside the helpers, close the group and wait for its helpers.
+  TaskGroup group{task, count,
+                  static_cast<unsigned>(std::min<std::size_t>(cap, count)),
+                  *budget};
+  {
+    const std::lock_guard<std::mutex> lock(impl.mutex);
+    impl.grow(impl.resolved_budget() - 1);
+    impl.open.push_back(&group);
   }
-
-  // Parallel fork-join.
-  const unsigned group_cap =
-      static_cast<unsigned>(std::min<std::size_t>(cap, count));
-  auto group = std::make_shared<TaskGroup>();
-  group->task = &task;
-  group->count = count;
-  group->cap = group_cap;
-  group->budget = budget;
-  group->remaining.store(count, std::memory_order_relaxed);
-  group->participants.store(1, std::memory_order_relaxed);  // the caller
-
-  // The caller holds one tree slot while it participates; helpers claim
-  // the rest.  Root acquisition always succeeds (the tree is empty).
-  if (root) budget->active.fetch_add(1, std::memory_order_relaxed);
-
-  impl.ensure_workers(impl.resolved_budget() - 1);
   impl.dispatches.fetch_add(1, std::memory_order_relaxed);
-  impl.push_tokens(group, group_cap - 1,
-                   tl_pool == &impl ? tl_worker : nullptr);
-
+  impl.wake.notify_all();
+  impl.claim_loop(group);
+  std::exception_ptr failure;
   {
-    ScopedAmbient ambient(budget);
-    impl.claim_loop(*group, /*stolen=*/false, /*timed=*/false);
+    std::unique_lock<std::mutex> lock(impl.mutex);
+    impl.open.erase(std::find(impl.open.begin(), impl.open.end(), &group));
+    group.left.wait(lock, [&] { return group.participants == 1; });
+    failure = group.failure;
   }
-  {
-    std::unique_lock<std::mutex> lock(group->mutex);
-    group->done_cv.wait(lock, [&] {
-      return group->remaining.load(std::memory_order_acquire) == 0;
-    });
-  }
-  if (root) {
-    budget->active.fetch_sub(1, std::memory_order_relaxed);
-    impl.bump_epoch();
-  }
-  if (group->failure) std::rethrow_exception(group->failure);
+  if (failure) std::rethrow_exception(failure);
 }
 
 void ExecutorPool::post(std::function<void()> job) {
   Impl& impl = *impl_;
-  // Posted work cannot run on the caller, so even a budget-1 pool keeps
-  // one worker for it.
-  impl.ensure_workers(std::max(1u, impl.resolved_budget() - 1));
   {
-    const std::lock_guard<std::mutex> lock(impl.inject_mutex);
+    const std::lock_guard<std::mutex> lock(impl.mutex);
+    // Posted work cannot run on the caller, so even a budget-1 pool keeps
+    // one worker for it.
+    impl.grow(std::max(1u, impl.resolved_budget() - 1));
     impl.jobs.push_back(std::move(job));
   }
   impl.posted.fetch_add(1, std::memory_order_relaxed);
-  impl.bump_epoch();
+  impl.wake.notify_one();
 }
 
 anneal::Executor ExecutorPool::executor(unsigned width) {
@@ -535,8 +293,20 @@ PoolStats ExecutorPool::stats() const {
   const Impl& impl = *impl_;
   PoolStats out;
   out.budget = impl.resolved_budget();
-  out.threads_spawned = impl.threads_spawned.load(std::memory_order_relaxed);
-  out.workers_alive = impl.worker_count.load(std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(impl.mutex);
+    out.threads_spawned = static_cast<unsigned>(impl.workers.size());
+    out.queue_depth = static_cast<std::size_t>(
+        std::count_if(impl.open.begin(), impl.open.end(), [](TaskGroup* g) {
+          return g->next.load(std::memory_order_relaxed) < g->count;
+        }));
+    if (!impl.workers.empty()) {
+      out.up_seconds =
+          std::chrono::duration<double>(Clock::now() - impl.start_time)
+              .count();
+    }
+  }
+  out.workers_alive = out.threads_spawned;
   out.dispatches = impl.dispatches.load(std::memory_order_relaxed);
   out.inline_runs = impl.inline_runs.load(std::memory_order_relaxed);
   out.tasks_executed = impl.tasks_executed.load(std::memory_order_relaxed);
@@ -545,17 +315,10 @@ PoolStats ExecutorPool::stats() const {
   out.posted = impl.posted.load(std::memory_order_relaxed);
   out.suppressed_exceptions =
       impl.suppressed_exceptions.load(std::memory_order_relaxed);
-  out.queue_depth = impl.queue_depth.load(std::memory_order_relaxed);
   out.busy_seconds =
       static_cast<double>(impl.busy_ns.load(std::memory_order_relaxed)) * 1e-9;
-  if (impl.started.load(std::memory_order_acquire)) {
-    out.up_seconds = std::chrono::duration<double>(Clock::now() -
-                                                   impl.start_time)
-                         .count();
-    if (out.workers_alive > 0 && out.up_seconds > 0.0) {
-      out.utilization =
-          out.busy_seconds / (out.up_seconds * out.workers_alive);
-    }
+  if (out.workers_alive > 0 && out.up_seconds > 0.0) {
+    out.utilization = out.busy_seconds / (out.up_seconds * out.workers_alive);
   }
   return out;
 }

@@ -1,4 +1,4 @@
-// One persistent, machine-wide, work-stealing executor.
+// One persistent, machine-wide executor.
 //
 // Before this pool, every scheduling layer owned its own threads: each
 // run_batch() call spawned and joined a vector of std::threads, each
@@ -10,12 +10,14 @@
 // started pool of core::thread_budget() − 1 workers plus the calling
 // thread:
 //
-//   * per-worker deques + a shared injection queue: a thread submitting
-//     child work pushes tokens onto its own deque (LIFO — depth-first,
-//     cache-warm), idle workers steal oldest-first (breadth-first, so
-//     top-level batches spread before their children);
+//   * one list of open task groups, oldest first, under one mutex: run()
+//     publishes its group once and wakes the parked workers with one
+//     broadcast; an idle worker runs a posted job first, otherwise it
+//     joins the oldest group that still has an unclaimed index, a free
+//     participant slot and a free slot in its tree's budget, so top-level
+//     batches spread before their children;
 //   * caller participation: run() executes tasks on the calling thread
-//     too, so a width-1 or single-task dispatch touches no queue and
+//     too, so a width-1 or single-task dispatch touches no lock and
 //     spawns nothing, and a blocked fork-join can never deadlock waiting
 //     for its own worker;
 //   * two-level task trees: a task may itself call run() — the nested
@@ -23,8 +25,9 @@
 //     of R-replica runs exposes runs×R-way parallelism while the whole
 //     tree still respects one width cap (BatchParams::threads budgets the
 //     tree, not one level);
-//   * idle parking: workers with nothing claimable park on a condition
-//     variable and wake on new tokens, budget-slot releases, or shutdown;
+//   * idle parking: workers with nothing claimable park on one condition
+//     variable; a publish wakes them all, a post() wakes one, and a
+//     worker that leaves a group rescans itself instead of waking others;
 //   * observability: dispatch/steal/task/park counters, queue depth, and
 //     worker busy-time utilization (PoolStats), surfaced through
 //     service::Service::stats() and the sched bench.
@@ -52,10 +55,10 @@ struct PoolStats {
   unsigned budget = 0;           ///< resolved thread budget (workers + caller)
   unsigned threads_spawned = 0;  ///< worker threads ever constructed
   unsigned workers_alive = 0;    ///< workers currently joinable
-  std::size_t dispatches = 0;    ///< run() calls fanned out through the queues
+  std::size_t dispatches = 0;    ///< run() calls published to the open list
   std::size_t inline_runs = 0;   ///< run() calls satisfied serially inline
   std::size_t tasks_executed = 0;  ///< individual task indices completed
-  std::size_t steals = 0;  ///< tasks executed via a foreign deque / injection
+  std::size_t steals = 0;  ///< task indices run by a helper worker
   std::size_t parks = 0;   ///< worker idle-park events
   std::size_t posted = 0;  ///< one-shot jobs accepted via post()
   /// Secondary task exceptions dropped by the first-exception protocol: a
@@ -64,15 +67,15 @@ struct PoolStats {
   /// without a trace.  A nonzero delta across a solve means a real error
   /// was masked by the one that got reported.
   std::size_t suppressed_exceptions = 0;
-  std::size_t queue_depth = 0;  ///< group tokens currently enqueued
+  std::size_t queue_depth = 0;  ///< open groups with unclaimed indices
   double busy_seconds = 0.0;    ///< Σ worker time spent inside tasks
   double up_seconds = 0.0;      ///< wall clock since the first worker spawn
   double utilization = 0.0;     ///< busy / (workers_alive × up); 0 when cold
 };
 
-/// The persistent work-stealing pool.  All public methods are
-/// thread-safe.  One process-wide instance (global()) serves every
-/// scheduler; tests may construct private pools with explicit budgets.
+/// The persistent pool.  All public methods are thread-safe.  One
+/// process-wide instance (global()) serves every scheduler; tests may
+/// construct private pools with explicit budgets.
 class ExecutorPool {
  public:
   /// `budget` caps total schedulable threads (workers + one participating
@@ -92,15 +95,16 @@ class ExecutorPool {
   /// after all have completed; the first task exception is rethrown after
   /// the join (remaining tasks are skipped).  The calling thread
   /// participates, so count == 1 or an effective width of 1 runs inline
-  /// with no queue traffic and no thread spawns.
+  /// with no lock and no thread spawns.
   ///
   /// `width` caps how many threads execute this group concurrently
-  /// (0 = the pool budget).  Called from inside a pool task, the group
-  /// joins the ambient batch budget: the whole task tree — e.g. a
+  /// (0 = the pool budget).  Called from inside a task of this pool, the
+  /// group joins the ambient batch budget: the whole task tree — e.g. a
   /// tempered batch's runs and their replica segments — shares one
   /// concurrency cap, which is what keeps K concurrent batches from
   /// multiplying into oversubscription.  A nested width only narrows
-  /// further (min with the ambient cap); it never widens the tree.
+  /// further (min with the ambient cap); it never widens the tree.  A
+  /// call from a task of another pool opens a new tree here.
   void run(std::size_t count, const anneal::Task& task, unsigned width = 0);
 
   /// Fire-and-forget one-shot job on a pool worker (the service's async
@@ -118,12 +122,8 @@ class ExecutorPool {
   /// Scheduler counters at this instant.
   PoolStats stats() const;
 
-  /// Opaque implementation.  Public only so the translation unit's
-  /// thread-local worker registration can name it; there is no out-of-TU
-  /// definition to reach.
-  struct Impl;
-
  private:
+  struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 

@@ -1,4 +1,4 @@
-#include "cop/knapsack.hpp"
+#include "support/knapsack_dp.hpp"
 
 #include <gtest/gtest.h>
 

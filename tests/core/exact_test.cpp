@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cop/knapsack.hpp"
+#include "support/knapsack_dp.hpp"
 
 namespace hycim::core {
 namespace {

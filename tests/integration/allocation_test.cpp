@@ -4,7 +4,9 @@
 // the dense word-parallel kernel, the sparse kernel, and the
 // filter-incidence grouping that sits inside the constrained proposal
 // path — and a whole solve's allocation count does not grow with its
-// length, exchange barriers included.
+// length, exchange barriers included.  A fan through a warm
+// runtime::ExecutorPool allocates at most its task group and its tree's
+// budget.
 //
 // Enforced the blunt way: this binary replaces global operator new/delete
 // with counting malloc wrappers (one executable per test file, so the
@@ -26,6 +28,7 @@
 #include "cop/mdkp.hpp"
 #include "core/hycim_solver.hpp"
 #include "qubo/qubo_matrix.hpp"
+#include "runtime/executor_pool.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -217,6 +220,40 @@ TEST(AllocationFree, IncidenceGroupingSteadyState) {
   }
   EXPECT_EQ(allocation_count() - before, 0u);
   EXPECT_GT(touched_total, 0u);
+}
+
+TEST(AllocationFree, PoolDispatchAllocatesOnlyItsGroup) {
+  // A fan through a warm ExecutorPool may allocate its task group and, at
+  // the root, its tree's budget, but nothing per worker pass, claim or
+  // park: at most 2 allocations per root fan, and one more per nested fan.
+  // (The pool keeps both on the caller's stack, so it reads 0 here.)
+  runtime::ExecutorPool pool(4);
+  std::atomic<std::size_t> sink{0};
+  const anneal::Task add = [&](std::size_t i) {
+    sink.fetch_add(i, std::memory_order_relaxed);
+  };
+  const anneal::Task fan = [&](std::size_t) { pool.run(8, add); };
+  for (int warmup = 0; warmup < 50; ++warmup) {
+    pool.run(8, add);
+    pool.run(2, fan);
+  }
+  const auto per_call = [](std::size_t allocations, std::size_t calls) {
+    return static_cast<double>(allocations) / static_cast<double>(calls);
+  };
+
+  constexpr std::size_t kFlatFans = 2000;
+  std::size_t before = allocation_count();
+  for (std::size_t call = 0; call < kFlatFans; ++call) pool.run(8, add);
+  const double flat = per_call(allocation_count() - before, kFlatFans);
+  EXPECT_LE(flat, 2.0) << flat << " allocations per 8-task root fan";
+
+  constexpr std::size_t kNestedFans = 500;
+  before = allocation_count();
+  for (std::size_t call = 0; call < kNestedFans; ++call) pool.run(2, fan);
+  const double nested = per_call(allocation_count() - before, kNestedFans);
+  EXPECT_LE(nested, 4.0) << nested
+                         << " allocations per 2-task root fan of 8-task fans";
+  EXPECT_GT(sink.load(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// The persistent work-stealing executor: exactly-once execution, caller
-// participation, budget caps across nested task trees, zero steady-state
-// thread spawns, exception propagation, observability counters — and the
-// scheduling-independence (chaos) half of the determinism contract.
+// The persistent shared executor (one locked list of open task groups):
+// exactly-once execution, caller participation, budget caps across nested
+// task trees, zero steady-state thread spawns, exception propagation,
+// observability counters — and the scheduling-independence (chaos) half
+// of the determinism contract.
 #include "runtime/executor_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -204,6 +205,23 @@ TEST(ExecutorPool, NestedWidthNarrowsButNeverWidens) {
       },
       /*width=*/2);
   EXPECT_LE(peak.load(), 2);
+}
+
+TEST(ExecutorPool, NestedCallIntoAnotherPoolOpensItsOwnTree) {
+  // A budget belongs to the pool whose lock guards it: a fan on `inner`
+  // from a task of `outer`'s serial tree opens a 4-wide tree of its own.
+  ExecutorPool outer(4);
+  ExecutorPool inner(4);
+  std::atomic<int> ran{0};
+  outer.run(
+      2,
+      [&](std::size_t) {
+        inner.run(8, [&](std::size_t) { ran.fetch_add(1); });
+      },
+      /*width=*/1);
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(inner.stats().dispatches, 2u);
+  EXPECT_EQ(inner.stats().inline_runs, 0u);
 }
 
 TEST(ExecutorPool, ZeroThreadSpawnsInSteadyState) {

@@ -30,7 +30,7 @@ CASES = [
      lambda v: v - 2, 0),
     ("BENCH_fig10.json", "protocol.iterations", lambda v: v + 1, 1),
     ("BENCH_fig10.json", "protocol.threads", lambda v: v + 4, 0),
-    ("BENCH_fig10.json", "summary.hycim_wall_seconds", lambda v: v * 10, 0),
+    ("BENCH_fig10.json", "summary.wall_seconds", lambda v: v * 10, 0),
     ("BENCH_sched.json", "measurements.0.tasks_executed", lambda v: v + 1, 1),
     ("BENCH_sched.json", "measurements.2.identical_to_serial",
      lambda v: False, 1),

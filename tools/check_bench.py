@@ -40,7 +40,7 @@ RULES = {
         "rows": "per_instance",
         "row_equal": ("hycim.qubo_computations",),
         "row_max_drop": ("hycim.success_rate_percent",),
-        "info": ("summary.hycim_wall_seconds",),
+        "info": ("summary.wall_seconds",),
     },
     "sched_scaling": {
         "rows": "measurements",
