@@ -141,7 +141,11 @@ double calibrate_t0(SaProblem& problem, util::Rng& rng);
 /// params.t0 == 0, calibrates T0 from the walk's own rng — exactly the
 /// consumption order simulated_annealing() has always used, so the single
 /// walk is bit-identical to the pre-refactor engine.
-class SaWalk {
+///
+/// Cache-line aligned: a ladder keeps its walks side by side and advances
+/// them on different threads, and every proposal writes a walk's rng state
+/// and counters.
+class alignas(64) SaWalk {
  public:
   /// Schedule-driven walk (validates `params`; throws std::invalid_argument
   /// on an x0 size mismatch or a problem with no variables).

@@ -47,6 +47,12 @@ struct QuantizedQubo {
 /// exactness; otherwise values are scaled to use the full range.
 QuantizedQubo quantize(const qubo::QuboMatrix& q, int max_bits);
 
+/// quantize(q, max_bits) without its values: the same passes and the same
+/// exactness rule fill n, scale, magnitude_bits, nonzeros, exact and
+/// offset, but `values` stays empty and nothing is allocated.  Lets a
+/// reader decide whether it needs the quantized copy at all.
+QuantizedQubo measure_quantization(const qubo::QuboMatrix& q, int max_bits);
+
 /// Extracts bit plane `bit` of the positive (sign=+1) or negative (sign=-1)
 /// coefficients: result[i*n + j] = 1 iff bit `bit` of |value(i,j)| is set,
 /// the sign matches, and i <= j (lower triangle is all zero, as drawn in

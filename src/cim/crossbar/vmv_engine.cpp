@@ -11,18 +11,28 @@ VmvEngine::VmvEngine(const VmvEngineParams& params, qubo::FrozenQuboPtr q)
     : params_(params),
       n_(q->size()),
       original_(std::move(q)),
-      quantized_(std::make_shared<const QuantizedQubo>(
-          quantize(original_->matrix(), params.matrix_bits))),
-      eval_(params.mode == VmvMode::kIdeal ? original_
-                                           : quantized_->dequantize(original_)),
+      quantized_(std::make_shared<Quantization>()),
       reprogram_rng_(params.fab_seed ^ 0x5bd1e995ULL) {
+  // The circuit programs its crossbars from the quantized values, and an
+  // inexact kQuantized matrix is dequantized from them; everywhere else one
+  // measuring pass is all the construction needs.
+  QuantizedQubo measured;
+  const QuantizedQubo* shape = &measured;
+  if (params_.mode == VmvMode::kCircuit) {
+    shape = &quantized();
+  } else {
+    measured = measure_quantization(original_->matrix(), params_.matrix_bits);
+  }
+  magnitude_bits_ = shape->magnitude_bits;
+  eval_ = params_.mode == VmvMode::kIdeal || shape->exact
+              ? original_
+              : quantized().dequantize(original_);
   // Resolve the bound-state kernel from the density of the matrix the
   // hardware actually stores (zeros can only grow under quantization).
-  const double density =
-      quantized_->values.empty()
-          ? 0.0
-          : static_cast<double>(quantized_->nonzeros) /
-                static_cast<double>(quantized_->values.size());
+  const std::size_t cells = original_->matrix().packed().size();
+  const double density = cells == 0 ? 0.0
+                                    : static_cast<double>(shape->nonzeros) /
+                                          static_cast<double>(cells);
   kernel_ = qubo::resolve_kernel(params_.kernel, density);
 
   if (params_.mode != VmvMode::kCircuit) return;
@@ -36,7 +46,7 @@ VmvEngine::VmvEngine(const VmvEngineParams& params, qubo::FrozenQuboPtr q)
     sp_offsets_.assign(n_ + 1, 0);
     for (std::size_t k = 0; k < n_; ++k) {
       for (std::size_t j = k; j < n_; ++j) {
-        if (quantized_->at(k, j) != 0) ++sp_offsets_[k + 1];
+        if (circuit_q().at(k, j) != 0) ++sp_offsets_[k + 1];
       }
     }
     for (std::size_t k = 0; k < n_; ++k) sp_offsets_[k + 1] += sp_offsets_[k];
@@ -44,7 +54,7 @@ VmvEngine::VmvEngine(const VmvEngineParams& params, qubo::FrozenQuboPtr q)
     std::size_t cursor = 0;
     for (std::size_t k = 0; k < n_; ++k) {
       for (std::size_t j = k; j < n_; ++j) {
-        if (quantized_->at(k, j) != 0) {
+        if (circuit_q().at(k, j) != 0) {
           sp_cols_[cursor++] = static_cast<std::uint32_t>(j);
         }
       }
@@ -56,11 +66,11 @@ VmvEngine::VmvEngine(const VmvEngineParams& params, qubo::FrozenQuboPtr q)
   // Calibrate the ADC LSB to the nominal cell current once the corner is
   // known; build one positive and one negative crossbar per magnitude bit.
   AdcParams adc = params_.adc;
-  for (int b = 0; b < quantized_->magnitude_bits; ++b) {
+  for (int b = 0; b < magnitude_bits_; ++b) {
     pos_planes_.emplace_back(params_.crossbar, n_, n_,
-                             bit_plane(*quantized_, b, +1), *fab_);
+                             bit_plane(circuit_q(), b, +1), *fab_);
     neg_planes_.emplace_back(params_.crossbar, n_, n_,
-                             bit_plane(*quantized_, b, -1), *fab_);
+                             bit_plane(circuit_q(), b, -1), *fab_);
   }
   if (!pos_planes_.empty()) {
     adc.i_lsb = pos_planes_.front().nominal_cell_current();
@@ -77,6 +87,7 @@ VmvEngine::VmvEngine(const VmvEngine& other)
       n_(other.n_),
       original_(other.original_),
       quantized_(other.quantized_),
+      magnitude_bits_(other.magnitude_bits_),
       eval_(other.eval_),
       pos_planes_(other.pos_planes_),
       neg_planes_(other.neg_planes_),
@@ -100,13 +111,20 @@ VmvEngine::VmvEngine(const VmvEngine& other)
       trial_cols_(other.trial_cols_),
       trial_col_codes_(other.trial_col_codes_) {}
 
+const QuantizedQubo& VmvEngine::quantized() const {
+  std::call_once(quantized_->built, [this] {
+    quantized_->matrix = quantize(original_->matrix(), params_.matrix_bits);
+  });
+  return quantized_->matrix;
+}
+
 double VmvEngine::energy(std::span<const std::uint8_t> x) {
   if (x.size() != n_) throw std::invalid_argument("VmvEngine::energy: size");
   switch (params_.mode) {
     case VmvMode::kIdeal:
       return original_->energy(x);
     case VmvMode::kQuantized:
-      return quantized_->energy(x);
+      return quantized().energy(x);
     case VmvMode::kCircuit:
       return circuit_energy(x);
   }
@@ -122,7 +140,7 @@ long long VmvEngine::convert_columns(std::span<const std::uint8_t> x,
   // paths convert in this exact order, so the ADC noise stream (and the
   // clip counter) advance identically on either path.
   long long acc = 0;
-  const int bits = quantized_->magnitude_bits;
+  const int bits = magnitude_bits_;
   for (std::size_t j = 0; j < n_; ++j) {
     if (!x[j]) continue;
     for (int b = 0; b < bits; ++b) {
@@ -137,13 +155,13 @@ long long VmvEngine::convert_columns(std::span<const std::uint8_t> x,
 }
 
 double VmvEngine::circuit_energy(std::span<const std::uint8_t> x) {
-  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits_);
   const long long acc =
       convert_columns(x, [&](std::size_t p, std::size_t j) {
         return p < bits ? pos_planes_[p].column_current(x, j)
                         : neg_planes_[p - bits].column_current(x, j);
       });
-  return static_cast<double>(acc) * quantized_->scale + quantized_->offset;
+  return static_cast<double>(acc) * circuit_q().scale + circuit_q().offset;
 }
 
 void VmvEngine::bind(std::span<const std::uint8_t> x) {
@@ -168,7 +186,7 @@ void VmvEngine::reconvert_all_columns() {
   // Same conversion order as convert_columns (ascending selected column,
   // per-plane pos then neg), so bind() digitizes identically under either
   // kernel; additionally records each column's own shift-added code.
-  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits_);
   col_acc_.assign(n_, 0);
   long long acc = 0;
   for (std::size_t j = 0; j < n_; ++j) {
@@ -203,7 +221,7 @@ void VmvEngine::collect_affected(std::span<const std::size_t> flips) {
 }
 
 double VmvEngine::trial_sparse(std::span<const std::size_t> flips) {
-  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits_);
   collect_affected(flips);
   long long acc = bound_acc_;
   trial_col_codes_.clear();
@@ -219,7 +237,7 @@ double VmvEngine::trial_sparse(std::span<const std::size_t> flips) {
         double pos = currents_[b * n_ + j];
         double neg = currents_[(bits + b) * n_ + j];
         for (const std::size_t k : flips) {
-          if (k > j || quantized_->at(k, j) == 0) continue;
+          if (k > j || circuit_q().at(k, j) == 0) continue;
           const double sign = bound_x_[k] ? -1.0 : 1.0;
           pos += sign * pos_planes_[b].row_toggle_delta(k, j);
           neg += sign * neg_planes_[b].row_toggle_delta(k, j);
@@ -234,11 +252,11 @@ double VmvEngine::trial_sparse(std::span<const std::size_t> flips) {
   trial_flips_.assign(flips.begin(), flips.end());
   trial_acc_ = acc;
   trial_valid_ = true;
-  return static_cast<double>(acc) * quantized_->scale + quantized_->offset;
+  return static_cast<double>(acc) * circuit_q().scale + circuit_q().offset;
 }
 
 void VmvEngine::apply_sparse(std::span<const std::size_t> flips) {
-  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits_);
   const bool adopt_trial =
       trial_valid_ && std::equal(flips.begin(), flips.end(),
                                  trial_flips_.begin(), trial_flips_.end());
@@ -293,7 +311,7 @@ void VmvEngine::apply_sparse(std::span<const std::size_t> flips) {
 }
 
 void VmvEngine::rebuild_bound_currents() {
-  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits_);
   currents_.resize(2 * bits * n_);
   for (std::size_t p = 0; p < bits; ++p) {
     for (std::size_t j = 0; j < n_; ++j) {
@@ -314,8 +332,8 @@ void VmvEngine::unbind() {
 
 double VmvEngine::bound_energy() const {
   if (!bound_) throw std::logic_error("VmvEngine::bound_energy: not bound");
-  return static_cast<double>(bound_acc_) * quantized_->scale +
-         quantized_->offset;
+  return static_cast<double>(bound_acc_) * circuit_q().scale +
+         circuit_q().offset;
 }
 
 const std::vector<std::uint8_t>& VmvEngine::bound_input() const {
@@ -326,7 +344,7 @@ const std::vector<std::uint8_t>& VmvEngine::bound_input() const {
 double VmvEngine::trial(std::span<const std::size_t> flips) {
   if (!bound_) throw std::logic_error("VmvEngine::trial: not bound");
   if (kernel_ == qubo::Kernel::kSparse) return trial_sparse(flips);
-  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits_);
   trial_x_.assign(bound_x_.begin(), bound_x_.end());
   for (const std::size_t k : flips) {
     if (k >= n_) {
@@ -348,7 +366,7 @@ double VmvEngine::trial(std::span<const std::size_t> flips) {
   trial_flips_.assign(flips.begin(), flips.end());
   trial_acc_ = acc;
   trial_valid_ = true;
-  return static_cast<double>(acc) * quantized_->scale + quantized_->offset;
+  return static_cast<double>(acc) * circuit_q().scale + circuit_q().offset;
 }
 
 void VmvEngine::apply(std::span<const std::size_t> flips) {
@@ -357,7 +375,7 @@ void VmvEngine::apply(std::span<const std::size_t> flips) {
     apply_sparse(flips);
     return;
   }
-  const auto bits = static_cast<std::size_t>(quantized_->magnitude_bits);
+  const auto bits = static_cast<std::size_t>(magnitude_bits_);
   const bool adopt_trial =
       trial_valid_ && std::equal(flips.begin(), flips.end(),
                                  trial_flips_.begin(), trial_flips_.end());

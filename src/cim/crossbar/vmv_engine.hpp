@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -58,7 +59,9 @@ struct VmvEngineParams {
 class VmvEngine {
  public:
   /// Quantizes `q` and, in kCircuit mode, fabricates and programs the
-  /// bit-plane crossbars.
+  /// bit-plane crossbars.  Outside kCircuit an exact quantization is only
+  /// measured (cim::measure_quantization): its values are the original's,
+  /// so no quantized copy is made until quantized() is asked for.
   VmvEngine(const VmvEngineParams& params, qubo::FrozenQuboPtr q);
 
   ~VmvEngine();
@@ -66,10 +69,10 @@ class VmvEngine {
   VmvEngine& operator=(VmvEngine&&) noexcept;
 
   /// Copy: duplicates the fabricated crossbars, ADC, and bound state, and
-  /// shares the read-only matrices (original, quantized, evaluation).  A
-  /// copy behaves exactly like re-fabricating with the same seeds, minus
-  /// the fabrication cost — the "program once, solve many" hook for batch
-  /// protocols.
+  /// shares the read-only matrices (original, quantized — built or not —
+  /// and evaluation).  A copy behaves exactly like re-fabricating with the
+  /// same seeds, minus the fabrication cost — the "program once, solve
+  /// many" hook for batch protocols.
   VmvEngine(const VmvEngine& other);
 
   /// QUBO energy of configuration `x` at the configured fidelity
@@ -117,17 +120,21 @@ class VmvEngine {
   /// The matrix this engine was programmed from.
   const qubo::FrozenQubo& original() const { return *original_; }
 
-  /// The quantized matrix actually mapped to the hardware.
-  const QuantizedQubo& quantized() const { return *quantized_; }
+  /// The quantized matrix actually mapped to the hardware.  Built at
+  /// construction in kCircuit mode or when the quantization is inexact;
+  /// otherwise on the first call (thread-safe), once for this engine and
+  /// every copy of it.
+  const QuantizedQubo& quantized() const;
 
   /// The matrix an incremental evaluator walks to reproduce this engine's
   /// energies outside kCircuit: the original under kIdeal, the dequantized
   /// matrix otherwise — the original itself, shared, when the
-  /// quantization is exact.
+  /// quantization is exact (then no quantized copy exists at all unless
+  /// quantized() is called).
   const qubo::FrozenQuboPtr& eval_matrix() const { return eval_; }
 
   /// Magnitude bits per element stored in the crossbars.
-  int magnitude_bits() const { return quantized_->magnitude_bits; }
+  int magnitude_bits() const { return magnitude_bits_; }
 
   /// The resolved bound-state kernel (kDense or kSparse, never kAuto).
   qubo::Kernel kernel() const { return kernel_; }
@@ -161,10 +168,20 @@ class VmvEngine {
   long long convert_columns(std::span<const std::uint8_t> x,
                             CurrentFn&& current_of);
 
+  /// The quantized matrix, built at most once and shared by copies.
+  struct Quantization {
+    std::once_flag built;
+    QuantizedQubo matrix;
+  };
+
+  /// The built quantization on the kCircuit paths (built at construction).
+  const QuantizedQubo& circuit_q() const { return quantized_->matrix; }
+
   VmvEngineParams params_;
   std::size_t n_ = 0;
   qubo::FrozenQuboPtr original_;
-  std::shared_ptr<const QuantizedQubo> quantized_;
+  std::shared_ptr<Quantization> quantized_;
+  int magnitude_bits_ = 1;
   qubo::FrozenQuboPtr eval_;
   std::vector<CrossbarArray> pos_planes_;  // one crossbar per magnitude bit
   std::vector<CrossbarArray> neg_planes_;

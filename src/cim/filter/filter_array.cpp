@@ -18,44 +18,54 @@ FilterArray::FilterArray(const FilterArrayParams& params,
   cell_params.r_series = params_.r_series;
   cell_params.v_dd = params_.v_dd;
 
+  auto fabric = std::make_shared<Fabric>();
   auto devices = fab.fabricate(params_.fefet, params_.rows * columns_);
-  cells_.reserve(devices.size());
+  fabric->cells.reserve(devices.size());
   for (std::size_t row = 0; row < params_.rows; ++row) {
     for (std::size_t col = 0; col < columns_; ++col) {
       const std::size_t flat = row * columns_ + col;
-      cells_.emplace_back(std::move(devices[flat]), cell_params,
-                          fab.resistor_factor());
-      cells_.back().program(levels[col][row], fab.rng());
+      fabric->cells.emplace_back(std::move(devices[flat]), cell_params,
+                                 fab.resistor_factor());
+      fabric->cells.back().program(levels[col][row], fab.rng());
     }
   }
   // Ascending staircase: phase 0 applies Vread_(L-1) (lowest amplitude,
   // only the highest level conducts), the last phase applies Vread_1.
   for (int j = params_.fefet.num_levels - 1; j >= 1; --j) {
-    read_voltages_.push_back(device::FeFet::read_voltage(params_.fefet, j));
+    fabric->read_voltages.push_back(
+        device::FeFet::read_voltage(params_.fefet, j));
   }
-  rebuild_cache();
+  refabricate(std::move(fabric));
 }
 
-void FilterArray::rebuild_cache() {
-  const std::size_t phases = read_voltages_.size();
-  g_cache_.assign(phases, std::vector<double>(columns_, 0.0));
-  isat_cache_.assign(phases, std::vector<double>(columns_, 0.0));
-  isat_idle_.assign(columns_, 0.0);
-  isat_idle_total_ = 0.0;
-  for (std::size_t col = 0; col < columns_; ++col) {
-    for (std::size_t row = 0; row < params_.rows; ++row) {
-      const auto& cell = cells_[row * columns_ + col];
+void FilterArray::Fabric::measure(std::size_t rows, std::size_t columns) {
+  const std::size_t phases = read_voltages.size();
+  loads.assign(columns * phases, {});
+  isat_idle_total = 0.0;
+  for (std::size_t col = 0; col < columns; ++col) {
+    PhaseLoad* load = loads.data() + col * phases;
+    // Summed over the column's cells in row order; isink holds the OFF
+    // sink current until the idle sink is netted out below.
+    double isat_idle = 0.0;
+    for (std::size_t row = 0; row < rows; ++row) {
+      const auto& cell = cells[row * columns + col];
       for (std::size_t p = 0; p < phases; ++p) {
-        const double vg = read_voltages_[p];
-        g_cache_[p][col] += cell.conductance(vg);
-        isat_cache_[p][col] += cell.sat_current(vg);
+        const double vg = read_voltages[p];
+        load[p].g += cell.conductance(vg);
+        load[p].isink += cell.sat_current(vg);
       }
-      isat_idle_[col] += cell.sat_current(0.0);
+      isat_idle += cell.sat_current(0.0);
     }
-    isat_idle_total_ += isat_idle_[col];
+    for (std::size_t p = 0; p < phases; ++p) load[p].isink -= isat_idle;
+    isat_idle_total += isat_idle;
   }
+}
+
+void FilterArray::refabricate(std::shared_ptr<Fabric> fabric) {
+  fabric->measure(params_.rows, columns_);
+  fabric_ = std::move(fabric);
   // Device state changed (program / age): re-aggregate any bound state so
-  // the cached loads reflect the fresh per-column caches.
+  // the cached loads reflect the fresh per-column loads.
   if (bound_) rebuild_bound();
 }
 
@@ -69,21 +79,18 @@ void FilterArray::bind(std::span<const std::uint8_t> x) {
 }
 
 void FilterArray::rebuild_bound() {
-  const std::size_t phases = read_voltages_.size();
+  const std::size_t phases = this->phases();
   bound_g_.assign(phases, 0.0);
-  bound_isink_.assign(phases, 0.0);
+  bound_isink_.assign(phases, fabric_->isat_idle_total);
   // Same accumulation order as run(): per phase, selected columns in
   // ascending order — bound_voltage() is bit-identical to evaluate().
-  for (std::size_t p = 0; p < phases; ++p) {
-    double g = 0.0;
-    double i_sink = isat_idle_total_;
-    for (std::size_t col = 0; col < columns_; ++col) {
-      if (!bound_x_[col]) continue;
-      g += g_cache_[p][col];
-      i_sink += isat_cache_[p][col] - isat_idle_[col];
+  for (std::size_t col = 0; col < columns_; ++col) {
+    if (!bound_x_[col]) continue;
+    const PhaseLoad* load = column_loads(col);
+    for (std::size_t p = 0; p < phases; ++p) {
+      bound_g_[p] += load[p].g;
+      bound_isink_[p] += load[p].isink;
     }
-    bound_g_[p] = g;
-    bound_isink_[p] = i_sink;
   }
   commits_since_rebind_ = 0;
 }
@@ -107,7 +114,7 @@ double FilterArray::bound_voltage() const {
 
 double FilterArray::trial(std::span<const std::size_t> flips) const {
   if (!bound_) throw std::logic_error("FilterArray::trial: not bound");
-  const std::size_t phases = read_voltages_.size();
+  const std::size_t phases = this->phases();
   trial_g_.assign(bound_g_.begin(), bound_g_.end());
   trial_isink_.assign(bound_isink_.begin(), bound_isink_.end());
   for (const std::size_t col : flips) {
@@ -115,9 +122,10 @@ double FilterArray::trial(std::span<const std::size_t> flips) const {
       throw std::invalid_argument("FilterArray::trial: column out of range");
     }
     const double sign = bound_x_[col] ? -1.0 : 1.0;
+    const PhaseLoad* load = column_loads(col);
     for (std::size_t p = 0; p < phases; ++p) {
-      trial_g_[p] += sign * g_cache_[p][col];
-      trial_isink_[p] += sign * (isat_cache_[p][col] - isat_idle_[col]);
+      trial_g_[p] += sign * load[p].g;
+      trial_isink_[p] += sign * load[p].isink;
     }
   }
   return settle(trial_g_, trial_isink_);
@@ -125,15 +133,16 @@ double FilterArray::trial(std::span<const std::size_t> flips) const {
 
 void FilterArray::apply(std::span<const std::size_t> flips) {
   if (!bound_) throw std::logic_error("FilterArray::apply: not bound");
-  const std::size_t phases = read_voltages_.size();
+  const std::size_t phases = this->phases();
   for (const std::size_t col : flips) {
     if (col >= columns_) {
       throw std::invalid_argument("FilterArray::apply: column out of range");
     }
     const double sign = bound_x_[col] ? -1.0 : 1.0;
+    const PhaseLoad* load = column_loads(col);
     for (std::size_t p = 0; p < phases; ++p) {
-      bound_g_[p] += sign * g_cache_[p][col];
-      bound_isink_[p] += sign * (isat_cache_[p][col] - isat_idle_[col]);
+      bound_g_[p] += sign * load[p].g;
+      bound_isink_[p] += sign * load[p].isink;
     }
     bound_x_[col] ^= 1;
   }
@@ -178,14 +187,16 @@ double FilterArray::run(std::span<const std::uint8_t> x,
   // Aggregate each phase's linear conductance and current-sink loads, then
   // settle the transient — the same closed form the bound-state trial path
   // evaluates, so the two paths cannot diverge.
-  const std::size_t phases = g_cache_.size();
+  const std::size_t phases = this->phases();
   trial_g_.assign(phases, 0.0);
-  trial_isink_.assign(phases, isat_idle_total_);  // unselected leak at VG = 0
-  for (std::size_t p = 0; p < phases; ++p) {
-    for (std::size_t col = 0; col < columns_; ++col) {
-      if (!x[col]) continue;
-      trial_g_[p] += g_cache_[p][col];
-      trial_isink_[p] += isat_cache_[p][col] - isat_idle_[col];
+  // Unselected leak at VG = 0.
+  trial_isink_.assign(phases, fabric_->isat_idle_total);
+  for (std::size_t col = 0; col < columns_; ++col) {
+    if (!x[col]) continue;
+    const PhaseLoad* load = column_loads(col);
+    for (std::size_t p = 0; p < phases; ++p) {
+      trial_g_[p] += load[p].g;
+      trial_isink_[p] += load[p].isink;
     }
   }
   if (!waveform) return settle(trial_g_, trial_isink_);
@@ -216,19 +227,21 @@ double FilterArray::run(std::span<const std::uint8_t> x,
 }
 
 void FilterArray::reprogram(util::Rng& rng) {
-  for (auto& cell : cells_) {
+  auto fabric = std::make_shared<Fabric>(*fabric_);
+  for (auto& cell : fabric->cells) {
     cell.program(cell.level(), rng);
   }
-  rebuild_cache();
+  refabricate(std::move(fabric));
 }
 
 void FilterArray::age(double seconds) {
-  for (auto& cell : cells_) cell.age(seconds);
-  rebuild_cache();
+  auto fabric = std::make_shared<Fabric>(*fabric_);
+  for (auto& cell : fabric->cells) cell.age(seconds);
+  refabricate(std::move(fabric));
 }
 
 int FilterArray::cell_level(std::size_t row, std::size_t col) const {
-  return cells_.at(row * columns_ + col).level();
+  return fabric_->cells.at(row * columns_ + col).level();
 }
 
 long long FilterArray::column_weight(std::size_t col) const {

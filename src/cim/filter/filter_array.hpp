@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -51,6 +52,16 @@ struct MlSample {
 };
 
 /// A programmed m×n filter array with a shared matchline.
+///
+/// What fabrication and programming fix — the cells and the per-column
+/// matchline loads they present in each phase — lives in one immutable
+/// block that every copy of the array shares, so a copy ("same chip,
+/// fresh measurement") duplicates only the bound state and scratch.
+/// reprogram() and age() change the devices: they build a fresh block for
+/// this array alone (copy on write) and leave every other copy as it was.
+/// Copies may therefore be evaluated on different threads at once; one
+/// array, whose trial scratch is its own, is driven by one thread at a
+/// time.
 class FilterArray {
  public:
   /// Fabricates and programs the array for `weights` (one column per item).
@@ -108,10 +119,12 @@ class FilterArray {
 
   /// Re-programs every cell (erase + write), drawing fresh cycle-to-cycle
   /// noise — models the paper's Fig. 7(f) erase/reprogram experiments.
+  /// Copies of this array keep their cells.
   void reprogram(util::Rng& rng);
 
   /// Ages every cell by `seconds` of retention time (Vth drift) and
-  /// refreshes the conductance caches.
+  /// refreshes the conductance caches.  Copies of this array keep their
+  /// cells.
   void age(double seconds);
 
   /// Stored level of the cell at (row, column) — for tests.
@@ -126,14 +139,42 @@ class FilterArray {
   double nominal_unit_drop_fraction() const;
 
   /// Number of staircase phases (= num_levels − 1).
-  std::size_t phases() const { return read_voltages_.size(); }
+  std::size_t phases() const { return fabric_->read_voltages.size(); }
 
   const FilterArrayParams& params() const { return params_; }
 
  private:
+  /// One phase's matchline load of one column: the summed ON conductance
+  /// of its cells and their OFF sink current net of the same cells' idle
+  /// (VG = 0) sink — the increments a selected column adds to the
+  /// per-phase aggregates.
+  struct PhaseLoad {
+    double g = 0.0;
+    double isink = 0.0;
+  };
+
+  /// The fabricated, programmed state of an array: immutable once shared.
+  struct Fabric {
+    std::vector<device::Cell1F1R> cells;  // row-major [row * columns + col]
+    std::vector<double> read_voltages;    // ascending phase amplitudes
+    /// loads[col * phases + p]: column col's load in phase p, so one
+    /// column's loads are one contiguous row.
+    std::vector<PhaseLoad> loads;
+    double isat_idle_total = 0.0;  // every cell's sink current at VG = 0
+
+    /// Refreshes loads and isat_idle_total from the cells.
+    void measure(std::size_t rows, std::size_t columns);
+  };
+
+  /// Column col's per-phase loads (phases() entries).
+  const PhaseLoad* column_loads(std::size_t col) const {
+    return fabric_->loads.data() + col * phases();
+  }
+
   double run(std::span<const std::uint8_t> x, std::vector<MlSample>* waveform,
              int samples_per_phase) const;
-  void rebuild_cache();
+  /// Adopts freshly reprogrammed or aged devices.
+  void refabricate(std::shared_ptr<Fabric> fabric);
   void rebuild_bound();
   /// Final ML voltage of the staircase read given per-phase aggregate
   /// conductance and sink-current loads — the same closed-form transient
@@ -143,23 +184,16 @@ class FilterArray {
 
   FilterArrayParams params_;
   std::size_t columns_ = 0;
-  std::vector<device::Cell1F1R> cells_;  // row-major [row * columns + col]
-  std::vector<double> read_voltages_;    // ascending phase amplitudes
-  // Per phase p and column c: summed ON conductance and OFF sink current of
-  // the column's cells at that phase's gate voltage.
-  std::vector<std::vector<double>> g_cache_;     // [phase][col]
-  std::vector<std::vector<double>> isat_cache_;  // [phase][col]
-  std::vector<double> isat_idle_;  // per-column sink current at VG = 0
-  double isat_idle_total_ = 0.0;
+  std::shared_ptr<const Fabric> fabric_;
   // Bound state: per-phase aggregate loads of bound_x_ plus trial scratch.
   bool bound_ = false;
   std::vector<std::uint8_t> bound_x_;
   std::vector<double> bound_g_;      // [phase]
   std::vector<double> bound_isink_;  // [phase]
   std::size_t commits_since_rebind_ = 0;
-  // Per-phase scratch shared by evaluate()/trial(); makes evaluation
-  // allocation-free but means one FilterArray must not be evaluated from
-  // several threads at once (solver instances are per-run already).
+  // Per-phase scratch of evaluate()/trial(): makes evaluation
+  // allocation-free, and is why one array is driven by one thread at a
+  // time (each copy has its own).
   mutable std::vector<double> trial_g_, trial_isink_;
 };
 

@@ -69,11 +69,12 @@ class FilterBank {
              const std::vector<LinearConstraint>& equalities,
              std::size_t variables);
 
-  /// "Same chip, fresh measurement" duplicate of `proto`: copies every
-  /// fabricated filter and restarts the per-row comparator noise streams
-  /// from decision_seed the way the fabricating constructor derives them,
-  /// so a clone is bit-identical to a refabrication with that
-  /// decision_seed.  0 keeps the fab-derived default streams.
+  /// "Same chip, fresh measurement" duplicate of `proto`: clones every
+  /// filter (sharing its fabricated arrays, see InequalityFilter) and
+  /// restarts the per-row comparator noise streams from decision_seed the
+  /// way the fabricating constructor derives them, so a clone is
+  /// bit-identical to a refabrication with that decision_seed.  0 keeps
+  /// the fab-derived default streams.
   FilterBank(const FilterBank& proto, std::uint64_t decision_seed);
 
   /// Hardware verdict: true iff every filter accepts `x` (full-width x;

@@ -45,8 +45,7 @@ InequalityFilter::InequalityFilter(const InequalityFilterParams& params,
     throw std::invalid_argument(
         "InequalityFilter: an equality's margin_units must be in (0, 1)");
   }
-  fab_ = std::make_unique<device::VariationModel>(params.variation,
-                                                  params.fab_seed);
+  device::VariationModel fab(params.variation, params.fab_seed);
   const long long column_max =
       max_representable_weight(params.array.rows,
                                params.array.fefet.num_levels - 1);
@@ -57,20 +56,20 @@ InequalityFilter::InequalityFilter(const InequalityFilterParams& params,
                                   std::to_string(column_max));
     }
   }
-  working_ = std::make_unique<FilterArray>(params.array, weights_, *fab_);
+  working_ = std::make_unique<FilterArray>(params.array, weights_, fab);
   replica_ = std::make_unique<FilterArray>(
       params.array, replica_weights(capacity, weights_.size(), column_max),
-      *fab_);
+      fab);
   replica_x_.assign(weights_.size(), 1);
   decision_stream_seed_ = params.decision_seed != 0
                               ? params.decision_seed
                               : params.fab_seed * 0x9e3779b9ULL;
   if (relation == Relation::kEqual) {
-    upper_ = std::make_unique<Comparator>(params.comparator, fab_->rng(),
+    upper_ = std::make_unique<Comparator>(params.comparator, fab.rng(),
                                           decision_stream_seed_ + 1);
   }
   comparator_ = std::make_unique<Comparator>(
-      params.comparator, fab_->rng(),
+      params.comparator, fab.rng(),
       decision_stream_seed_ + (upper_ ? 2 : 0));
   margin_units_ = params.margin_units;
   refresh_thresholds();
@@ -84,7 +83,6 @@ InequalityFilter::InequalityFilter(const InequalityFilter& proto,
       working_(std::make_unique<FilterArray>(*proto.working_)),
       replica_(std::make_unique<FilterArray>(*proto.replica_)),
       replica_x_(proto.replica_x_),
-      fab_(std::make_unique<device::VariationModel>(*proto.fab_)),
       reprogram_rng_(proto.reprogram_rng_),
       replica_ml_(proto.replica_ml_),
       margin_v_(proto.margin_v_),

@@ -92,10 +92,12 @@ class InequalityFilter {
                    const std::vector<long long>& weights, long long capacity,
                    Relation relation = Relation::kAtMost);
 
-  /// "Same chip, fresh measurement": duplicates `proto`'s fabricated
-  /// arrays and comparator offsets (bit-identical to refabricating with the
-  /// same fab_seed, at the cost of a copy instead of a device-by-device
-  /// fabrication), zeroes the statistics, and restarts the comparators'
+  /// "Same chip, fresh measurement": shares `proto`'s fabricated arrays
+  /// (their cells and loads are immutable; reprogram() or age() on either
+  /// filter copies them on write) and copies its comparator offsets —
+  /// bit-identical to refabricating with the same fab_seed, for a few
+  /// small vectors instead of a device-by-device fabrication or a copy of
+  /// the cells.  It zeroes the statistics and restarts the comparators'
   /// per-decision noise streams from `decision_seed` (0 = the fab-derived
   /// default stream).  This is what lets batch protocols run N independent
   /// measurements on one programmed chip without N fabrications.
@@ -193,7 +195,6 @@ class InequalityFilter {
   std::unique_ptr<Comparator> comparator_;
   /// ML <= Replica + margin: an equality window's upper half (null for ≤).
   std::unique_ptr<Comparator> upper_;
-  std::unique_ptr<device::VariationModel> fab_;
   util::Rng reprogram_rng_;
   double replica_ml_ = 0.0;
   double margin_v_ = 0.0;

@@ -1,5 +1,6 @@
 #include "core/dqubo_onehot.hpp"
 
+#include <span>
 #include <stdexcept>
 
 namespace hycim::core {
@@ -44,45 +45,39 @@ DquboOneHotForm to_dqubo_onehot(const cop::QkpInstance& inst,
   const double alpha = params.alpha;
   const double beta = params.beta;
 
-  // Objective: −p_ij on the item block (each unordered pair once).
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      const long long p = inst.profit(i, j);
-      if (p != 0) q.add(i, j, -static_cast<double>(p));
-    }
-  }
-
-  // Penalty 1: α(1 − Σ_k y_k)² = α − α Σ_k y_k + 2α Σ_{k<l} y_k y_l.
-  q.add_offset(alpha);
-  for (std::size_t k = 0; k < cap; ++k) {
-    q.add(n + k, n + k, -alpha);
-    for (std::size_t l = k + 1; l < cap; ++l) {
-      q.add(n + k, n + l, 2.0 * alpha);
-    }
-  }
-
-  // Penalty 2: β(Σ_i w_i x_i − Σ_k k·y_k)²
-  //   = β Σ_i w_i² x_i + 2β Σ_{i<j} w_i w_j x_i x_j
+  // f1 = −Σ p_ij x_i x_j + α(1 − Σ_k y_k)² + β(Σ_i w_i x_i − Σ_k k·y_k)²
+  // expands to
+  //   α − α Σ_k y_k + 2α Σ_{k<l} y_k y_l                      (penalty 1)
+  //   + β Σ_i w_i² x_i + 2β Σ_{i<j} w_i w_j x_i x_j
   //   + β Σ_k k² y_k + 2β Σ_{k<l} k·l·y_k y_l
-  //   − 2β Σ_i Σ_k w_i·k · x_i y_k.
+  //   − 2β Σ_i Σ_k w_i·k · x_i y_k                           (penalty 2).
+  // Each packed row is written once.  A coefficient is the sum of its
+  // terms from +0.0, in the order objective, penalty 1, penalty 2 — so
+  // α = 0 or a zero profit still leaves +0.0, never −0.0.
+  q.add_offset(alpha);
   for (std::size_t i = 0; i < n; ++i) {
+    // Row i: items i..n−1, then the slack levels.  0.0 − p is −p, or +0.0
+    // for the pairs with no profit.
+    const std::span<double> row = q.row(i);
+    const long long* profit = inst.profits.data() + i * n;
     const auto wi = static_cast<double>(inst.weights[i]);
-    q.add(i, i, beta * wi * wi);
+    row[0] = (0.0 - static_cast<double>(profit[i])) + beta * wi * wi;
     for (std::size_t j = i + 1; j < n; ++j) {
-      q.add(i, j, 2.0 * beta * wi * static_cast<double>(inst.weights[j]));
+      row[j - i] = (0.0 - static_cast<double>(profit[j])) +
+                   2.0 * beta * wi * static_cast<double>(inst.weights[j]);
+    }
+    double* slack = row.data() + (n - i);
+    for (std::size_t k = 0; k < cap; ++k) {
+      slack[k] = 0.0 + -2.0 * beta * wi * static_cast<double>(k + 1);
     }
   }
   for (std::size_t k = 0; k < cap; ++k) {
+    const std::span<double> row = q.row(n + k);
     const auto level_k = static_cast<double>(k + 1);
-    q.add(n + k, n + k, beta * level_k * level_k);
+    row[0] = (0.0 - alpha) + beta * level_k * level_k;
     for (std::size_t l = k + 1; l < cap; ++l) {
-      q.add(n + k, n + l, 2.0 * beta * level_k * static_cast<double>(l + 1));
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto wi = static_cast<double>(inst.weights[i]);
-    for (std::size_t k = 0; k < cap; ++k) {
-      q.add(i, n + k, -2.0 * beta * wi * static_cast<double>(k + 1));
+      row[l - k] = (0.0 + 2.0 * alpha) +
+                   2.0 * beta * level_k * static_cast<double>(l + 1);
     }
   }
   return form;

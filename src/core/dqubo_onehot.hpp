@@ -44,8 +44,12 @@ struct DquboOneHotForm {
                  const cop::QkpInstance& inst) const;
 };
 
-/// Builds the D-QUBO one-hot form of a QKP instance.
-/// Throws std::invalid_argument if capacity < 1.
+/// Builds the D-QUBO one-hot form of a QKP instance, writing each packed
+/// row of the (n+C)×(n+C) matrix once.  Every coefficient is the sum of its
+/// objective and penalty terms from +0.0, in the order the expansion lists
+/// them — bit-identical to adding each term in its own pass.  Throws
+/// std::invalid_argument if capacity < 1, and std::length_error (from
+/// QuboMatrix) if n + C is too large for the packed triangle's size.
 DquboOneHotForm to_dqubo_onehot(const cop::QkpInstance& inst,
                                 const DquboParams& params = {});
 

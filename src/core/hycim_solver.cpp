@@ -30,7 +30,10 @@ namespace hycim::core {
 /// No per-proposal BitVector copies remain; candidates exist only as flip
 /// index sets.  check_incremental re-derives everything from scratch at
 /// every step and throws on divergence.
-class HyCimSolver::Problem final : public anneal::SaProblem {
+///
+/// Cache-line aligned: a replica's Problems are allocated back to back and
+/// walked on different threads, and every commit writes one's state.
+class alignas(64) HyCimSolver::Problem final : public anneal::SaProblem {
  public:
   explicit Problem(HyCimSolver& owner)
       : owner_(owner),
@@ -133,7 +136,7 @@ class HyCimSolver::Problem final : public anneal::SaProblem {
   /// Unique row ids touched by `m`, ascending: a flip's row list in place,
   /// or the union of a swap's two (each list is ascending and unique).
   std::span<const std::uint32_t> touched_rows(const anneal::Move& m) {
-    const auto& by_var = owner_.rows_by_var_;
+    const auto& by_var = *owner_.rows_by_var_;
     if (!m.is_swap()) return by_var[m.bits[0]];
     const auto& a = by_var[m.bits[0]];
     const auto& b = by_var[m.bits[1]];
@@ -282,13 +285,17 @@ HyCimSolver::HyCimSolver(const ConstrainedQuboForm& form,
     bank_ = std::make_unique<cim::FilterBank>(
         config_.filter, form_->constraints, form_->equalities, form_->size());
   }
-  rows_by_var_.assign(form_->size(), {});
+  auto rows_by_var =
+      std::make_shared<std::vector<std::vector<std::uint32_t>>>(form_->size());
   for (std::size_t r = 0; r < form_->rows(); ++r) {
     const auto& w = form_->row(r).weights;
     for (std::size_t k = 0; k < w.size(); ++k) {
-      if (w[k] != 0) rows_by_var_[k].push_back(static_cast<std::uint32_t>(r));
+      if (w[k] != 0) {
+        (*rows_by_var)[k].push_back(static_cast<std::uint32_t>(r));
+      }
     }
   }
+  rows_by_var_ = std::move(rows_by_var);
 }
 
 HyCimSolver::HyCimSolver(const HyCimSolver& proto,

@@ -100,14 +100,17 @@ class HyCimSolver {
   /// width is not form.size().
   HyCimSolver(const ConstrainedQuboForm& form, const HyCimConfig& config);
 
-  /// "Program once, solve many": duplicates `proto`'s fabricated hardware
-  /// (filters, crossbars) without re-running fabrication and restarts the
-  /// comparator decision-noise streams from `decision_seed` (0 keeps the
-  /// proto's streams).  Bit-identical to constructing a fresh solver from
-  /// (proto.form(), proto config with filter.decision_seed = decision_seed)
-  /// — batch protocols use this to model N independent repeated
-  /// measurements on one programmed chip at copy cost instead of N
-  /// fabrications.
+  /// "Program once, solve many": a fresh measurement on `proto`'s
+  /// fabricated hardware without re-running fabrication.  The clone shares
+  /// everything fabrication fixed — the form, the frozen matrices, the
+  /// filter arrays' cells and loads, the row incidence — and copies only
+  /// what a walk mutates: bound states, scratch, comparator noise streams
+  /// (restarted from `decision_seed`; 0 keeps the proto's streams) and, in
+  /// kCircuit mode, the crossbars.  Bit-identical to constructing a fresh
+  /// solver from (proto.form(), proto config with filter.decision_seed =
+  /// decision_seed) — batch protocols use this to model N independent
+  /// repeated measurements on one programmed chip for a few kilobytes
+  /// each instead of N fabrications.
   HyCimSolver(const HyCimSolver& proto, std::uint64_t decision_seed);
 
   ~HyCimSolver();
@@ -187,8 +190,9 @@ class HyCimSolver {
   // (ConstrainedQuboForm::row order) whose weights contain it, so per-flip
   // totals updates and feasibility trials touch O(incidence) rows instead
   // of all of them (the MDKP / bin-packing win; a QKP has one
-  // all-variables row and is unaffected).
-  std::vector<std::vector<std::uint32_t>> rows_by_var_;
+  // all-variables row and is unaffected).  Fixed by the form, so every
+  // clone shares it.
+  std::shared_ptr<const std::vector<std::vector<std::uint32_t>>> rows_by_var_;
 };
 
 }  // namespace hycim::core

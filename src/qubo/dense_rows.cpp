@@ -7,15 +7,19 @@
 namespace hycim::qubo {
 
 DenseRows::DenseRows(const QuboMatrix& q)
-    : n_(q.size()), rows_(n_ * n_, 0.0), diag_(n_, 0.0) {
-  // Upper halves: each packed row is already contiguous.  The doubles are
-  // copied bit-for-bit.
+    : n_(q.size()),
+      rows_(std::make_unique_for_overwrite<double[]>(n_ * n_)),
+      diag_(n_) {
+  // Zeroed diagonal plus upper halves: each packed row is already
+  // contiguous.  The doubles are copied bit-for-bit.
   const std::span<const double> packed = q.packed();
+  double* const rows = rows_.get();
   std::size_t idx = 0;
   for (std::size_t i = 0; i < n_; ++i) {
     diag_[i] = packed[idx];
+    rows[i * n_ + i] = 0.0;
     std::copy(packed.begin() + idx + 1, packed.begin() + idx + (n_ - i),
-              rows_.begin() + i * n_ + i + 1);
+              rows + i * n_ + i + 1);
     idx += n_ - i;
   }
   // Lower halves: the transpose of the upper ones, in square tiles, each
@@ -26,9 +30,9 @@ DenseRows::DenseRows(const QuboMatrix& q)
     const std::size_t i_end = std::min(ib + kTile, n_);
     for (std::size_t jb = ib; jb < n_; jb += kTile) {
       for (std::size_t j = jb; j < std::min(jb + kTile, n_); ++j) {
-        double* row = rows_.data() + j * n_;
+        double* row = rows + j * n_;
         for (std::size_t i = ib; i < std::min(i_end, j); ++i) {
-          row[i] = rows_[i * n_ + j];
+          row[i] = rows[i * n_ + j];
         }
       }
     }

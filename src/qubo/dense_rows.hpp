@@ -12,12 +12,14 @@
 //
 // Every stored value is the exact double from the packed triangle (copied,
 // never recomputed), so kernels reading the mirror are bit-identical to
-// kernels reading at(i, j).  A FrozenQubo builds its mirror once, on first
-// request, and every evaluator, replica batch and solver clone reading
-// that matrix shares it.
+// kernels reading at(i, j).  The mirror's storage is not zero-filled first:
+// each of its n² entries is written exactly once.  A FrozenQubo builds its
+// mirror once, on first request, and every evaluator, replica and solver
+// clone reading that matrix shares it.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -28,7 +30,8 @@ class QuboMatrix;
 /// Symmetric dense mirror of a QuboMatrix (diagonal zeroed, carried apart).
 class DenseRows {
  public:
-  /// Mirrors `q` — an O(n²) copy, done once per frozen matrix.
+  /// Mirrors `q` — an O(n²) copy, done once per frozen matrix, one write
+  /// per entry.
   explicit DenseRows(const QuboMatrix& q);
 
   /// Number of variables.
@@ -36,17 +39,17 @@ class DenseRows {
 
   /// Row k of the symmetric mirror: row(k)[j] == q.at(k, j) for j != k,
   /// row(k)[k] == 0.  Contiguous, length size().
-  const double* row(std::size_t k) const { return rows_.data() + k * n_; }
+  const double* row(std::size_t k) const { return rows_.get() + k * n_; }
 
   /// Diagonal coefficient q(k, k).
   double diagonal(std::size_t k) const { return diag_[k]; }
 
   /// The whole mirror (n·n doubles, row-major) for block kernels.
-  std::span<const double> rows() const { return rows_; }
+  std::span<const double> rows() const { return {rows_.get(), n_ * n_}; }
 
  private:
   std::size_t n_ = 0;
-  std::vector<double> rows_;
+  std::unique_ptr<double[]> rows_;  // n·n, row-major
   std::vector<double> diag_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "qubo/dense_rows.hpp"
 #include "qubo/neighbor_index.hpp"
@@ -14,6 +15,32 @@ int magnitude_bits(double max_abs) {
   while (std::ldexp(1.0, bits) - 1.0 < max_abs) ++bits;
   return bits;
 }
+
+namespace {
+
+/// n(n+1)/2, the length of the packed triangle; std::length_error when it
+/// does not fit in std::size_t (the wrapped product would be a short store
+/// that index() then overruns).
+std::size_t packed_size(std::size_t n) {
+  std::size_t a = n;
+  std::size_t b = n + 1;
+  if (b == 0) throw std::length_error("QuboMatrix: n(n+1)/2 overflows");
+  // Halve the even factor first, so only a product that really overflows
+  // is refused.
+  if (a % 2 == 0) {
+    a /= 2;
+  } else {
+    b /= 2;
+  }
+  if (a != 0 && b > std::numeric_limits<std::size_t>::max() / a) {
+    throw std::length_error("QuboMatrix: n(n+1)/2 overflows");
+  }
+  return a * b;
+}
+
+}  // namespace
+
+QuboMatrix::QuboMatrix(std::size_t n) : n_(n), values_(packed_size(n), 0.0) {}
 
 double QuboMatrix::energy(std::span<const std::uint8_t> x) const {
   assert(x.size() == n_);

@@ -50,8 +50,9 @@ class QuboMatrix {
  public:
   QuboMatrix() = default;
 
-  /// Creates an n×n all-zero QUBO.
-  explicit QuboMatrix(std::size_t n) : n_(n), values_(n * (n + 1) / 2, 0.0) {}
+  /// Creates an n×n all-zero QUBO.  Throws std::length_error when the
+  /// packed triangle's n(n+1)/2 entries do not fit in std::size_t.
+  explicit QuboMatrix(std::size_t n);
 
   /// Number of binary variables.
   std::size_t size() const { return n_; }
@@ -91,6 +92,13 @@ class QuboMatrix {
   /// Direct access to the packed upper-triangular storage
   /// (row-major: (0,0),(0,1),...,(0,n-1),(1,1),...).  For the crossbar mapper.
   std::span<const double> packed() const { return values_; }
+
+  /// Writable view of packed row i: row(i)[t] is the coefficient of
+  /// x_i·x_(i+t), for t < size() − i.  Lets a lowering pass write each row
+  /// once, with no per-entry index computation.
+  std::span<double> row(std::size_t i) {
+    return {values_.data() + index(i, i), n_ - i};
+  }
 
   /// The finished matrix, frozen for sharing: a copy of this builder, or
   /// (on an rvalue) its storage moved without a copy.

@@ -79,6 +79,52 @@ TEST(Quantize, ExactQuantizationSharesTheSourceMatrix) {
   EXPECT_NE(sz_quant.dequantize(sz), sz);
 }
 
+TEST(Quantize, MeasureReportsWhatQuantizeReportsWithoutValues) {
+  // measure_quantization runs quantize's passes without storing: every
+  // field but the values must agree, on each side of the integral test.
+  const auto matrix = [](std::initializer_list<double> diagonal) {
+    qubo::QuboMatrix q(diagonal.size());
+    std::size_t i = 0;
+    for (const double v : diagonal) {
+      q.set(i, i, v);
+      ++i;
+    }
+    q.set_offset(1.5);
+    return q;
+  };
+  util::Rng rng(9);
+  const struct {
+    const char* what;
+    qubo::QuboMatrix q;
+    int bits;
+    bool integral;
+    bool exact;
+  } cases[] = {
+      {"integers", integer_qubo(9, rng, 100), 7, true, true},
+      {"range edge", matrix({7.0, -7.0, 0.0}), 3, true, true},
+      {"one past the range", matrix({8.0, -7.0}), 3, false, false},
+      {"negative zero", matrix({-0.0, 3.0}), 3, true, false},
+      {"fraction", matrix({2.5, 1.1}), 4, false, false},
+      {"beyond 2^52", matrix({0x1p52 + 2.0, -0x1p53 + 2.0, 1.0}), 53, true,
+       true},
+      {"fraction below 2^52", matrix({0x1p51 + 0.5, 1.0}), 53, false, false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    const QuantizedQubo full = quantize(c.q, c.bits);
+    const QuantizedQubo measured = measure_quantization(c.q, c.bits);
+    EXPECT_EQ(full.scale == 1.0, c.integral);
+    EXPECT_EQ(full.exact, c.exact);
+    EXPECT_TRUE(measured.values.empty());
+    EXPECT_EQ(measured.n, full.n);
+    EXPECT_EQ(measured.scale, full.scale);
+    EXPECT_EQ(measured.magnitude_bits, full.magnitude_bits);
+    EXPECT_EQ(measured.nonzeros, full.nonzeros);
+    EXPECT_EQ(measured.exact, full.exact);
+    EXPECT_EQ(measured.offset, full.offset);
+  }
+}
+
 TEST(Quantize, PowerOfTwoMaximumStaysExact) {
   // max |Q| = 4 = 2^2 needs 3 bits; sized at ⌈log2 4⌉ = 2 it would take
   // the lossy scaled path (1 -> 1.33, 3 -> 2.67).

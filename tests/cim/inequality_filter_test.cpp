@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace hycim::cim {
@@ -167,6 +171,51 @@ TEST(InequalityFilter, DecisionSeedGivesIndependentMeasurementNoise) {
   EXPECT_NE(decisions(111), decisions(222));  // independent across seeds
   // decision_seed = 0 keeps the legacy fab-derived stream.
   EXPECT_EQ(decisions(0), decisions(0));
+}
+
+TEST(InequalityFilter, ReprogramAndAgeOnACloneLeaveTheOthersAlone) {
+  // Clones share the prototype's fabricated arrays, and reprogram() and
+  // age() copy them on write.  After one clone is reprogrammed and aged,
+  // the prototype and a sibling clone must measure bit for bit what an
+  // untouched twin fabrication and its clone measure.
+  util::Rng rng(21);
+  std::vector<long long> weights(30);
+  for (auto& w : weights) w = rng.uniform_int(1, 40);
+  InequalityFilterParams params;  // realistic variation and noise corners
+  params.fab_seed = 17;
+  const long long capacity = 300;
+  InequalityFilter proto(params, weights, capacity);
+  InequalityFilter twin(params, weights, capacity);
+  InequalityFilter sibling(proto, 99);
+  InequalityFilter twin_sibling(twin, 99);
+  InequalityFilter mutated(proto, 99);
+
+  std::vector<std::vector<std::uint8_t>> configs;
+  for (int i = 0; i < 40; ++i) configs.push_back(rng.random_bits(30, 0.4));
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double before = mutated.ml_voltage(configs[0]);
+  mutated.reprogram();
+  mutated.age(3.0e7);
+  ASSERT_NE(bits(mutated.ml_voltage(configs[0])), bits(before));
+
+  EXPECT_EQ(bits(proto.replica_voltage()), bits(twin.replica_voltage()));
+  EXPECT_EQ(bits(sibling.replica_voltage()),
+            bits(twin_sibling.replica_voltage()));
+  sibling.bind(configs[0]);
+  twin_sibling.bind(configs[0]);
+  for (const auto& x : configs) {
+    EXPECT_EQ(bits(proto.ml_voltage(x)), bits(twin.ml_voltage(x)));
+    EXPECT_EQ(bits(sibling.ml_voltage(x)), bits(twin_sibling.ml_voltage(x)));
+    EXPECT_EQ(proto.is_feasible(x), twin.is_feasible(x));
+    EXPECT_EQ(sibling.is_feasible(x), twin_sibling.is_feasible(x));
+  }
+  for (std::size_t k = 0; k + 1 < weights.size(); ++k) {
+    const std::vector<std::size_t> flips{k, k + 1};
+    EXPECT_EQ(bits(sibling.trial_ml(flips)),
+              bits(twin_sibling.trial_ml(flips)));
+    EXPECT_EQ(sibling.trial_feasible(flips),
+              twin_sibling.trial_feasible(flips));
+  }
 }
 
 }  // namespace

@@ -52,6 +52,37 @@ TEST(VmvEngine, QuantizedModeExactForIntegerMatrices) {
   }
 }
 
+TEST(VmvEngine, QuantizedCopyIsMadeOnlyWhenNeeded) {
+  // An exact quantization is measured, not copied: the engine walks the
+  // original, and quantized() builds today's QuantizedQubo on first use,
+  // once for the engine and its copies.  An inexact one is built up front
+  // to dequantize from.
+  util::Rng rng(12);
+  qubo::QuboMatrix fractional(6);
+  for (std::size_t i = 0; i < 6; ++i) fractional.set(i, i, rng.uniform(-3, 3));
+  for (const bool exact : {true, false}) {
+    SCOPED_TRACE(exact ? "exact" : "inexact");
+    const auto q = (exact ? integer_qubo(10, rng, 100) : fractional).freeze();
+    VmvEngineParams p;
+    p.mode = VmvMode::kQuantized;
+    p.matrix_bits = 7;
+    VmvEngine engine(p, q);
+    EXPECT_EQ(engine.eval_matrix() == q, exact);
+    const VmvEngine copy(engine);
+    const QuantizedQubo expected = quantize(q->matrix(), 7);
+    const QuantizedQubo& built = engine.quantized();
+    EXPECT_EQ(&copy.quantized(), &built);
+    EXPECT_EQ(built.values, expected.values);
+    EXPECT_EQ(built.scale, expected.scale);
+    EXPECT_EQ(built.exact, exact);
+    EXPECT_EQ(engine.magnitude_bits(), expected.magnitude_bits);
+    for (int trial = 0; trial < 10; ++trial) {
+      const auto x = rng.random_bits(q->size());
+      EXPECT_EQ(engine.energy(x), expected.energy(x));
+    }
+  }
+}
+
 TEST(VmvEngine, CircuitModeMatchesQuantizedInIdealCorner) {
   // With no variation and a clean ADC, the full circuit path must agree
   // with the quantized-matrix energy exactly (the surrogate-fidelity

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "qubo/brute_force.hpp"
+#include "support/dqubo_reference.hpp"
 #include "util/rng.hpp"
 
 namespace hycim::core {
@@ -134,6 +139,69 @@ TEST(DquboOneHot, RejectsNonPositiveCapacity) {
   auto inst = tiny_instance(8, 3);
   inst.capacity = 0;
   EXPECT_THROW(to_dqubo_onehot(inst), std::invalid_argument);
+}
+
+/// The one-pass builder against the term-by-term oracle: the same size,
+/// offset and coefficient bits (so +0.0 and −0.0 are told apart).
+void expect_matches_reference(const cop::QkpInstance& inst,
+                              const DquboParams& params = {}) {
+  const DquboOneHotForm form = to_dqubo_onehot(inst, params);
+  const DquboOneHotForm ref = to_dqubo_onehot_reference(inst, params);
+  ASSERT_EQ(form.size(), ref.size());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(form.q.offset()),
+            std::bit_cast<std::uint64_t>(ref.q.offset()));
+  const auto built = form.q.packed();
+  const auto expected = ref.q.packed();
+  ASSERT_EQ(built.size(), expected.size());
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < built.size(); ++k) {
+    if (std::bit_cast<std::uint64_t>(built[k]) !=
+        std::bit_cast<std::uint64_t>(expected[k])) {
+      if (mismatches++ == 0) {
+        ADD_FAILURE() << "first mismatch at packed index " << k << ": "
+                      << built[k] << " vs " << expected[k];
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(DquboOneHot, OnePassBuildMatchesTermByTermOnThePaperSuite) {
+  const auto suite = cop::generate_paper_suite();
+  ASSERT_EQ(suite.size(), 40u);
+  for (std::size_t idx = 0; idx < suite.size(); ++idx) {
+    SCOPED_TRACE("paper-suite instance " + std::to_string(idx));
+    expect_matches_reference(suite[idx]);
+  }
+}
+
+TEST(DquboOneHot, OnePassBuildMatchesTermByTermAtTheEdges) {
+  {
+    SCOPED_TRACE("capacity 1");
+    expect_matches_reference(tiny_instance(11, 5, 1));
+  }
+  {
+    SCOPED_TRACE("one item");
+    expect_matches_reference(tiny_instance(12, 1, 7));
+  }
+  {
+    SCOPED_TRACE("alpha 0.3, beta 1.7");
+    DquboParams p;
+    p.alpha = 0.3;
+    p.beta = 1.7;
+    expect_matches_reference(tiny_instance(13, 8, 20), p);
+    expect_matches_reference(cop::generate_paper_suite().at(5), p);
+  }
+  {
+    // −α is −0.0 here: every slack diagonal must still sum from +0.0.
+    // With β = 0 as well, every penalty term is ±0.0.
+    SCOPED_TRACE("alpha 0");
+    DquboParams p;
+    p.alpha = 0.0;
+    expect_matches_reference(tiny_instance(14, 6, 9), p);
+    p.beta = 0.0;
+    expect_matches_reference(tiny_instance(14, 6, 9), p);
+  }
 }
 
 TEST(DquboOneHot, DecodeItemsTakesPrefix) {

@@ -12,11 +12,18 @@
 // with counting malloc wrappers (one executable per test file, so the
 // replacement is contained), warms the walk up, snapshots the counter,
 // runs thousands more trials, and pins the delta at exactly zero.
+//
+// The wrappers count requested bytes beside calls, which pins what setup
+// copies: a chip clone copies only the state a walk mutates (a few
+// kilobytes, not the fabricated filter arrays), and a D-QUBO solver's
+// construction allocates about one packed triangle (no quantized copy of
+// an exactly quantized matrix).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +33,8 @@
 #include "cop/adapters.hpp"
 #include "cop/maxcut.hpp"
 #include "cop/mdkp.hpp"
+#include "cop/qkp.hpp"
+#include "core/dqubo_solver.hpp"
 #include "core/hycim_solver.hpp"
 #include "qubo/qubo_matrix.hpp"
 #include "runtime/executor_pool.hpp"
@@ -34,14 +43,17 @@
 namespace {
 
 std::atomic<std::size_t> g_news{0};
+std::atomic<std::size_t> g_bytes{0};
 
 void* counted_malloc(std::size_t size) noexcept {
   g_news.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size ? size : 1);
 }
 
 void* counted_aligned(std::size_t size, std::size_t align) noexcept {
   g_news.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = nullptr;
   if (align < sizeof(void*)) align = sizeof(void*);
   if (posix_memalign(&p, align, size ? size : 1) != 0) return nullptr;
@@ -51,6 +63,21 @@ void* counted_aligned(std::size_t size, std::size_t align) noexcept {
 std::size_t allocation_count() {
   return g_news.load(std::memory_order_relaxed);
 }
+
+std::size_t allocated_bytes() {
+  return g_bytes.load(std::memory_order_relaxed);
+}
+
+/// Allocations and requested bytes since construction.
+class AllocationMeter {
+ public:
+  std::size_t blocks() const { return allocation_count() - blocks_; }
+  std::size_t bytes() const { return allocated_bytes() - bytes_; }
+
+ private:
+  std::size_t blocks_ = allocation_count();
+  std::size_t bytes_ = allocated_bytes();
+};
 
 }  // namespace
 
@@ -254,6 +281,44 @@ TEST(AllocationFree, PoolDispatchAllocatesOnlyItsGroup) {
   EXPECT_LE(nested, 4.0) << nested
                          << " allocations per 2-task root fan of 8-task fans";
   EXPECT_GT(sink.load(), 0u);
+}
+
+TEST(AllocationBudget, ChipCloneCopiesOnlyMutableState) {
+  // A clone is a fresh measurement on one fabricated chip: it shares the
+  // filter arrays' cells and loads, the frozen matrices and the row
+  // incidence, and copies bound states, scratch and noise streams.  On a
+  // paper-suite QKP (n = 100, default quantized energies and hardware
+  // filters) that is about 15 blocks and 5 KB; the two deep-copied 16×100
+  // filter arrays alone were 142 blocks and 560 KB.
+  const cop::QkpInstance inst = cop::generate_paper_suite().at(3);
+  ASSERT_EQ(inst.n, 100u);
+  const core::HyCimSolver chip(cop::to_constrained_form(inst),
+                               core::HyCimConfig{});
+  std::optional<core::HyCimSolver> clone;
+  const AllocationMeter meter;
+  clone.emplace(chip, 12345);
+  EXPECT_LE(meter.blocks(), 32u);
+  EXPECT_LE(meter.bytes(), 16u * 1024u);
+}
+
+TEST(AllocationBudget, DquboBuildAllocatesAboutOneTriangle) {
+  // The penalty matrix is written once into its packed triangle, and its
+  // exact quantization is measured, not copied: construction allocates at
+  // most 1.25 packed triangles (the instance copy and small blocks fit in
+  // the rest).  A long long copy of the triangle would double it.
+  const cop::QkpInstance inst = cop::generate_paper_suite().at(0);
+  core::DquboConfig config;
+  config.fidelity = cim::VmvMode::kQuantized;
+  const AllocationMeter meter;
+  const core::DquboSolver dqubo(inst, config);
+  const std::size_t bytes = meter.bytes();
+  const std::size_t n = dqubo.size();
+  ASSERT_EQ(n, 791u);
+  const std::size_t triangle = n * (n + 1) / 2 * sizeof(double);
+  EXPECT_EQ(triangle, 2505888u);
+  EXPECT_LE(bytes, triangle + triangle / 4)
+      << bytes << " bytes to build a D-QUBO solver over " << n
+      << " variables";
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -20,6 +22,25 @@ TEST(QuboMatrix, ZeroInitialized) {
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = i; j < 4; ++j) EXPECT_EQ(q.at(i, j), 0.0);
   }
+}
+
+TEST(QuboMatrix, RefusesASizeWhoseTriangleOverflows) {
+  // n(n+1)/2 wraps for n = SIZE_MAX; the wrapped store would be empty and
+  // the first write would land out of bounds.
+  EXPECT_THROW(QuboMatrix(std::numeric_limits<std::size_t>::max()),
+               std::length_error);
+}
+
+TEST(QuboMatrix, RowViewWritesThePackedRow) {
+  QuboMatrix q(3);
+  const std::span<double> row1 = q.row(1);
+  ASSERT_EQ(row1.size(), 2u);
+  row1[0] = 4.0;  // (1, 1)
+  row1[1] = 6.0;  // (1, 2)
+  EXPECT_EQ(q.at(1, 1), 4.0);
+  EXPECT_EQ(q.at(2, 1), 6.0);
+  EXPECT_EQ(q.row(2).size(), 1u);
+  EXPECT_THROW(q.row(3), std::out_of_range);
 }
 
 TEST(QuboMatrix, SetGetSymmetricAccess) {

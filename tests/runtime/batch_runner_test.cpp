@@ -249,7 +249,9 @@ TEST(BatchRunner, ResolveThreadCountFallsBackAndCaps) {
 TEST(BatchRunner, PrototypeOverloadMatchesColdFabrication) {
   // The service layer's cached-chip path: solving on a pre-programmed
   // prototype must be bit-identical to the form overload that fabricates
-  // its own chip from the same (form, config).
+  // its own chip from the same (form, config).  Four threads, so the run
+  // clones read the prototype's one shared filter fabrication
+  // concurrently.
   const auto inst = qkp_instance(8, 16);
   core::HyCimConfig config = software_config(400);
   config.filter_mode = core::FilterMode::kHardware;
@@ -260,6 +262,7 @@ TEST(BatchRunner, PrototypeOverloadMatchesColdFabrication) {
   BatchParams params;
   params.restarts = 6;
   params.seed = 19;
+  params.threads = 4;
 
   const auto cold = solve_batch(form, config, init, params);
   const core::HyCimSolver prototype(form, config);
