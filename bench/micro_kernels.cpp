@@ -85,6 +85,7 @@ BENCHMARK(BM_IncrementalFlip)->Arg(100)->Arg(400);
 void BM_DenseFlip(benchmark::State& state) {
   // The dense commit kernel on a density-25 instance: every flip walks a
   // full matrix row (O(n)) even though ~75% of the couplings are zero.
+  // The QKP is integral, so the rows are the mirror's int32 ones.
   const auto inst = sparse_instance(static_cast<std::size_t>(state.range(0)));
   const auto form = core::to_inequality_qubo(inst);
   util::Rng rng(3);
@@ -456,8 +457,9 @@ BENCHMARK(BM_QuantizedEnergy)->Arg(100)->Arg(400);
 /// google-benchmark harness so the ratio lands in the output as one
 /// number): M committed flips through each kernel on one density-25
 /// instance at n = 800.  This ratio places the kernel crossover
-/// (qubo::kSparseDensityThreshold); it reads 1.69–1.85x on a 4-core Xeon
-/// VM, a thin margin at this density.
+/// (qubo::kSparseDensityThreshold); with the dense side on int32 mirror
+/// rows it reads 1.60–1.86x on a shared 4-core Xeon VM (ten runs), a thin
+/// margin at this density.
 void report_flip_ratio() {
   constexpr std::size_t kN = 800;
   constexpr std::size_t kFlips = 100000;

@@ -49,56 +49,18 @@ double QuantizedQubo::energy(std::span<const std::uint8_t> x) const {
 
 namespace {
 
-/// What the integral pass needs to know about a matrix, read without
-/// converting a value.
-struct IntegralScan {
-  bool integral = true;   ///< every value an integer of magnitude <= range
-  bool negative_zero = false;  ///< some value is −0.0
-  std::size_t nonzeros = 0;
-  double max_abs = 0.0;   ///< meaningful when integral
-};
-
-IntegralScan scan_integral(std::span<const double> packed, double range) {
-  // Works on each value's bits, with no branch and no conversion, so the
-  // pass streams.  A magnitude is in range iff its bits are at most
-  // range's (NaN's and ±inf's lie above every finite magnitude's).  Below
-  // 2^52, adding and taking back 2^52 rounds a magnitude to an integer,
-  // so it is integral iff that gives back its bits; from 2^52 up every
-  // double is an integer.  max_abs is meaningful only when integral.
-  constexpr std::uint64_t kMagnitude = 0x7fffffffffffffffULL;
-  constexpr std::uint64_t kNegativeZero = 0x8000000000000000ULL;
-  constexpr double kTwo52 = 0x1p52;
-  const std::uint64_t range_bits = std::bit_cast<std::uint64_t>(range);
-  const std::uint64_t two52_bits = std::bit_cast<std::uint64_t>(kTwo52);
-  std::uint64_t failed = 0;
-  std::uint64_t max_bits = 0;
-  IntegralScan scan;
-  for (const double v : packed) {
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-    const std::uint64_t mag = bits & kMagnitude;
-    const double a = mag < two52_bits ? std::bit_cast<double>(mag) : 0.0;
-    failed |= std::bit_cast<std::uint64_t>((a + kTwo52) - kTwo52) ^
-              std::bit_cast<std::uint64_t>(a);
-    failed |= mag > range_bits;
-    scan.negative_zero |= bits == kNegativeZero;
-    scan.nonzeros += mag != 0;
-    max_bits = mag > max_bits ? mag : max_bits;
-  }
-  scan.integral = failed == 0;
-  scan.max_abs = std::bit_cast<double>(max_bits);
-  return scan;
-}
-
 /// The smallest b >= 1 with 2^b − 1 >= max_mag (>= 0).
 int bits_for(long long max_mag) {
   const auto width = std::bit_width(static_cast<unsigned long long>(max_mag));
   return std::max(1, static_cast<int>(width));
 }
 
-/// The passes behind quantize() and measure_quantization(); kStore keeps
-/// the values, otherwise nothing is allocated.
+/// The passes behind quantize() and measure_quantization(), given the
+/// matrix's one-pass measurements; kStore keeps the values, otherwise
+/// nothing is allocated.
 template <bool kStore>
-QuantizedQubo quantize_passes(const qubo::QuboMatrix& q, int max_bits) {
+QuantizedQubo quantize_passes(const qubo::QuboMatrix& q,
+                              const qubo::IntegralScan& scan, int max_bits) {
   if (max_bits < 1 || max_bits > 62) {
     throw std::invalid_argument("quantize: max_bits out of range");
   }
@@ -106,16 +68,16 @@ QuantizedQubo quantize_passes(const qubo::QuboMatrix& q, int max_bits) {
   out.n = q.size();
   out.offset = q.offset();
   const auto packed = q.packed();
-  if constexpr (kStore) out.values.resize(packed.size());
-  const double range = static_cast<double>((1LL << max_bits) - 1);
 
   // Exactly-representable integer matrices (the common case for the COP
   // transformations, whose coefficients are integral) convert as they are
   // (scale = 1): every value converts to itself, so de-scaling gives back
-  // the source bits except at −0.0, which converts to +0.
-  const IntegralScan scan = scan_integral(packed, range);
-  if (scan.integral) {
+  // the source bits except at −0.0, which converts to +0.  An integral
+  // magnitude fits max_bits iff it lies below 2^max_bits, a bound a double
+  // holds exactly at every budget (2^b − 1 rounds up to 2^b from b = 54).
+  if (scan.integral && scan.max_abs < std::ldexp(1.0, max_bits)) {
     if constexpr (kStore) {
+      out.values.resize(packed.size());
       for (std::size_t k = 0; k < packed.size(); ++k) {
         out.values[k] = static_cast<long long>(packed[k]);
       }
@@ -129,13 +91,18 @@ QuantizedQubo quantize_passes(const qubo::QuboMatrix& q, int max_bits) {
   // Otherwise the values are scaled to use the full range, in one pass
   // that stores each value, counts nonzeros, tracks the largest magnitude,
   // and checks whether de-scaling happens to give back the source bits.
-  const double max_abs = q.max_abs_coefficient();
-  out.scale = max_abs > 0 ? max_abs / range : 1.0;
+  // Codes are clamped to ±(2^b − 1): from b = 54 up the double range is
+  // 2^b, and the largest coefficient would round to one past the budget.
+  if constexpr (kStore) out.values.resize(packed.size());
+  const long long max_code = (1LL << max_bits) - 1;
+  const double range = static_cast<double>(max_code);
+  out.scale = scan.max_abs > 0 ? scan.max_abs / range : 1.0;
   long long max_mag = 0;
   std::size_t nonzeros = 0;
   bool exact = true;
   for (std::size_t k = 0; k < packed.size(); ++k) {
-    const long long v = std::llround(packed[k] / out.scale);
+    const long long v =
+        std::clamp(std::llround(packed[k] / out.scale), -max_code, max_code);
     if constexpr (kStore) out.values[k] = v;
     nonzeros += v != 0;
     max_mag = std::max(max_mag, std::llabs(v));
@@ -151,11 +118,15 @@ QuantizedQubo quantize_passes(const qubo::QuboMatrix& q, int max_bits) {
 }  // namespace
 
 QuantizedQubo quantize(const qubo::QuboMatrix& q, int max_bits) {
-  return quantize_passes<true>(q, max_bits);
+  return quantize_passes<true>(q, qubo::scan_integral(q.packed()), max_bits);
 }
 
-QuantizedQubo measure_quantization(const qubo::QuboMatrix& q, int max_bits) {
-  return quantize_passes<false>(q, max_bits);
+QuantizedQubo quantize(const qubo::FrozenQubo& q, int max_bits) {
+  return quantize_passes<true>(q.matrix(), q.scan(), max_bits);
+}
+
+QuantizedQubo measure_quantization(const qubo::FrozenQubo& q, int max_bits) {
+  return quantize_passes<false>(q.matrix(), q.scan(), max_bits);
 }
 
 std::vector<std::uint8_t> bit_plane(const QuantizedQubo& q, int bit,

@@ -41,17 +41,24 @@ struct QuantizedQubo {
   double offset = 0.0;
 };
 
-/// Quantizes `q` to at most `max_bits` magnitude bits.  Matrices whose
-/// entries are already integers within range are represented exactly
-/// (scale = 1), in one pass that also counts the nonzeros and checks
-/// exactness; otherwise values are scaled to use the full range.
+/// Quantizes `q` to at most `max_bits` (1..62) magnitude bits; every code
+/// lies within ±(2^max_bits − 1).  Matrices whose entries are already
+/// integers within range are represented exactly (scale = 1), decided by
+/// one measuring pass (qubo::scan_integral) that also counts the nonzeros;
+/// otherwise values are scaled to use the full range.
 QuantizedQubo quantize(const qubo::QuboMatrix& q, int max_bits);
 
-/// quantize(q, max_bits) without its values: the same passes and the same
-/// exactness rule fill n, scale, magnitude_bits, nonzeros, exact and
-/// offset, but `values` stays empty and nothing is allocated.  Lets a
-/// reader decide whether it needs the quantized copy at all.
-QuantizedQubo measure_quantization(const qubo::QuboMatrix& q, int max_bits);
+/// quantize(q.matrix(), max_bits), deciding from the measurements the
+/// freeze pass recorded (q.scan()) instead of scanning again.
+QuantizedQubo quantize(const qubo::FrozenQubo& q, int max_bits);
+
+/// quantize(q, max_bits) without its values: n, scale, magnitude_bits,
+/// nonzeros, exact and offset as quantize() fills them, `values` empty and
+/// nothing allocated.  For an integral matrix within range it reads only
+/// the freeze pass's record — no pass over the values at all; otherwise it
+/// runs the scaled pass without storing.  Lets a reader decide whether it
+/// needs the quantized copy at all.
+QuantizedQubo measure_quantization(const qubo::FrozenQubo& q, int max_bits);
 
 /// Extracts bit plane `bit` of the positive (sign=+1) or negative (sign=-1)
 /// coefficients: result[i*n + j] = 1 iff bit `bit` of |value(i,j)| is set,

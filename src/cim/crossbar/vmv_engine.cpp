@@ -14,14 +14,17 @@ VmvEngine::VmvEngine(const VmvEngineParams& params, qubo::FrozenQuboPtr q)
       quantized_(std::make_shared<Quantization>()),
       reprogram_rng_(params.fab_seed ^ 0x5bd1e995ULL) {
   // The circuit programs its crossbars from the quantized values, and an
-  // inexact kQuantized matrix is dequantized from them; everywhere else one
-  // measuring pass is all the construction needs.
+  // inexact kQuantized matrix is dequantized from them.  Everywhere else
+  // the construction needs only the quantization's shape: for an integral
+  // matrix within the bit budget, the freeze pass's record already holds
+  // it (exactness, magnitude bits, nonzeros), and only other matrices are
+  // measured by a scaled pass.
   QuantizedQubo measured;
   const QuantizedQubo* shape = &measured;
   if (params_.mode == VmvMode::kCircuit) {
     shape = &quantized();
   } else {
-    measured = measure_quantization(original_->matrix(), params_.matrix_bits);
+    measured = measure_quantization(*original_, params_.matrix_bits);
   }
   magnitude_bits_ = shape->magnitude_bits;
   eval_ = params_.mode == VmvMode::kIdeal || shape->exact
@@ -113,7 +116,7 @@ VmvEngine::VmvEngine(const VmvEngine& other)
 
 const QuantizedQubo& VmvEngine::quantized() const {
   std::call_once(quantized_->built, [this] {
-    quantized_->matrix = quantize(original_->matrix(), params_.matrix_bits);
+    quantized_->matrix = quantize(*original_, params_.matrix_bits);
   });
   return quantized_->matrix;
 }

@@ -61,7 +61,10 @@ class VmvEngine {
   /// Quantizes `q` and, in kCircuit mode, fabricates and programs the
   /// bit-plane crossbars.  Outside kCircuit an exact quantization is only
   /// measured (cim::measure_quantization): its values are the original's,
-  /// so no quantized copy is made until quantized() is asked for.
+  /// so no quantized copy is made until quantized() is asked for.  For an
+  /// integral matrix within matrix_bits that measurement is the record of
+  /// q's freeze pass (exactness, magnitude bits, nonzeros), so the engine
+  /// reads no coefficient; other matrices get one scaled pass.
   VmvEngine(const VmvEngineParams& params, qubo::FrozenQuboPtr q);
 
   ~VmvEngine();

@@ -63,13 +63,21 @@ class DquboSolver::Problem final : public anneal::SaProblem {
  private:
   /// Updates the tracked item weight/profit for a flip of bit k (no-op for
   /// slack bits).  Must be called *before* eval_.flip(k).
+  ///
+  /// The marginal p_kk + Σ_{i≠k} p_ki·x_i sums row k of the profit matrix
+  /// (== column k: the constructor checks symmetry), contiguous and
+  /// branch-free: each selected item's profit is masked in.  The sums are
+  /// long long, exact in any order, so the tracked profit is the same
+  /// integer the column walk gave.
   void apply_item_flip(std::size_t k) {
     if (k >= inst_.n) return;
     const auto& x = eval_.state();
-    long long marginal = inst_.profit(k, k);
+    const long long* row = inst_.profits.data() + k * inst_.n;
+    long long selected = 0;
     for (std::size_t i = 0; i < inst_.n; ++i) {
-      if (i != k && x[i]) marginal += inst_.profit(i, k);
+      selected += row[i] & -static_cast<long long>(x[i]);
     }
+    const long long marginal = row[k] + selected - (x[k] ? row[k] : 0);
     if (x[k]) {
       weight_ -= inst_.weights[k];
       profit_ -= marginal;
@@ -99,6 +107,9 @@ class DquboSolver::Problem final : public anneal::SaProblem {
 DquboSolver::DquboSolver(const cop::QkpInstance& inst,
                          const DquboConfig& config)
     : inst_(inst), config_(config) {
+  // The lowering reads n weights and n² profits, and the tracked marginal
+  // reads profit rows for columns: both need a well-formed instance.
+  inst_.validate();
   qubo::FrozenQuboPtr q =
       config_.encoding == SlackEncoding::kOneHot
           ? std::move(to_dqubo_onehot(inst, config_.penalty).q).freeze()

@@ -41,6 +41,9 @@ struct DquboConfig {
 /// One D-QUBO annealer bound to a QKP instance.
 class DquboSolver {
  public:
+  /// Builds the penalty QUBO of `inst`.  Throws std::invalid_argument when
+  /// `inst` fails QkpInstance::validate() (sizes, weights, capacity, an
+  /// asymmetric profit matrix).
   DquboSolver(const cop::QkpInstance& inst, const DquboConfig& config);
   ~DquboSolver();
   DquboSolver(DquboSolver&&) noexcept;

@@ -33,7 +33,10 @@ void IncrementalEvaluator::flip(std::size_t k) {
     kernels::sparse_flip(phi_.data(), *index_, k, sign);
     return;
   }
-  kernels::dense_flip(phi_.data(), rows_->row(k), x_.size(), k, sign);
+  const std::size_t n = x_.size();
+  rows_->visit([&](const auto* mirror) {
+    kernels::dense_flip(phi_.data(), mirror + k * n, n, k, sign);
+  });
 }
 
 void IncrementalEvaluator::flip_pair(std::size_t i, std::size_t j) {

@@ -32,15 +32,20 @@ namespace kernels {
 
 /// The word-parallel dense flip kernel of IncrementalEvaluator: one
 /// contiguous branch-free pass phi[j] += sign·row[j] over the mirror row of
-/// the flipped bit.  row[k] is zero by DenseRows construction, but phi[k] is
+/// the flipped bit, int32 or double (DenseRows::visit).  An int32 entry
+/// converts to its coefficient's exact double, so either row type adds the
+/// same values.  row[k] is zero by DenseRows construction, but phi[k] is
 /// saved and restored around the pass so the flipped bit's own field is
 /// untouched bit-for-bit (adding ±0.0 could flip a -0.0) — with that, the
 /// pass performs exactly the adds of the scalar two-loop kernel it
 /// replaces, making it bit-identical while auto-vectorizing cleanly.
-inline void dense_flip(double* phi, const double* row, std::size_t n,
+template <typename T>
+inline void dense_flip(double* phi, const T* row, std::size_t n,
                        std::size_t k, double sign) {
   const double saved = phi[k];
-  for (std::size_t j = 0; j < n; ++j) phi[j] += sign * row[j];
+  for (std::size_t j = 0; j < n; ++j) {
+    phi[j] += sign * static_cast<double>(row[j]);
+  }
   phi[k] = saved;
 }
 
@@ -86,14 +91,17 @@ inline double rebuild(const FrozenQubo& q, Kernel kernel,
   }
   const DenseRows& rows = q.dense_rows();
   for (std::size_t k = 0; k < n; ++k) phi[k] = rows.diagonal(k);
-  words.for_each_set(
-      [&](std::size_t j) { dense_flip(phi, rows.row(j), n, j, 1.0); });
-  words.for_each_set([&](std::size_t i) {
-    const double* row = rows.row(i);
-    e += rows.diagonal(i);
-    words.for_each_set_from(i + 1, [&](std::size_t j) { e += row[j]; });
+  return rows.visit([&](const auto* mirror) {
+    words.for_each_set(
+        [&](std::size_t j) { dense_flip(phi, mirror + j * n, n, j, 1.0); });
+    words.for_each_set([&](std::size_t i) {
+      const auto* row = mirror + i * n;
+      e += rows.diagonal(i);
+      words.for_each_set_from(
+          i + 1, [&](std::size_t j) { e += static_cast<double>(row[j]); });
+    });
+    return e;
   });
-  return e;
 }
 
 }  // namespace kernels
@@ -131,9 +139,9 @@ class IncrementalEvaluator {
     assert(i != j);
     const double si = x_[i] ? -1.0 : 1.0;
     const double sj = x_[j] ? -1.0 : 1.0;
-    // The mirror holds the exact same double as at(i, j) (i != j here), so
-    // reading it skips the triangle index math without changing a bit.
-    const double q_ij = rows_ ? rows_->row(i)[j] : q_->matrix().at(i, j);
+    // The mirror reads as the exact same double as at(i, j) (i != j here),
+    // so reading it skips the triangle index math without changing a bit.
+    const double q_ij = rows_ ? rows_->at(i, j) : q_->matrix().at(i, j);
     return delta(i) + delta(j) + si * sj * q_ij;
   }
 

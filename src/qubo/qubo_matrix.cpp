@@ -1,6 +1,7 @@
 #include "qubo/qubo_matrix.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -14,6 +15,40 @@ int magnitude_bits(double max_abs) {
   int bits = 1;
   while (std::ldexp(1.0, bits) - 1.0 < max_abs) ++bits;
   return bits;
+}
+
+IntegralScan scan_integral(std::span<const double> values) {
+  // Works on each value's bits, with no branch and no conversion, so the
+  // pass streams.  A value is finite iff its magnitude's bits lie below
+  // +inf's (NaN's lie above).  Below 2^52, adding and taking back 2^52
+  // rounds a magnitude to an integer, so it is integral iff that gives
+  // back its bits; from 2^52 up every finite double is an integer.  The
+  // largest magnitude is taken on the bits too (positive doubles order as
+  // their bits do), with NaN's bits read as zero.
+  constexpr std::uint64_t kMagnitude = 0x7fffffffffffffffULL;
+  constexpr std::uint64_t kNegativeZero = 0x8000000000000000ULL;
+  constexpr double kTwo52 = 0x1p52;
+  const std::uint64_t inf_bits =
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity());
+  const std::uint64_t two52_bits = std::bit_cast<std::uint64_t>(kTwo52);
+  std::uint64_t failed = 0;
+  std::uint64_t max_bits = 0;
+  IntegralScan scan;
+  for (const double v : values) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    const std::uint64_t mag = bits & kMagnitude;
+    const double a = mag < two52_bits ? std::bit_cast<double>(mag) : 0.0;
+    failed |= std::bit_cast<std::uint64_t>((a + kTwo52) - kTwo52) ^
+              std::bit_cast<std::uint64_t>(a);
+    failed |= mag >= inf_bits;
+    scan.negative_zero |= bits == kNegativeZero;
+    scan.nonzeros += mag != 0;
+    const std::uint64_t m = mag <= inf_bits ? mag : 0;
+    max_bits = m > max_bits ? m : max_bits;
+  }
+  scan.integral = failed == 0;
+  scan.max_abs = std::bit_cast<double>(max_bits);
+  return scan;
 }
 
 namespace {
@@ -87,24 +122,21 @@ FrozenQuboPtr QuboMatrix::freeze() && {
   return std::make_shared<const FrozenQubo>(std::exchange(*this, {}));
 }
 
-FrozenQubo::FrozenQubo(QuboMatrix q) : q_(std::move(q)) {
-  for (const double v : q_.packed()) {
-    nnz_ += v != 0.0;
-    max_abs_ = std::max(max_abs_, std::abs(v));
-  }
-}
+FrozenQubo::FrozenQubo(QuboMatrix q)
+    : q_(std::move(q)), scan_(scan_integral(q_.packed())) {}
 
 FrozenQubo::~FrozenQubo() = default;
 
 double FrozenQubo::density() const {
   const std::size_t cells = q_.packed().size();
   return cells == 0 ? 0.0
-                    : static_cast<double>(nnz_) / static_cast<double>(cells);
+                    : static_cast<double>(scan_.nonzeros) /
+                          static_cast<double>(cells);
 }
 
 const DenseRows& FrozenQubo::dense_rows() const {
   std::call_once(rows_once_,
-                 [this] { rows_ = std::make_unique<const DenseRows>(q_); });
+                 [this] { rows_ = std::make_unique<const DenseRows>(*this); });
   return *rows_;
 }
 

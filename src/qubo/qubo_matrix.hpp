@@ -11,8 +11,9 @@
 // once and then annealed on many times.  QuboMatrix is the builder: the
 // lowering passes add terms with plain stores.  freeze() then produces an
 // immutable FrozenQubo, held by std::shared_ptr<const>: it measures the
-// matrix once (nonzeros, max |Q_ij|) and builds the mirror or neighbor
-// index a kernel reads at most once.  Evaluators, engines and solver clones
+// matrix once (nonzeros, max |Q_ij|, whether every coefficient is a finite
+// integer, whether any is −0.0) and builds the mirror or neighbor index a
+// kernel reads at most once.  Evaluators, engines and solver clones
 // share that one object, so a clone copies no O(n²) data, and a write
 // after the freeze is impossible by type.
 #pragma once
@@ -42,6 +43,19 @@ using FrozenQuboPtr = std::shared_ptr<const FrozenQubo>;
 /// 2^b − 1 >= max_abs (paper Sec. 4.2's ⌈log2 (Qij)MAX⌉, exact at powers of
 /// two: a magnitude of 4 needs 3 bits).
 int magnitude_bits(double max_abs);
+
+/// What one pass over a matrix's coefficients measures: enough to decide
+/// whether the crossbar can store them as they are (integer codes, paper
+/// Sec. 4.2) and whether the dense mirror can hold them as int32.
+struct IntegralScan {
+  std::size_t nonzeros = 0;    ///< entries != 0 (−0.0 counts as zero)
+  double max_abs = 0.0;        ///< largest |v|; NaN entries are skipped
+  bool integral = true;        ///< every entry a finite integer
+  bool negative_zero = false;  ///< some entry is −0.0
+};
+
+/// Measures `values` in one pass.
+IntegralScan scan_integral(std::span<const double> values);
 
 /// Dense upper-triangular QUBO matrix with an additive constant offset —
 /// the builder.  Writes are single stores; freeze() hands the finished
@@ -121,7 +135,10 @@ class QuboMatrix {
 
 /// An immutable QUBO matrix and what its readers derive from it.
 ///
-/// The nonzero count and max |Q_ij| are measured by one pass at the freeze.
+/// One pass at the freeze (scan_integral) measures the nonzero count, max
+/// |Q_ij|, whether every coefficient is a finite integer and whether any
+/// is −0.0 — what the crossbar mapper needs to know whether it can store
+/// the values as they are, and the mirror whether it can narrow them.
 /// The full-row mirror (dense_rows.hpp) and the neighbor index
 /// (neighbor_index.hpp) are each built at most once, on first request —
 /// only the one the kernel in use reads ever exists — and concurrent first
@@ -141,8 +158,11 @@ class FrozenQubo {
   /// Energy xᵀQx + offset.
   double energy(std::span<const std::uint8_t> x) const { return q_.energy(x); }
 
+  /// The freeze pass's measurements.
+  const IntegralScan& scan() const { return scan_; }
+
   /// Number of structurally nonzero entries in the upper triangle.
-  std::size_t nonzeros() const { return nnz_; }
+  std::size_t nonzeros() const { return scan_.nonzeros; }
 
   /// Fraction of structurally nonzero upper-triangle entries, in [0, 1]
   /// (0 for an empty matrix).  This is the quantity the paper's benchmark
@@ -153,10 +173,10 @@ class FrozenQubo {
   double density() const;
 
   /// Largest |Q_ij| over all stored entries (0 for an empty matrix).
-  double max_abs_coefficient() const { return max_abs_; }
+  double max_abs_coefficient() const { return scan_.max_abs; }
 
   /// magnitude_bits(max_abs_coefficient()).
-  int quantization_bits() const { return magnitude_bits(max_abs_); }
+  int quantization_bits() const { return magnitude_bits(scan_.max_abs); }
 
   /// The contiguous full-row mirror behind the word-parallel dense
   /// kernels, built on first call.
@@ -167,8 +187,7 @@ class FrozenQubo {
 
  private:
   QuboMatrix q_;
-  std::size_t nnz_ = 0;
-  double max_abs_ = 0.0;
+  IntegralScan scan_;
   mutable std::once_flag rows_once_;
   mutable std::unique_ptr<const DenseRows> rows_;
   mutable std::once_flag index_once_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <string>
+
 #include "util/rng.hpp"
 
 namespace hycim::cim {
@@ -80,8 +84,10 @@ TEST(Quantize, ExactQuantizationSharesTheSourceMatrix) {
 }
 
 TEST(Quantize, MeasureReportsWhatQuantizeReportsWithoutValues) {
-  // measure_quantization runs quantize's passes without storing: every
-  // field but the values must agree, on each side of the integral test.
+  // measure_quantization decides from the record the freeze pass made
+  // (FrozenQubo::scan()) and runs quantize's passes without storing, while
+  // quantize() of the builder scans it afresh: every field but the values
+  // must agree, on each side of the integral test.
   const auto matrix = [](std::initializer_list<double> diagonal) {
     qubo::QuboMatrix q(diagonal.size());
     std::size_t i = 0;
@@ -97,22 +103,26 @@ TEST(Quantize, MeasureReportsWhatQuantizeReportsWithoutValues) {
     const char* what;
     qubo::QuboMatrix q;
     int bits;
-    bool integral;
+    bool integral;  ///< quantize() keeps the values (scale 1)
     bool exact;
+    bool integers;  ///< every coefficient a finite integer, at any range
   } cases[] = {
-      {"integers", integer_qubo(9, rng, 100), 7, true, true},
-      {"range edge", matrix({7.0, -7.0, 0.0}), 3, true, true},
-      {"one past the range", matrix({8.0, -7.0}), 3, false, false},
-      {"negative zero", matrix({-0.0, 3.0}), 3, true, false},
-      {"fraction", matrix({2.5, 1.1}), 4, false, false},
+      {"integers", integer_qubo(9, rng, 100), 7, true, true, true},
+      {"range edge", matrix({7.0, -7.0, 0.0}), 3, true, true, true},
+      {"one past the range", matrix({8.0, -7.0}), 3, false, false, true},
+      {"negative zero", matrix({-0.0, 3.0}), 3, true, false, true},
+      {"fraction", matrix({2.5, 1.1}), 4, false, false, false},
       {"beyond 2^52", matrix({0x1p52 + 2.0, -0x1p53 + 2.0, 1.0}), 53, true,
-       true},
-      {"fraction below 2^52", matrix({0x1p51 + 0.5, 1.0}), 53, false, false},
+       true, true},
+      {"fraction below 2^52", matrix({0x1p51 + 0.5, 1.0}), 53, false, false,
+       false},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.what);
     const QuantizedQubo full = quantize(c.q, c.bits);
-    const QuantizedQubo measured = measure_quantization(c.q, c.bits);
+    const qubo::FrozenQuboPtr frozen = c.q.freeze();
+    EXPECT_EQ(frozen->scan().integral, c.integers);
+    const QuantizedQubo measured = measure_quantization(*frozen, c.bits);
     EXPECT_EQ(full.scale == 1.0, c.integral);
     EXPECT_EQ(full.exact, c.exact);
     EXPECT_TRUE(measured.values.empty());
@@ -122,6 +132,40 @@ TEST(Quantize, MeasureReportsWhatQuantizeReportsWithoutValues) {
     EXPECT_EQ(measured.nonzeros, full.nonzeros);
     EXPECT_EQ(measured.exact, full.exact);
     EXPECT_EQ(measured.offset, full.offset);
+    // quantize() of the frozen matrix reads the same record.
+    const QuantizedQubo from_record = quantize(*frozen, c.bits);
+    EXPECT_EQ(from_record.values, full.values);
+    EXPECT_EQ(from_record.scale, full.scale);
+    EXPECT_EQ(from_record.magnitude_bits, full.magnitude_bits);
+    EXPECT_EQ(from_record.exact, full.exact);
+  }
+}
+
+TEST(Quantize, StaysWithinItsBitBudgetBeyond53Bits) {
+  // From 54 bits up the double range 2^b − 1 rounds up to 2^b; the largest
+  // coefficient must still get a code of at most 2^b − 1, on the scaled
+  // path (a fractional matrix) and at the integral path's edge (2^b itself
+  // does not fit b bits).
+  qubo::QuboMatrix fractional(3);
+  fractional.set(0, 0, 0.5);
+  fractional.set(1, 1, -1.0);
+  fractional.set(2, 2, 0.25);
+  for (const int bits : {54, 62}) {
+    SCOPED_TRACE("max_bits=" + std::to_string(bits));
+    const long long max_code = (1LL << bits) - 1;
+    qubo::QuboMatrix edge(2);
+    edge.set(0, 0, std::ldexp(1.0, bits));
+    edge.set(1, 1, -3.0);
+    for (const qubo::QuboMatrix* q : {&fractional, &edge}) {
+      const QuantizedQubo quant = quantize(*q, bits);
+      EXPECT_LE(quant.magnitude_bits, bits);
+      for (const long long v : quant.values) {
+        EXPECT_LE(std::llabs(v), max_code) << v;
+      }
+      const QuantizedQubo measured = measure_quantization(*q->freeze(), bits);
+      EXPECT_EQ(measured.magnitude_bits, quant.magnitude_bits);
+      EXPECT_EQ(measured.exact, quant.exact);
+    }
   }
 }
 

@@ -124,5 +124,17 @@ TEST(DquboSolver, MatrixAccessorsConsistent) {
                    solver.max_abs_coefficient());
 }
 
+TEST(DquboSolver, RejectsAnAsymmetricProfitMatrix) {
+  // The tracked marginal sums a profit row where the QUBO reads a column:
+  // the two agree only for a symmetric matrix, which construction checks.
+  auto inst = small_instance(12, 6, 15);
+  inst.profits[0 * inst.n + 1] += 1;  // p_01 != p_10
+  for (const auto encoding : {SlackEncoding::kOneHot, SlackEncoding::kBinary}) {
+    DquboConfig config = fast_config();
+    config.encoding = encoding;
+    EXPECT_THROW(DquboSolver(inst, config), std::invalid_argument);
+  }
+}
+
 }  // namespace
 }  // namespace hycim::core

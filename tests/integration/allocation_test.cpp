@@ -15,9 +15,10 @@
 //
 // The wrappers count requested bytes beside calls, which pins what setup
 // copies: a chip clone copies only the state a walk mutates (a few
-// kilobytes, not the fabricated filter arrays), and a D-QUBO solver's
+// kilobytes, not the fabricated filter arrays), a D-QUBO solver's
 // construction allocates about one packed triangle (no quantized copy of
-// an exactly quantized matrix).
+// an exactly quantized matrix), and its first solve about one int32
+// mirror.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -319,6 +320,26 @@ TEST(AllocationBudget, DquboBuildAllocatesAboutOneTriangle) {
   EXPECT_LE(bytes, triangle + triangle / 4)
       << bytes << " bytes to build a D-QUBO solver over " << n
       << " variables";
+}
+
+TEST(AllocationBudget, DquboFirstSolveMirrorsInInt32) {
+  // The D-QUBO matrix is integral, so the first solve's dense mirror is
+  // n² int32s (4n² bytes, half the 8n² of double rows), written once; the
+  // evaluator's fields, state and the walk's scratch are O(n).  The whole
+  // first solve allocates at most 1.1 × 4n².
+  const cop::QkpInstance inst = cop::generate_paper_suite().at(0);
+  core::DquboConfig config;
+  config.fidelity = cim::VmvMode::kQuantized;
+  config.sa.iterations = 200;
+  core::DquboSolver dqubo(inst, config);
+  const std::size_t n = dqubo.size();
+  ASSERT_EQ(n, 791u);
+  const std::size_t mirror = 4 * n * n;
+  const AllocationMeter meter;
+  (void)dqubo.solve_from_random(1);
+  const std::size_t bytes = meter.bytes();
+  EXPECT_LE(bytes, mirror + mirror / 10)
+      << bytes << " bytes for the first solve over " << n << " variables";
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Bitwise equivalence of the word-parallel dense path against a scalar
 // reference evaluator (a verbatim copy of the pre-word-parallel at()-based
-// kernel), over random walks exercising flip, flip_pair, and reset — plus
-// the solver-level pin that the replica layout changes cost, not behavior:
-// a tempered solve of a row-less form on plain anneal::QuboProblems must
-// be indistinguishable from the same solve on per-replica chip clones.
+// kernel), over random walks exercising flip, flip_pair, and reset, on
+// double and on int32 mirror rows — plus the solver-level pin that the
+// replica layout changes cost, not behavior: a tempered solve of a
+// row-less form on plain anneal::QuboProblems must be indistinguishable
+// from the same solve on per-replica chip clones.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,12 +25,31 @@ namespace {
 using qubo::BitVector;
 using qubo::QuboMatrix;
 
-QuboMatrix random_matrix(std::size_t n, double density, util::Rng& rng) {
+/// A random coefficient: uniform in [-5, 5), or for `integral` matrices an
+/// integer anywhere in int32's symmetric range, its ends ±(2^31 − 1)
+/// included on purpose.
+double random_coefficient(bool integral, util::Rng& rng) {
+  if (!integral) return rng.uniform(-5.0, 5.0);
+  constexpr long long kMax = 2147483647;  // 2^31 − 1
+  switch (rng.index(8)) {
+    case 0:
+      return static_cast<double>(kMax);
+    case 1:
+      return static_cast<double>(-kMax);
+    default:
+      return static_cast<double>(rng.uniform_int(-kMax, kMax));
+  }
+}
+
+QuboMatrix random_matrix(std::size_t n, double density, bool integral,
+                         util::Rng& rng) {
   QuboMatrix q(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (rng.bernoulli(density)) q.set(i, i, rng.uniform(-5.0, 5.0));
+    if (rng.bernoulli(density)) q.set(i, i, random_coefficient(integral, rng));
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (rng.bernoulli(density)) q.set(i, j, rng.uniform(-5.0, 5.0));
+      if (rng.bernoulli(density)) {
+        q.set(i, j, random_coefficient(integral, rng));
+      }
     }
   }
   return q;
@@ -100,17 +120,27 @@ class ScalarReference {
 TEST(WordParallel, DenseKernelBitIdenticalToScalarReference) {
   util::Rng rng(41);
   // Sizes straddling the 64-bit word boundary, fills from sparse (zeros
-  // dominate the mirror rows) to full.
+  // dominate the mirror rows) to full.  Fractional matrices run on double
+  // mirror rows; integral ones, with coefficients up to ±(2^31 − 1), on
+  // int32 rows.
   const struct {
     std::size_t n;
     double density;
-  } cases[] = {{17, 1.0}, {63, 0.5}, {64, 0.8}, {65, 0.3}, {130, 0.6}};
+    bool integral;
+  } cases[] = {{17, 1.0, false},  {63, 0.5, false}, {64, 0.8, false},
+               {65, 0.3, false},  {130, 0.6, false}, {17, 1.0, true},
+               {63, 0.05, true},  {64, 0.9, true},   {65, 0.1, true},
+               {130, 0.02, true}, {130, 0.7, true}};
   for (const auto& c : cases) {
-    SCOPED_TRACE("n=" + std::to_string(c.n));
-    const QuboMatrix q = random_matrix(c.n, c.density, rng);
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " density=" +
+                 std::to_string(c.density) +
+                 (c.integral ? " integral" : " fractional"));
+    const QuboMatrix q = random_matrix(c.n, c.density, c.integral, rng);
     const BitVector x0 = rng.random_bits(c.n);
     ScalarReference ref(q, x0);
-    qubo::IncrementalEvaluator word(q.freeze(), x0, qubo::Kernel::kDense);
+    const qubo::FrozenQuboPtr frozen = q.freeze();
+    ASSERT_EQ(frozen->dense_rows().narrow(), c.integral);
+    qubo::IncrementalEvaluator word(frozen, x0, qubo::Kernel::kDense);
     ASSERT_EQ(word.energy(), ref.energy());
     for (int step = 0; step < 500; ++step) {
       const std::size_t i = rng.index(c.n);

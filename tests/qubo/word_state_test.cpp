@@ -1,11 +1,15 @@
 // The word-packed state and the dense full-row mirror — the two storage
 // layouts behind the word-parallel dense kernels: packing round-trips,
 // ascending set-bit scans (the ordering guarantee the bit-identity claims
-// rest on), and the mirror's exact-copy and build-once contract on
-// FrozenQubo.
+// rest on), and the mirror's exact-copy, int32-or-double storage rule and
+// build-once contract on FrozenQubo.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "qubo/dense_rows.hpp"
@@ -79,25 +83,96 @@ TEST(WordState, ScansSetBitsAscending) {
   }
 }
 
-TEST(DenseRows, MirrorsTheTriangleExactly) {
-  util::Rng rng(11);
-  const std::size_t n = 20;
+/// Bitwise equality (EXPECT_EQ on doubles lets −0.0 equal +0.0).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+QuboMatrix random_matrix(std::size_t n, double density, bool integral,
+                         util::Rng& rng) {
   QuboMatrix q(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) {
-      if (rng.bernoulli(0.5)) q.set(i, j, rng.uniform(-3.0, 3.0));
+      if (!rng.bernoulli(density)) continue;
+      q.set(i, j,
+            integral ? static_cast<double>(rng.uniform_int(-1000, 1000))
+                     : rng.uniform(-3.0, 3.0));
     }
   }
-  const DenseRows rows(q);
-  ASSERT_EQ(rows.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(rows.diagonal(i), q.at(i, i));
-    EXPECT_EQ(rows.row(i)[i], 0.0) << "diagonal must be zeroed in the rows";
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      // Exact copies, both mirror halves.
-      ASSERT_EQ(rows.row(i)[j], q.at(i, j)) << i << "," << j;
-      ASSERT_EQ(rows.row(j)[i], q.at(i, j)) << i << "," << j;
+  return q;
+}
+
+TEST(DenseRows, MirrorsTheTriangleExactly) {
+  util::Rng rng(11);
+  const std::size_t n = 20;
+  for (const bool integral : {false, true}) {
+    SCOPED_TRACE(integral ? "integral" : "fractional");
+    const QuboMatrix q = random_matrix(n, 0.5, integral, rng);
+    const FrozenQuboPtr frozen = q.freeze();
+    const DenseRows& rows = frozen->dense_rows();
+    ASSERT_EQ(rows.size(), n);
+    EXPECT_EQ(rows.narrow(), integral);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(same_bits(rows.diagonal(i), q.at(i, i)));
+      EXPECT_TRUE(same_bits(rows.at(i, i), 0.0))
+          << "diagonal must be zeroed in the rows";
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i == j) continue;
+        // Exact copies, both mirror halves.
+        ASSERT_TRUE(same_bits(rows.at(i, j), q.at(i, j))) << i << "," << j;
+        ASSERT_TRUE(same_bits(rows.at(j, i), q.at(i, j))) << i << "," << j;
+      }
+    }
+    // visit() hands the kernels the storage itself: int32 exactly when
+    // narrow(), and the same entries at() reads.
+    rows.visit([&](const auto* mirror) {
+      using T = std::remove_cvref_t<decltype(*mirror)>;
+      EXPECT_EQ((std::is_same_v<T, std::int32_t>), integral);
+      for (std::size_t k = 0; k < n * n; ++k) {
+        ASSERT_TRUE(same_bits(static_cast<double>(mirror[k]),
+                              rows.at(k / n, k % n)));
+      }
+    });
+  }
+
+  // The storage rule reads the whole matrix, diagonal included: int32 rows
+  // only when every coefficient is an integer of magnitude <= 2^31 − 1 and
+  // none is −0.0.
+  constexpr double kMax = 2147483647.0;  // 2^31 − 1
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* what;
+    std::size_t i, j;
+    double v;
+    bool narrow;
+  } cases[] = {
+      {"0.5", 0, 1, 0.5, false},
+      {"-0.0", 1, 2, -0.0, false},
+      {"-0.0 on the diagonal", 2, 2, -0.0, false},
+      {"2^31", 0, 2, 0x1p31, false},
+      {"-2^31", 0, 2, -0x1p31, false},
+      {"+inf", 1, 1, inf, false},
+      {"-inf", 0, 1, -inf, false},
+      {"NaN", 0, 1, std::numeric_limits<double>::quiet_NaN(), false},
+      {"2^31 - 1", 0, 2, kMax, true},
+      {"-(2^31 - 1)", 1, 2, -kMax, true},
+      {"0.5 on the diagonal", 1, 1, 0.5, false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    QuboMatrix q(3);
+    q.set(0, 0, 3.0);
+    q.set(1, 2, -7.0);
+    q.set(c.i, c.j, c.v);
+    const FrozenQuboPtr frozen = q.freeze();
+    const DenseRows& rows = frozen->dense_rows();
+    EXPECT_EQ(rows.narrow(), c.narrow);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(same_bits(rows.diagonal(i), q.at(i, i)));
+      for (std::size_t j = 0; j < 3; ++j) {
+        if (i == j) continue;
+        EXPECT_TRUE(same_bits(rows.at(i, j), q.at(i, j))) << i << "," << j;
+      }
     }
   }
 }
@@ -105,33 +180,33 @@ TEST(DenseRows, MirrorsTheTriangleExactly) {
 TEST(FrozenQubo, ConcurrentFirstRequestsBuildEachStructureOnce) {
   util::Rng rng(13);
   const std::size_t n = 150;  // several transpose tiles
-  QuboMatrix q(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      if (rng.bernoulli(0.3)) q.set(i, j, rng.uniform(-3.0, 3.0));
+  // Fractional coefficients get double rows, integral ones int32 rows.
+  for (const bool integral : {false, true}) {
+    SCOPED_TRACE(integral ? "integral" : "fractional");
+    const QuboMatrix q = random_matrix(n, 0.3, integral, rng);
+    const FrozenQuboPtr frozen = q.freeze();
+    constexpr std::size_t kThreads = 6;
+    std::vector<const DenseRows*> rows(kThreads, nullptr);
+    std::vector<const NeighborIndex*> index(kThreads, nullptr);
+    {
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          rows[t] = &frozen->dense_rows();
+          index[t] = &frozen->neighbor_index();
+        });
+      }
+      for (auto& thread : threads) thread.join();
     }
-  }
-  const FrozenQuboPtr frozen = q.freeze();
-  constexpr std::size_t kThreads = 6;
-  std::vector<const DenseRows*> rows(kThreads, nullptr);
-  std::vector<const NeighborIndex*> index(kThreads, nullptr);
-  {
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        rows[t] = &frozen->dense_rows();
-        index[t] = &frozen->neighbor_index();
-      });
+    for (std::size_t t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(rows[t], rows[0]);
+      EXPECT_EQ(index[t], index[0]);
     }
-    for (auto& thread : threads) thread.join();
-  }
-  for (std::size_t t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(rows[t], rows[0]);
-    EXPECT_EQ(index[t], index[0]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      ASSERT_EQ(rows[0]->row(j)[i], q.at(i, j)) << i << "," << j;
+    EXPECT_EQ(rows[0]->narrow(), integral);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        ASSERT_TRUE(same_bits(rows[0]->at(j, i), q.at(i, j))) << i << "," << j;
+      }
     }
   }
 }
