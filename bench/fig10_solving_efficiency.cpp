@@ -78,9 +78,9 @@ struct InstanceOutcome {
   std::size_t exchanges_accepted = 0;   ///< tempering observability
   std::size_t migrations_accepted = 0;  ///< island observability
   std::size_t resamples = 0;            ///< stagnant islands reseeded
-  /// The per-flip kernel the instance's chip resolved to (density-
-  /// dispatched under --kernel auto: the paper's density-25 rows go
-  /// sparse, 50 and up stay dense).
+  /// The per-flip kernel the instance's chip runs (its matrix's density
+  /// picks it: the paper's density-25 rows go sparse, 50 and up stay
+  /// dense).
   qubo::Kernel kernel = qubo::Kernel::kDense;
   std::vector<InitRow> rows;
 };
@@ -102,10 +102,6 @@ int main(int argc, char** argv) {
                  "HyCiM search strategy: sa | tempering | island (equal QUBO "
                  "budget: tempering divides --runs by --replicas, island by "
                  "--islands x --replicas)");
-  cli.add_string("kernel", "auto",
-                 "per-flip kernel: auto (density-dispatched) | dense | "
-                 "sparse; the resolved choice lands in the per-instance "
-                 "JSON");
   cli.add_int("replicas", 4, "tempering/island: replicas per ladder");
   cli.add_double("t_ratio", 0.05, "tempering/island: ladder span T_cold/T_hot");
   cli.add_int("exchange_interval", 25,
@@ -152,19 +148,6 @@ int main(int argc, char** argv) {
   }
   const bool tempering = strategy == "tempering";
   const bool island = strategy == "island";
-  const std::string kernel_flag = cli.get_string("kernel");
-  qubo::Kernel kernel_choice;
-  if (kernel_flag == "auto") {
-    kernel_choice = qubo::Kernel::kAuto;
-  } else if (kernel_flag == "dense") {
-    kernel_choice = qubo::Kernel::kDense;
-  } else if (kernel_flag == "sparse") {
-    kernel_choice = qubo::Kernel::kSparse;
-  } else {
-    std::cerr << "unknown --kernel '" << kernel_flag
-              << "' (expected auto | dense | sparse)\n";
-    return 2;
-  }
   anneal::TemperingParams tempering_params;
   tempering_params.replicas =
       static_cast<std::size_t>(cli.get_int("replicas"));
@@ -247,7 +230,6 @@ int main(int argc, char** argv) {
                               ? core::FilterMode::kHardware
                               : core::FilterMode::kSoftware;
     hconfig.filter.fab_seed = 33 + idx;
-    hconfig.kernel = kernel_choice;
     if (tempering) hconfig.search = tempering_params;
     if (island) hconfig.search = island_params;
 
@@ -368,7 +350,6 @@ int main(int argc, char** argv) {
   json.key("iterations").value(static_cast<long long>(iterations));
   json.key("hardware_filter").value(cli.get_bool("hardware_filter"));
   json.key("strategy").value(strategy);
-  json.key("kernel").value(kernel_flag);
   json.key("replicas")
       .value(static_cast<long long>(tempering_params.replicas));
   json.key("t_ratio").value(tempering_params.t_ratio);

@@ -25,6 +25,7 @@
 #include "qubo/energy.hpp"
 #include "qubo/neighbor_index.hpp"
 #include "runtime/executor_pool.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -261,10 +262,9 @@ BENCHMARK(BM_ConstraintIncidenceApply)->Arg(256)->Arg(1024);
 void BM_CircuitVmvEnergy(benchmark::State& state) {
   const auto inst = instance(static_cast<std::size_t>(state.range(0)));
   const auto form = core::to_inequality_qubo(inst);
-  cim::VmvEngineParams params;
-  params.mode = cim::VmvMode::kCircuit;
-  params.fab_seed = 6;
-  cim::VmvEngine engine(params, form.q.freeze());
+  cim::VmvEngineParams circuit;
+  circuit.fab_seed = 6;
+  cim::VmvEngine engine(form.q.freeze(), cim::VmvMode::kCircuit, 7, circuit);
   util::Rng rng(5);
   const auto x = rng.random_bits(inst.n, 0.4);
   for (auto _ : state) {
@@ -279,10 +279,9 @@ void BM_CircuitTrialDelta(benchmark::State& state) {
   // O(n²·bits) full VMV.
   const auto inst = instance(static_cast<std::size_t>(state.range(0)));
   const auto form = core::to_inequality_qubo(inst);
-  cim::VmvEngineParams params;
-  params.mode = cim::VmvMode::kCircuit;
-  params.fab_seed = 6;
-  cim::VmvEngine engine(params, form.q.freeze());
+  cim::VmvEngineParams circuit;
+  circuit.fab_seed = 6;
+  cim::VmvEngine engine(form.q.freeze(), cim::VmvMode::kCircuit, 7, circuit);
   util::Rng rng(5);
   engine.bind(rng.random_bits(inst.n, 0.4));
   std::size_t k = 0;
@@ -293,34 +292,6 @@ void BM_CircuitTrialDelta(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CircuitTrialDelta)->Arg(32)->Arg(100);
-
-void BM_CircuitTrialDeltaByKernel(benchmark::State& state) {
-  // Circuit-mode trial on a density-25 instance under both kernels
-  // (range(1) selects): dense reconverts every selected column
-  // (O(n·bits) ADC conversions), sparse only the flipped row's structural
-  // neighbors (O(degree·bits)).
-  const auto inst = sparse_instance(static_cast<std::size_t>(state.range(0)));
-  const auto form = core::to_inequality_qubo(inst);
-  cim::VmvEngineParams params;
-  params.mode = cim::VmvMode::kCircuit;
-  params.fab_seed = 6;
-  params.kernel =
-      state.range(1) ? qubo::Kernel::kSparse : qubo::Kernel::kDense;
-  cim::VmvEngine engine(params, form.q.freeze());
-  util::Rng rng(5);
-  engine.bind(rng.random_bits(inst.n, 0.4));
-  std::size_t k = 0;
-  for (auto _ : state) {
-    const std::array<std::size_t, 1> flips{k};
-    benchmark::DoNotOptimize(engine.trial(flips) - engine.bound_energy());
-    k = (k + 1) % inst.n;
-  }
-}
-BENCHMARK(BM_CircuitTrialDeltaByKernel)
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({200, 0})
-    ->Args({200, 1});
 
 void BM_SwapIndexSample(benchmark::State& state) {
   // What every swap proposal pays, filtered and rejected ones included:
@@ -456,19 +427,21 @@ BENCHMARK(BM_QuantizedEnergy)->Arg(100)->Arg(400);
 /// Direct head-to-head timing of the flip kernels (outside the
 /// google-benchmark harness so the ratio lands in the output as one
 /// number): M committed flips through each kernel on one density-25
-/// instance at n = 800.  This ratio places the kernel crossover
-/// (qubo::kSparseDensityThreshold); with the dense side on int32 mirror
-/// rows it reads 1.60–1.86x on a shared 4-core Xeon VM (ten runs), a thin
-/// margin at this density.
+/// instance at n = 800, forced through the evaluator's kernel seam.  This
+/// ratio is the evidence for qubo::kSparseDensityThreshold, the only thing
+/// that picks a kernel.  One such shot moves by up to 2x on a shared VM,
+/// so the kernels alternate over kRuns shots each, and the line reports
+/// the median of the per-pair ratios with their min–max.
 void report_flip_ratio() {
   constexpr std::size_t kN = 800;
   constexpr std::size_t kFlips = 100000;
+  constexpr std::size_t kRuns = 9;
   const auto inst = sparse_instance(kN);
-  const auto form = core::to_inequality_qubo(inst);
+  const qubo::FrozenQuboPtr q = core::to_inequality_qubo(inst).q.freeze();
   util::Rng rng(11);
   const auto x0 = rng.random_bits(kN);
   const auto time_kernel = [&](qubo::Kernel kernel) {
-    qubo::IncrementalEvaluator eval(form.q.freeze(), x0, kernel);
+    qubo::IncrementalEvaluator eval(q, x0, kernel);
     const auto start = std::chrono::steady_clock::now();
     std::size_t k = 0;
     for (std::size_t i = 0; i < kFlips; ++i) {
@@ -480,12 +453,20 @@ void report_flip_ratio() {
                                          start)
         .count();
   };
-  const double dense = time_kernel(qubo::Kernel::kDense);
-  const double sparse = time_kernel(qubo::Kernel::kSparse);
+  std::vector<double> dense, sparse, ratio;
+  for (std::size_t r = 0; r < kRuns; ++r) {
+    dense.push_back(time_kernel(qubo::Kernel::kDense));
+    sparse.push_back(time_kernel(qubo::Kernel::kSparse));
+    ratio.push_back(dense.back() / sparse.back());
+  }
+  const util::Summary ratios = util::summarize(ratio);
   std::printf(
       "\n[sparse-kernel] dense/sparse flip-throughput ratio at n=%zu "
-      "density=25%%: %.2fx (dense %.0f ns/flip, sparse %.0f ns/flip)\n",
-      kN, dense / sparse, 1e9 * dense / kFlips, 1e9 * sparse / kFlips);
+      "density=25%%: median %.2fx (min %.2fx, max %.2fx over %zu alternating "
+      "runs; median dense %.0f ns/flip, sparse %.0f ns/flip)\n",
+      kN, ratios.median, ratios.min, ratios.max, kRuns,
+      1e9 * util::percentile(dense, 0.5) / kFlips,
+      1e9 * util::percentile(sparse, 0.5) / kFlips);
 }
 
 /// Head-to-head timing of one archipelago epoch's halves: the walk work an

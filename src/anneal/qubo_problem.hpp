@@ -15,9 +15,13 @@ namespace hycim::anneal {
 class QuboProblem final : public SaProblem {
  public:
   /// Binds an evaluator over `q` at the all-zeros state (walks reset it to
-  /// their x0).  `kernel` resolves like IncrementalEvaluator's.
-  explicit QuboProblem(const qubo::FrozenQuboPtr& q,
-                       qubo::Kernel kernel = qubo::Kernel::kDense)
+  /// their x0).  It runs q's kernel (FrozenQubo::kernel()).
+  explicit QuboProblem(const qubo::FrozenQuboPtr& q)
+      : eval_(q, qubo::BitVector(q->size(), 0)) {}
+
+  /// Runs `kernel` instead: IncrementalEvaluator's test and
+  /// micro-benchmark seam, for whole walks.
+  QuboProblem(const qubo::FrozenQuboPtr& q, qubo::Kernel kernel)
       : eval_(q, qubo::BitVector(q->size(), 0), kernel) {}
 
   std::size_t num_bits() const override { return eval_.state().size(); }

@@ -82,15 +82,14 @@ QuantizedQubo quantize_passes(const qubo::QuboMatrix& q,
         out.values[k] = static_cast<long long>(packed[k]);
       }
     }
-    out.nonzeros = scan.nonzeros;
     out.exact = !scan.negative_zero;
     out.magnitude_bits = bits_for(static_cast<long long>(scan.max_abs));
     return out;
   }
 
   // Otherwise the values are scaled to use the full range, in one pass
-  // that stores each value, counts nonzeros, tracks the largest magnitude,
-  // and checks whether de-scaling happens to give back the source bits.
+  // that stores each value, tracks the largest magnitude, and checks
+  // whether de-scaling happens to give back the source bits.
   // Codes are clamped to ±(2^b − 1): from b = 54 up the double range is
   // 2^b, and the largest coefficient would round to one past the budget.
   if constexpr (kStore) out.values.resize(packed.size());
@@ -98,18 +97,15 @@ QuantizedQubo quantize_passes(const qubo::QuboMatrix& q,
   const double range = static_cast<double>(max_code);
   out.scale = scan.max_abs > 0 ? scan.max_abs / range : 1.0;
   long long max_mag = 0;
-  std::size_t nonzeros = 0;
   bool exact = true;
   for (std::size_t k = 0; k < packed.size(); ++k) {
     const long long v =
         std::clamp(std::llround(packed[k] / out.scale), -max_code, max_code);
     if constexpr (kStore) out.values[k] = v;
-    nonzeros += v != 0;
     max_mag = std::max(max_mag, std::llabs(v));
     exact &= std::bit_cast<std::uint64_t>(static_cast<double>(v) * out.scale) ==
              std::bit_cast<std::uint64_t>(packed[k]);
   }
-  out.nonzeros = nonzeros;
   out.exact = exact;
   out.magnitude_bits = bits_for(max_mag);
   return out;

@@ -21,7 +21,6 @@ struct QuantizedQubo {
   std::vector<long long> values;  ///< packed upper triangle, signed
   double scale = 1.0;             ///< de-quantization factor
   int magnitude_bits = 1;         ///< bits needed for max |value|
-  std::size_t nonzeros = 0;       ///< number of nonzero values
   /// Every de-scaled value equals its source coefficient bit for bit (an
   /// in-range integral matrix without -0.0 entries): quantization lost
   /// nothing.
@@ -44,8 +43,8 @@ struct QuantizedQubo {
 /// Quantizes `q` to at most `max_bits` (1..62) magnitude bits; every code
 /// lies within ±(2^max_bits − 1).  Matrices whose entries are already
 /// integers within range are represented exactly (scale = 1), decided by
-/// one measuring pass (qubo::scan_integral) that also counts the nonzeros;
-/// otherwise values are scaled to use the full range.
+/// one measuring pass (qubo::scan_integral); otherwise values are scaled
+/// to use the full range.
 QuantizedQubo quantize(const qubo::QuboMatrix& q, int max_bits);
 
 /// quantize(q.matrix(), max_bits), deciding from the measurements the
@@ -53,8 +52,8 @@ QuantizedQubo quantize(const qubo::QuboMatrix& q, int max_bits);
 QuantizedQubo quantize(const qubo::FrozenQubo& q, int max_bits);
 
 /// quantize(q, max_bits) without its values: n, scale, magnitude_bits,
-/// nonzeros, exact and offset as quantize() fills them, `values` empty and
-/// nothing allocated.  For an integral matrix within range it reads only
+/// exact and offset as quantize() fills them, `values` empty and nothing
+/// allocated.  For an integral matrix within range it reads only
 /// the freeze pass's record — no pass over the values at all; otherwise it
 /// runs the scaled pass without storing.  Lets a reader decide whether it
 /// needs the quantized copy at all.

@@ -13,6 +13,10 @@
 //                 hardware effect; fast enough for SA-in-the-loop);
 //   kCircuit    — full per-cell current + ADC path (used for validation
 //                 and the chip-level experiments of Fig. 7).
+// The owner passes the mode and the quantization budget to the
+// constructor; VmvEngineParams holds only the circuit's settings.  Circuit
+// mode has one bound-state kernel, the exact full-row update: every cell's
+// leakage is modelled on every flip, whatever the matrix's density.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +29,6 @@
 #include "cim/crossbar/bit_slice.hpp"
 #include "cim/crossbar/crossbar.hpp"
 #include "device/variation.hpp"
-#include "qubo/neighbor_index.hpp"
 #include "qubo/qubo_matrix.hpp"
 
 namespace hycim::cim {
@@ -37,35 +40,27 @@ enum class VmvMode {
   kCircuit,
 };
 
-/// Engine configuration.
+/// The circuit settings of an engine (read in kCircuit mode only).
 struct VmvEngineParams {
-  VmvMode mode = VmvMode::kQuantized;
-  int matrix_bits = 7;  ///< quantization budget, ⌈log2 (Qij)MAX⌉ for exact
-  AdcParams adc{};      ///< per-column ADC corner (kCircuit only)
-  CrossbarParams crossbar{};            ///< cell corner (kCircuit only)
+  AdcParams adc{};                      ///< per-column ADC corner
+  CrossbarParams crossbar{};            ///< cell corner
   device::VariationParams variation{};  ///< fabrication corners
   std::uint64_t fab_seed = 7;
-  /// Bound-state trial/apply kernel (kCircuit only): kAuto resolves from
-  /// the quantized matrix's density.  The sparse kernel caches per-column
-  /// ADC codes and reconverts only the columns a flip structurally
-  /// touches — O(degree·bits) conversions per trial instead of
-  /// O(n·bits) — treating the sub-LSB leakage shift of zero cells as
-  /// invariant (the dense path, kept as the full-recompute oracle under
-  /// check_incremental, models those leaks exactly).
-  qubo::Kernel kernel = qubo::Kernel::kAuto;
 };
 
 /// A programmed VMV engine for one QUBO matrix.
 class VmvEngine {
  public:
-  /// Quantizes `q` and, in kCircuit mode, fabricates and programs the
-  /// bit-plane crossbars.  Outside kCircuit an exact quantization is only
-  /// measured (cim::measure_quantization): its values are the original's,
-  /// so no quantized copy is made until quantized() is asked for.  For an
-  /// integral matrix within matrix_bits that measurement is the record of
-  /// q's freeze pass (exactness, magnitude bits, nonzeros), so the engine
-  /// reads no coefficient; other matrices get one scaled pass.
-  VmvEngine(const VmvEngineParams& params, qubo::FrozenQuboPtr q);
+  /// Quantizes `q` to at most `matrix_bits` magnitude bits and, in
+  /// kCircuit mode, fabricates and programs the bit-plane crossbars with
+  /// the `circuit` settings.  Outside kCircuit an exact quantization is
+  /// only measured (cim::measure_quantization): its values are the
+  /// original's, so no quantized copy is made until quantized() is asked
+  /// for.  For an integral matrix within matrix_bits that measurement is
+  /// the record of q's freeze pass (exactness, magnitude bits), so the
+  /// engine reads no coefficient; other matrices get one scaled pass.
+  VmvEngine(qubo::FrozenQuboPtr q, VmvMode mode, int matrix_bits,
+            const VmvEngineParams& circuit = {});
 
   ~VmvEngine();
   VmvEngine(VmvEngine&&) noexcept;
@@ -139,9 +134,6 @@ class VmvEngine {
   /// Magnitude bits per element stored in the crossbars.
   int magnitude_bits() const { return magnitude_bits_; }
 
-  /// The resolved bound-state kernel (kDense or kSparse, never kAuto).
-  qubo::Kernel kernel() const { return kernel_; }
-
   /// Re-programs all crossbars with fresh cycle-to-cycle noise
   /// (kCircuit mode; the Fig. 7(f) erase/reprogram experiment).
   void reprogram();
@@ -149,21 +141,12 @@ class VmvEngine {
   /// Total full-scale ADC clips across all conversions so far.
   std::size_t adc_clips() const;
 
+  /// The circuit settings.
   const VmvEngineParams& params() const { return params_; }
 
  private:
   double circuit_energy(std::span<const std::uint8_t> x);
   void rebuild_bound_currents();
-  /// Sparse kernel: (re)digitizes every selected column from the cached
-  /// currents, refreshing col_acc_ and bound_acc_ (same conversion order
-  /// as the dense path).
-  void reconvert_all_columns();
-  /// Sparse kernel: the sorted unique set of columns whose current or
-  /// selection changes under `flips` — each flipped column itself plus the
-  /// upper-triangle structural neighbors of every flipped row.
-  void collect_affected(std::span<const std::size_t> flips);
-  double trial_sparse(std::span<const std::size_t> flips);
-  void apply_sparse(std::span<const std::size_t> flips);
   /// Shift-added ADC accumulation over the candidate's selected columns,
   /// reading analog currents through `current_of(plane_index, col)` where
   /// plane_index runs over [0, bits) positive then [bits, 2·bits) negative.
@@ -180,6 +163,8 @@ class VmvEngine {
   /// The built quantization on the kCircuit paths (built at construction).
   const QuantizedQubo& circuit_q() const { return quantized_->matrix; }
 
+  VmvMode mode_;
+  int matrix_bits_;
   VmvEngineParams params_;
   std::size_t n_ = 0;
   qubo::FrozenQuboPtr original_;
@@ -203,18 +188,6 @@ class VmvEngine {
   long long trial_acc_ = 0;
   bool trial_valid_ = false;
   std::vector<std::uint8_t> trial_x_;  // scratch candidate configuration
-  // Sparse-kernel state: resolved kernel, CSR of upper-triangle structural
-  // neighbors (per row k: columns j >= k with quantized value != 0),
-  // cached per-column shift-added codes of the bound state (0 when the
-  // column is unselected), and the memoized per-column codes of the last
-  // trial so apply() can adopt them without reconverting.
-  qubo::Kernel kernel_ = qubo::Kernel::kDense;
-  std::vector<std::size_t> sp_offsets_;
-  std::vector<std::uint32_t> sp_cols_;
-  std::vector<long long> col_acc_;
-  std::vector<std::size_t> affected_;        // scratch
-  std::vector<std::size_t> trial_cols_;      // memo: affected set
-  std::vector<long long> trial_col_codes_;   // memo: their new codes
 };
 
 }  // namespace hycim::cim

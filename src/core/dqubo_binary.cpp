@@ -34,6 +34,7 @@ long long DquboBinaryForm::slack_value(
 }
 
 DquboBinaryForm to_dqubo_binary(const cop::QkpInstance& inst, double beta) {
+  inst.validate();
   DquboBinaryForm form;
   form.n_items = inst.n;
   form.capacity = inst.capacity;

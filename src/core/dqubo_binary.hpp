@@ -39,7 +39,9 @@ struct DquboBinaryForm {
   long long slack_value(std::span<const std::uint8_t> xz) const;
 };
 
-/// Builds the binary-slack D-QUBO form of a QKP instance.
+/// Builds the binary-slack D-QUBO form of a QKP instance.  Throws
+/// std::invalid_argument when `inst` fails QkpInstance::validate() or its
+/// capacity is < 1.
 DquboBinaryForm to_dqubo_binary(const cop::QkpInstance& inst,
                                 double beta = 2.0);
 

@@ -31,6 +31,7 @@ double DquboOneHotForm::penalty(std::span<const std::uint8_t> xy,
 
 DquboOneHotForm to_dqubo_onehot(const cop::QkpInstance& inst,
                                 const DquboParams& params) {
+  inst.validate();
   if (inst.capacity < 1) {
     throw std::invalid_argument("to_dqubo_onehot: capacity < 1");
   }

@@ -48,8 +48,9 @@ struct DquboOneHotForm {
 /// row of the (n+C)×(n+C) matrix once.  Every coefficient is the sum of its
 /// objective and penalty terms from +0.0, in the order the expansion lists
 /// them — bit-identical to adding each term in its own pass.  Throws
-/// std::invalid_argument if capacity < 1, and std::length_error (from
-/// QuboMatrix) if n + C is too large for the packed triangle's size.
+/// std::invalid_argument when `inst` fails QkpInstance::validate() or its
+/// capacity is < 1, and std::length_error (from QuboMatrix) if n + C is
+/// too large for the packed triangle's size.
 DquboOneHotForm to_dqubo_onehot(const cop::QkpInstance& inst,
                                 const DquboParams& params = {});
 

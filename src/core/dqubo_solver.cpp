@@ -65,7 +65,7 @@ class DquboSolver::Problem final : public anneal::SaProblem {
   /// slack bits).  Must be called *before* eval_.flip(k).
   ///
   /// The marginal p_kk + Σ_{i≠k} p_ki·x_i sums row k of the profit matrix
-  /// (== column k: the constructor checks symmetry), contiguous and
+  /// (== column k: the lowering checks symmetry), contiguous and
   /// branch-free: each selected item's profit is masked in.  The sums are
   /// long long, exact in any order, so the tracked profit is the same
   /// integer the column walk gave.
@@ -107,18 +107,21 @@ class DquboSolver::Problem final : public anneal::SaProblem {
 DquboSolver::DquboSolver(const cop::QkpInstance& inst,
                          const DquboConfig& config)
     : inst_(inst), config_(config) {
-  // The lowering reads n weights and n² profits, and the tracked marginal
-  // reads profit rows for columns: both need a well-formed instance.
-  inst_.validate();
+  if (config_.fidelity == cim::VmvMode::kCircuit) {
+    throw std::invalid_argument(
+        "DquboSolver: kCircuit is not supported (the walk reads only the "
+        "ideal or quantized evaluation matrix)");
+  }
+  // The lowering validates the instance: the tracked marginal reads profit
+  // rows for columns, so it relies on the symmetry that checks.
   qubo::FrozenQuboPtr q =
       config_.encoding == SlackEncoding::kOneHot
           ? std::move(to_dqubo_onehot(inst, config_.penalty).q).freeze()
           : std::move(to_dqubo_binary(inst, config_.penalty.beta).q).freeze();
-  cim::VmvEngineParams vmv = config_.vmv;
-  vmv.mode = config_.fidelity;
-  vmv.matrix_bits =
+  const int bits =
       config_.matrix_bits > 0 ? config_.matrix_bits : q->quantization_bits();
-  engine_ = std::make_unique<cim::VmvEngine>(vmv, std::move(q));
+  engine_ = std::make_unique<cim::VmvEngine>(std::move(q), config_.fidelity,
+                                             bits);
 }
 
 DquboSolver::~DquboSolver() = default;

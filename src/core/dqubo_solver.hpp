@@ -4,6 +4,10 @@
 // and constraint violations only show up as (often insufficient) penalty
 // energy.  This is the implementation whose 10.75% success rate Fig. 10
 // contrasts with HyCiM.
+//
+// The walk reads only the evaluation matrix (ideal or quantized energies,
+// on the dense kernel its fully dense penalty matrix picks), so there is
+// no circuit fidelity to configure: kCircuit is rejected.
 #pragma once
 
 #include <cstdint>
@@ -30,20 +34,21 @@ enum class SlackEncoding {
 /// D-QUBO solver configuration.
 struct DquboConfig {
   anneal::SaParams sa{};
+  /// kIdeal or kQuantized; kCircuit is rejected.
   cim::VmvMode fidelity = cim::VmvMode::kQuantized;
   SlackEncoding encoding = SlackEncoding::kOneHot;
   DquboParams penalty{};  ///< α = β = 2 (paper Sec. 4.2)
   /// Crossbar quantization; 0 = exactly ⌈log2 (Qij)MAX⌉ as the paper sizes it.
   int matrix_bits = 0;
-  cim::VmvEngineParams vmv{};
 };
 
 /// One D-QUBO annealer bound to a QKP instance.
 class DquboSolver {
  public:
   /// Builds the penalty QUBO of `inst`.  Throws std::invalid_argument when
-  /// `inst` fails QkpInstance::validate() (sizes, weights, capacity, an
-  /// asymmetric profit matrix).
+  /// config.fidelity is kCircuit, or when `inst` fails
+  /// QkpInstance::validate() (sizes, weights, capacity, an asymmetric
+  /// profit matrix), which the lowering checks first.
   DquboSolver(const cop::QkpInstance& inst, const DquboConfig& config);
   ~DquboSolver();
   DquboSolver(DquboSolver&&) noexcept;

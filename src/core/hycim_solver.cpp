@@ -24,9 +24,9 @@ namespace hycim::core {
 ///     (support-compressed arrays, see cim::FilterBank), each trial
 ///     adjusting the flipped columns' matchline charge in O(phases);
 ///   * circuit energies — the VMV engine's bound state updates per-column
-///     currents on a flip (O(degree·bits) under the sparse kernel);
+///     currents on a flip (O(n·bits), every cell's leakage modelled);
 ///   * ideal/quantized energies — qubo::IncrementalEvaluator local fields,
-///     O(degree) per commit under the sparse kernel.
+///     O(degree) per commit when the matrix runs the sparse kernel.
 /// No per-proposal BitVector copies remain; candidates exist only as flip
 /// index sets.  check_incremental re-derives everything from scratch at
 /// every step and throws on divergence.
@@ -38,8 +38,7 @@ class alignas(64) HyCimSolver::Problem final : public anneal::SaProblem {
   explicit Problem(HyCimSolver& owner)
       : owner_(owner),
         eval_(owner.engine_->eval_matrix(),
-              qubo::BitVector(owner.form_->size(), 0),
-              owner.resolved_kernel_),
+              qubo::BitVector(owner.form_->size(), 0)),
         totals_(owner.form_->rows(), 0) {
     touched_ids_.reserve(owner.form_->rows());
   }
@@ -263,19 +262,14 @@ HyCimSolver::HyCimSolver(const ConstrainedQuboForm& form,
         " weights for " + std::to_string(form.size()) + " variables");
   }
 
-  cim::VmvEngineParams vmv = config_.vmv;
-  vmv.mode = config_.fidelity;
-  vmv.matrix_bits = config_.matrix_bits;
-  vmv.kernel = config_.kernel;
-  engine_ = std::make_unique<cim::VmvEngine>(vmv, form.q.freeze());
+  engine_ = std::make_unique<cim::VmvEngine>(
+      form.q.freeze(), config_.fidelity, config_.matrix_bits, config_.vmv);
 
-  // Kernel dispatch happens here, at fabrication: measure the density of
-  // the matrix the hot loop will walk (the one the hardware stores — see
-  // VmvEngine::eval_matrix), resolve the config's choice, and build the
-  // structure that kernel reads once — every clone shares it.
+  // Build the structure the evaluation matrix's kernel walks (the matrix
+  // the hardware stores — see VmvEngine::eval_matrix) once, at
+  // fabrication: every clone shares it.
   const qubo::FrozenQubo& eval = *engine_->eval_matrix();
-  resolved_kernel_ = qubo::resolve_kernel(config_.kernel, eval.density());
-  if (resolved_kernel_ == qubo::Kernel::kSparse) {
+  if (eval.kernel() == qubo::Kernel::kSparse) {
     eval.neighbor_index();
   } else {
     eval.dense_rows();
@@ -303,7 +297,6 @@ HyCimSolver::HyCimSolver(const HyCimSolver& proto,
     : form_(proto.form_),
       config_(proto.config_),
       engine_(std::make_unique<cim::VmvEngine>(*proto.engine_)),
-      resolved_kernel_(proto.resolved_kernel_),
       rows_by_var_(proto.rows_by_var_) {
   if (decision_seed != 0) config_.filter.decision_seed = decision_seed;
   if (proto.bank_) {
@@ -343,8 +336,8 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   std::vector<std::unique_ptr<anneal::SaProblem>> problems;
   if (plain_replicas) {
     for (std::size_t r = 0; r < replica_count; ++r) {
-      problems.push_back(std::make_unique<anneal::QuboProblem>(
-          engine_->eval_matrix(), resolved_kernel_));
+      problems.push_back(
+          std::make_unique<anneal::QuboProblem>(engine_->eval_matrix()));
     }
   } else if (replica_count == 1) {
     problems.push_back(std::make_unique<Problem>(*this));
@@ -374,7 +367,7 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   result.best_x = result.sa.best_x;
   result.best_energy = result.sa.best_energy;
   result.feasible = form_->feasible(result.best_x);
-  result.kernel = resolved_kernel_;
+  result.kernel = kernel();
   return result;
 }
 

@@ -14,7 +14,10 @@
 //     exact software predicates).
 // The defaults — quantized energies + hardware filters — capture the
 // dominant hardware effects while staying fast enough to run the paper's
-// Sec. 4.3 sweep (thousands of SA runs) on a laptop.
+// Sec. 4.3 sweep (thousands of SA runs) on a laptop.  Cost is not
+// configurable: the per-flip kernel of the ideal/quantized walks follows
+// the programmed evaluation matrix's density (qubo::FrozenQubo::kernel()),
+// and circuit mode runs the engine's one exact bound-state kernel.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +32,7 @@
 #include "cim/filter/inequality_filter.hpp"
 #include "core/constrained_form.hpp"
 #include "core/solve_status.hpp"
-#include "qubo/neighbor_index.hpp"
+#include "qubo/qubo_matrix.hpp"
 
 namespace hycim::core {
 
@@ -51,18 +54,8 @@ struct HyCimConfig {
   cim::VmvMode fidelity = cim::VmvMode::kQuantized;
   int matrix_bits = 7;  ///< crossbar quantization (⌈log2 (Qij)MAX⌉ = 7)
   FilterMode filter_mode = FilterMode::kHardware;
-  /// Per-flip kernel of the hot paths (the incremental evaluator's local-
-  /// field updates and, in kCircuit fidelity, the VMV engine's bound-state
-  /// column reconversions).  kAuto measures the evaluation matrix's
-  /// density at fabrication and picks the sparse O(degree) kernel at or
-  /// below qubo::kSparseDensityThreshold — the paper's density-25 suites
-  /// qualify, density-50 and up stay dense.  kDense / kSparse override the
-  /// measurement.  The resolved choice is recorded in SolveResult::kernel;
-  /// on the ideal/quantized paths the kernels are bit-identical (sparsity
-  /// changes cost, not trajectories).
-  qubo::Kernel kernel = qubo::Kernel::kAuto;
   cim::InequalityFilterParams filter{};
-  cim::VmvEngineParams vmv{};  ///< mode/matrix_bits overridden by the above
+  cim::VmvEngineParams vmv{};  ///< circuit corners (kCircuit fidelity only)
   /// Debug mode: cross-check every incremental trial/commit against a full
   /// recomputation (filter matchline voltages, energies) and throw
   /// std::logic_error on divergence.  O(n²) per SA step — enable in tests
@@ -86,9 +79,9 @@ struct SolveResult : anneal::SearchTelemetry {
   SolveStatus status = SolveStatus::kOk;
   anneal::SaResult sa;       ///< walk counters (summed over replicas when
                              ///< tempering) and optional single-walk trace
-  /// The per-flip kernel that ran (resolved from HyCimConfig::kernel at
-  /// fabrication: kDense or kSparse) — recorded so benches and the perf
-  /// trajectory know which kernel produced a timing.
+  /// The per-flip kernel of the chip's evaluation matrix (HyCimSolver::
+  /// kernel()) — recorded so benches and the perf trajectory know which
+  /// kernel produced a timing.
   qubo::Kernel kernel = qubo::Kernel::kDense;
 };
 
@@ -142,9 +135,9 @@ class HyCimSolver {
   /// The configuration this chip was fabricated with.
   const HyCimConfig& config() const { return config_; }
 
-  /// The per-flip kernel resolved at fabrication (kDense or kSparse —
-  /// kAuto is resolved against the measured evaluation-matrix density).
-  qubo::Kernel kernel() const { return resolved_kernel_; }
+  /// The per-flip kernel of the ideal/quantized walks: the evaluation
+  /// matrix's own (qubo::FrozenQubo::kernel(), from its density).
+  qubo::Kernel kernel() const { return eval_matrix()->kernel(); }
 
   /// Overrides the solve-time knobs — `sa`, `search`, `check_incremental`
   /// (exactly the fields service::solve_key() hashes) — leaving the
@@ -185,7 +178,6 @@ class HyCimSolver {
   /// matrix behind the incremental fast path); clones share them.
   std::unique_ptr<cim::VmvEngine> engine_;
   std::unique_ptr<cim::FilterBank> bank_;
-  qubo::Kernel resolved_kernel_ = qubo::Kernel::kDense;
   // Row incidence of the exact totals: variable -> the ids of the rows
   // (ConstrainedQuboForm::row order) whose weights contain it, so per-flip
   // totals updates and feasibility trials touch O(incidence) rows instead

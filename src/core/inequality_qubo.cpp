@@ -17,6 +17,7 @@ double InequalityQuboForm::energy(std::span<const std::uint8_t> x) const {
 }
 
 InequalityQuboForm to_inequality_qubo(const cop::QkpInstance& inst) {
+  inst.validate();
   InequalityQuboForm form;
   form.q = qubo::QuboMatrix(inst.n);
   for (std::size_t i = 0; i < inst.n; ++i) {

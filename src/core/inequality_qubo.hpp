@@ -51,6 +51,7 @@ struct InequalityQuboForm {
 
 /// Transforms a QKP instance into inequality-QUBO form (Eq. (5)-(6)):
 /// q_ij = −p_ij with each unordered pair mapped once to the upper triangle.
+/// Throws std::invalid_argument when `inst` fails QkpInstance::validate().
 InequalityQuboForm to_inequality_qubo(const cop::QkpInstance& inst);
 
 /// Recovers the QKP profit of a configuration: −xᵀQx (exact inverse of the

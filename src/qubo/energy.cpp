@@ -6,11 +6,12 @@
 
 namespace hycim::qubo {
 
+IncrementalEvaluator::IncrementalEvaluator(FrozenQuboPtr q, BitVector x0)
+    : IncrementalEvaluator(q, std::move(x0), q->kernel()) {}
+
 IncrementalEvaluator::IncrementalEvaluator(FrozenQuboPtr q, BitVector x0,
                                            Kernel kernel)
-    : q_(std::move(q)),
-      kernel_(resolve_kernel(kernel, kernel == Kernel::kAuto ? q_->density()
-                                                             : 0.0)) {
+    : q_(std::move(q)), kernel_(kernel) {
   if (kernel_ == Kernel::kSparse) {
     index_ = &q_->neighbor_index();
   } else {
@@ -24,7 +25,6 @@ void IncrementalEvaluator::flip(std::size_t k) {
   energy_ += delta(k);
   const double sign = x_[k] ? -1.0 : 1.0;  // +1 when turning the bit on
   x_[k] ^= 1;
-  words_.flip(k);
   // Every other bit's field gains/loses the coupling with bit k.  The
   // sparse walk skips exact-zero couplings only (adding ±0.0 is the lone
   // dropped operation) and the dense pass streams the mirror row (phi_k

@@ -9,9 +9,10 @@
 // so the energy change of flipping bit k is (1 − 2 x_k)·phi_k.  Accepting a
 // flip updates the other bits' fields — O(n) under the dense kernel, or
 // O(degree(k)) under the sparse kernel, which walks the matrix's
-// NeighborIndex and touches only true neighbors.  The skipped terms are
-// exact zeros, so the two kernels produce bit-identical fields, energies,
-// and deltas; sparsity changes cost, never trajectories.  This mirrors the
+// NeighborIndex and touches only true neighbors.  The matrix picks the
+// kernel (FrozenQubo::kernel()).  The skipped terms are exact zeros, so
+// the two kernels produce bit-identical fields, energies, and deltas;
+// sparsity changes cost, never trajectories.  This mirrors the
 // digital SA logic that drives the CiM crossbar in paper Fig. 6(b) while
 // staying exact.
 #pragma once
@@ -109,12 +110,16 @@ inline double rebuild(const FrozenQubo& q, Kernel kernel,
 /// Tracks the energy of an evolving assignment under a fixed QUBO matrix.
 class IncrementalEvaluator {
  public:
-  /// Shares `q` and initializes the state to `x0`.  `kernel` selects the
-  /// per-flip update kernel: kDense streams q->dense_rows(), kSparse walks
-  /// q->neighbor_index() (either built once per frozen matrix and shared
-  /// by every evaluator reading it), kAuto resolves from q->density().
-  IncrementalEvaluator(FrozenQuboPtr q, BitVector x0,
-                       Kernel kernel = Kernel::kDense);
+  /// Shares `q` and initializes the state to `x0`.  Runs q->kernel():
+  /// kDense streams q->dense_rows(), kSparse walks q->neighbor_index()
+  /// (either built once per frozen matrix and shared by every evaluator
+  /// reading it).
+  IncrementalEvaluator(FrozenQuboPtr q, BitVector x0);
+
+  /// Runs `kernel` instead of q->kernel(): the seam through which the
+  /// kernel-identity tests and the micro-benchmarks set the two kernels
+  /// side by side on one matrix.
+  IncrementalEvaluator(FrozenQuboPtr q, BitVector x0, Kernel kernel);
 
   /// Current assignment.
   const BitVector& state() const { return x_; }
@@ -122,7 +127,7 @@ class IncrementalEvaluator {
   /// Current energy xᵀQx + offset.
   double energy() const { return energy_; }
 
-  /// The kernel this evaluator runs (kDense or kSparse, never kAuto).
+  /// The kernel this evaluator runs.
   Kernel kernel() const { return kernel_; }
 
   /// Energy change if bit k were flipped (state unchanged).  O(1), and
@@ -166,8 +171,8 @@ class IncrementalEvaluator {
   const NeighborIndex* index_ = nullptr;
   const DenseRows* rows_ = nullptr;
   BitVector x_;
-  /// Word-packed shadow of x_, maintained on every flip/reset; feeds the
-  /// word-parallel rebuild scans.
+  /// Reset-time scratch: x_ packed for the word-parallel rebuild scans,
+  /// repacked by every reset() and not kept up to date by flips.
   WordState words_;
   std::vector<double> phi_;
   double energy_ = 0.0;

@@ -4,24 +4,6 @@
 
 namespace hycim::qubo {
 
-Kernel resolve_kernel(Kernel choice, double density) {
-  if (choice != Kernel::kAuto) return choice;
-  return density <= kSparseDensityThreshold ? Kernel::kSparse
-                                            : Kernel::kDense;
-}
-
-const char* kernel_name(Kernel kernel) {
-  switch (kernel) {
-    case Kernel::kAuto:
-      return "auto";
-    case Kernel::kDense:
-      return "dense";
-    case Kernel::kSparse:
-      return "sparse";
-  }
-  return "unknown";
-}
-
 NeighborIndex::NeighborIndex(const QuboMatrix& q) {
   const std::size_t n = q.size();
   diag_.resize(n);

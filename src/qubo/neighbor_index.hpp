@@ -1,17 +1,19 @@
-// Sparsity structure of a QUBO matrix, and the kernel dispatch built on it.
+// Sparsity structure of a QUBO matrix: what the sparse per-flip kernel walks.
 //
 // The paper's benchmark suites are mostly zeros: the CNAM-style QKP
 // generator (Sec. 4) populates p_ij with probability density_percent, so a
 // density-25 instance has ~75% structural zeros, and max-cut / coloring /
-// bin-packing QUBOs are sparser still.  Every per-flip hot kernel in the
-// repository (IncrementalEvaluator local-field updates, circuit-mode VMV
-// column deltas) walks a full dense row even though the skipped terms are
-// exact zeros.  NeighborIndex is the CSR-style adjacency that keys those
-// updates to the coupling *degree* instead of n — the same structure the
-// ferroelectric CiM annealer literature exploits (arXiv:2309.13853).
+// bin-packing QUBOs are sparser still.  A dense IncrementalEvaluator flip
+// walks a full row even though the skipped terms are exact zeros.
+// NeighborIndex is the CSR-style adjacency that keys those updates to the
+// coupling *degree* instead of n — the same structure the ferroelectric
+// CiM annealer literature exploits (arXiv:2309.13853).
 //
-// A FrozenQubo builds its index once, on first request, and every
-// evaluator, replica batch and solver clone reading that matrix shares it.
+// Which kernel runs is a property of the programmed matrix, decided once
+// at the freeze: FrozenQubo::kernel() picks the sparse kernel at or below
+// kSparseDensityThreshold (qubo_matrix.hpp), and there is no override.  A
+// FrozenQubo builds its index once, on first request, and every evaluator
+// and solver clone reading that matrix shares it.
 #pragma once
 
 #include <cstdint>
@@ -21,35 +23,6 @@
 #include "qubo/qubo_matrix.hpp"
 
 namespace hycim::qubo {
-
-/// Which per-flip kernel a component runs.
-///
-/// kAuto resolves at fabrication time from the measured matrix density
-/// (resolve_kernel below); kDense / kSparse force a kernel regardless of
-/// density — the override knob surfaced on HyCimConfig.  The two kernels
-/// are bit-identical on the ideal/quantized paths (the sparse kernel skips
-/// only exact zeros), so the choice changes cost, never trajectories.
-enum class Kernel {
-  kAuto,
-  kDense,
-  kSparse,
-};
-
-/// Densities at or below this fraction of structurally nonzero upper-
-/// triangle entries resolve kAuto to the sparse kernel.  Chosen between
-/// the paper's density-25 suites (clear sparse win: ~4x fewer terms per
-/// flip) and density-50 (CSR indirection roughly cancels the skipped
-/// zeros).
-inline constexpr double kSparseDensityThreshold = 0.4;
-
-/// Resolves a kernel request against a measured density: kAuto picks
-/// kSparse iff density <= kSparseDensityThreshold; explicit choices pass
-/// through.
-Kernel resolve_kernel(Kernel choice, double density);
-
-/// Human-readable kernel name ("auto" / "dense" / "sparse") for result
-/// structs and bench JSON.
-const char* kernel_name(Kernel kernel);
 
 /// CSR adjacency over the structural nonzeros of a QuboMatrix.
 ///

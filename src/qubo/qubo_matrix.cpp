@@ -11,6 +11,10 @@
 
 namespace hycim::qubo {
 
+const char* kernel_name(Kernel kernel) {
+  return kernel == Kernel::kSparse ? "sparse" : "dense";
+}
+
 int magnitude_bits(double max_abs) {
   int bits = 1;
   while (std::ldexp(1.0, bits) - 1.0 < max_abs) ++bits;
@@ -123,7 +127,10 @@ FrozenQuboPtr QuboMatrix::freeze() && {
 }
 
 FrozenQubo::FrozenQubo(QuboMatrix q)
-    : q_(std::move(q)), scan_(scan_integral(q_.packed())) {}
+    : q_(std::move(q)),
+      scan_(scan_integral(q_.packed())),
+      kernel_(density() <= kSparseDensityThreshold ? Kernel::kSparse
+                                                   : Kernel::kDense) {}
 
 FrozenQubo::~FrozenQubo() = default;
 

@@ -12,8 +12,9 @@
 // lowering passes add terms with plain stores.  freeze() then produces an
 // immutable FrozenQubo, held by std::shared_ptr<const>: it measures the
 // matrix once (nonzeros, max |Q_ij|, whether every coefficient is a finite
-// integer, whether any is −0.0) and builds the mirror or neighbor index a
-// kernel reads at most once.  Evaluators, engines and solver clones
+// integer, whether any is −0.0), picks its per-flip kernel from that
+// density, and builds the mirror or neighbor index the kernel reads at
+// most once.  Evaluators, engines and solver clones
 // share that one object, so a clone copies no O(n²) data, and a write
 // after the freeze is impossible by type.
 #pragma once
@@ -38,6 +39,26 @@ using BitVector = std::vector<std::uint8_t>;
 
 /// A frozen matrix as its readers share it.
 using FrozenQuboPtr = std::shared_ptr<const FrozenQubo>;
+
+/// The per-flip kernel that walks a frozen matrix: kDense streams a full
+/// mirror row (DenseRows), kSparse only the row's nonzeros (NeighborIndex).
+/// The two are bit-identical (the sparse kernel skips only exact zeros), so
+/// the choice changes cost, never results.  FrozenQubo::kernel() makes it
+/// once per matrix, from the freeze pass's density.
+enum class Kernel {
+  kDense,
+  kSparse,
+};
+
+/// Matrices with at most this fraction of structurally nonzero upper-
+/// triangle entries run the sparse kernel.  Chosen between the paper's
+/// density-25 suites (clear sparse win: ~4x fewer terms per flip) and
+/// density-50 (CSR indirection roughly cancels the skipped zeros).
+inline constexpr double kSparseDensityThreshold = 0.4;
+
+/// Human-readable kernel name ("dense" / "sparse") for result structs and
+/// bench JSON.
+const char* kernel_name(Kernel kernel);
 
 /// Bits needed to represent a magnitude: the smallest b >= 1 with
 /// 2^b − 1 >= max_abs (paper Sec. 4.2's ⌈log2 (Qij)MAX⌉, exact at powers of
@@ -139,7 +160,8 @@ class QuboMatrix {
 /// |Q_ij|, whether every coefficient is a finite integer and whether any
 /// is −0.0 — what the crossbar mapper needs to know whether it can store
 /// the values as they are, and the mirror whether it can narrow them.
-/// The full-row mirror (dense_rows.hpp) and the neighbor index
+/// The density that pass yields picks the matrix's per-flip kernel, once:
+/// kernel().  The full-row mirror (dense_rows.hpp) and the neighbor index
 /// (neighbor_index.hpp) are each built at most once, on first request —
 /// only the one the kernel in use reads ever exists — and concurrent first
 /// requests are safe: one thread builds, the others wait for it.
@@ -167,10 +189,12 @@ class FrozenQubo {
   /// Fraction of structurally nonzero upper-triangle entries, in [0, 1]
   /// (0 for an empty matrix).  This is the quantity the paper's benchmark
   /// generators control: a CNAM-style QKP suite at density_percent = 25
-  /// yields a matrix with density() ≈ 0.25, and it is what kernel
-  /// dispatch (qubo::resolve_kernel) measures to decide between the dense
-  /// and the O(degree) sparse per-flip kernels.
+  /// yields a matrix with density() ≈ 0.25.
   double density() const;
+
+  /// The per-flip kernel every evaluator of this matrix runs: kSparse when
+  /// density() <= kSparseDensityThreshold, kDense otherwise.
+  Kernel kernel() const { return kernel_; }
 
   /// Largest |Q_ij| over all stored entries (0 for an empty matrix).
   double max_abs_coefficient() const { return scan_.max_abs; }
@@ -188,6 +212,7 @@ class FrozenQubo {
  private:
   QuboMatrix q_;
   IntegralScan scan_;
+  Kernel kernel_;
   mutable std::once_flag rows_once_;
   mutable std::unique_ptr<const DenseRows> rows_;
   mutable std::once_flag index_once_;

@@ -76,8 +76,8 @@ struct RunRecord : anneal::SearchTelemetry {
   std::size_t proposed = 0;   ///< all generated configurations
   std::size_t infeasible = 0; ///< proposals rejected by the filters
   double seconds = 0.0;       ///< wall time of this run
-  /// The per-flip kernel the solver ran (resolved at fabrication; see
-  /// HyCimConfig::kernel).  kDense for non-solver runs.
+  /// The per-flip kernel the solver ran: its evaluation matrix's (see
+  /// HyCimSolver::kernel()).  kDense for non-solver runs.
   qubo::Kernel kernel = qubo::Kernel::kDense;
 };
 
@@ -108,7 +108,8 @@ struct BatchResult {
   double wall_seconds = 0.0;      ///< elapsed wall time of the whole batch
   double run_seconds_sum = 0.0;   ///< Σ per-run seconds (the serial cost)
   /// The per-flip kernel of the batch's runs (all runs share one
-  /// fabrication, hence one resolved kernel; kDense for raw run_batch).
+  /// fabrication, hence one evaluation matrix and its one kernel; kDense
+  /// for raw run_batch).
   qubo::Kernel kernel = qubo::Kernel::kDense;
 };
 

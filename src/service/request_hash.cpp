@@ -78,9 +78,6 @@ class Hasher {
   }
 
   void absorb(const cim::VmvEngineParams& p) {
-    absorb(p.mode);
-    absorb(p.matrix_bits);
-    absorb(p.kernel);
     absorb(p.adc.bits);
     absorb(p.adc.i_lsb);
     absorb(p.adc.sigma_noise_a);
@@ -124,9 +121,6 @@ ChipKey fabrication_key(const core::ConstrainedQuboForm& form,
   h.absorb(config.fidelity);
   h.absorb(config.matrix_bits);
   h.absorb(config.filter_mode);
-  // The kernel choice resolves at fabrication (density measurement +
-  // index prebuild), so it keys the chip cache, not the solve.
-  h.absorb(config.kernel);
   h.absorb(config.filter);
   h.absorb(config.vmv);
   return h.key();

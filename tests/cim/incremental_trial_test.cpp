@@ -267,12 +267,12 @@ TEST(InequalityFilterClone, SameChipFreshStreamMatchesRefabrication) {
   EXPECT_EQ(cloned.margin_voltage(), fabricated.margin_voltage());
 }
 
-VmvEngineParams circuit_params(std::uint64_t fab_seed) {
+/// A circuit-mode engine over `q` at the 7-bit budget.
+VmvEngine circuit_engine(const qubo::QuboMatrix& q, std::uint64_t fab_seed) {
   VmvEngineParams p;
-  p.mode = VmvMode::kCircuit;
   p.fab_seed = fab_seed;
   p.adc.bits = 8;
-  return p;
+  return VmvEngine(q.freeze(), VmvMode::kCircuit, 7, p);
 }
 
 TEST(VmvEngineBoundState, TrialMatchesFullCandidateEnergy) {
@@ -281,8 +281,8 @@ TEST(VmvEngineBoundState, TrialMatchesFullCandidateEnergy) {
   gp.density_percent = 60;
   const auto inst = cop::generate_qkp(gp, 61);
   const auto form = core::to_inequality_qubo(inst);
-  VmvEngine incremental(circuit_params(8), form.q.freeze());
-  VmvEngine oracle(circuit_params(8), form.q.freeze());  // identical fabrication
+  VmvEngine incremental = circuit_engine(form.q, 8);
+  VmvEngine oracle = circuit_engine(form.q, 8);  // identical fabrication
 
   util::Rng rng(8);
   auto x = random_bits(rng, inst.n, 0.4);
@@ -311,8 +311,8 @@ TEST(VmvEngineBoundState, SwapTrialsMatchFullCandidateEnergy) {
   gp.density_percent = 60;
   const auto inst = cop::generate_qkp(gp, 62);
   const auto form = core::to_inequality_qubo(inst);
-  VmvEngine incremental(circuit_params(9), form.q.freeze());
-  VmvEngine oracle(circuit_params(9), form.q.freeze());
+  VmvEngine incremental = circuit_engine(form.q, 9);
+  VmvEngine oracle = circuit_engine(form.q, 9);
 
   util::Rng rng(9);
   auto x = random_bits(rng, inst.n, 0.5);
@@ -333,8 +333,7 @@ TEST(VmvEngineBoundState, SwapTrialsMatchFullCandidateEnergy) {
 TEST(VmvEngineBoundState, BindOutsideCircuitModeThrows) {
   qubo::QuboMatrix q(4);
   q.set(0, 0, -1.0);
-  VmvEngineParams p;  // kQuantized
-  VmvEngine engine(p, q.freeze());
+  VmvEngine engine(q.freeze(), VmvMode::kQuantized, 7);
   EXPECT_THROW(engine.bind(std::vector<std::uint8_t>(4, 0)),
                std::logic_error);
   EXPECT_THROW(engine.bound_energy(), std::logic_error);

@@ -19,7 +19,6 @@ qubo::QuboMatrix integer_qubo(std::size_t n, util::Rng& rng, long long max) {
 
 VmvEngineParams circuit_params(std::uint64_t seed = 1) {
   VmvEngineParams p;
-  p.mode = VmvMode::kCircuit;
   p.variation = device::ideal_variation();
   p.adc.bits = 8;
   p.adc.sigma_noise_a = 0.0;
@@ -30,9 +29,7 @@ VmvEngineParams circuit_params(std::uint64_t seed = 1) {
 TEST(VmvEngine, IdealModeMatchesMatrixEnergy) {
   util::Rng rng(1);
   const auto q = integer_qubo(12, rng, 100);
-  VmvEngineParams p;
-  p.mode = VmvMode::kIdeal;
-  VmvEngine engine(p, q.freeze());
+  VmvEngine engine(q.freeze(), VmvMode::kIdeal, 7);
   for (int trial = 0; trial < 20; ++trial) {
     const auto x = rng.random_bits(12);
     EXPECT_DOUBLE_EQ(engine.energy(x), q.energy(x));
@@ -42,10 +39,7 @@ TEST(VmvEngine, IdealModeMatchesMatrixEnergy) {
 TEST(VmvEngine, QuantizedModeExactForIntegerMatrices) {
   util::Rng rng(2);
   const auto q = integer_qubo(10, rng, 100);
-  VmvEngineParams p;
-  p.mode = VmvMode::kQuantized;
-  p.matrix_bits = 7;
-  VmvEngine engine(p, q.freeze());
+  VmvEngine engine(q.freeze(), VmvMode::kQuantized, 7);
   for (int trial = 0; trial < 20; ++trial) {
     const auto x = rng.random_bits(10);
     EXPECT_DOUBLE_EQ(engine.energy(x), q.energy(x));
@@ -63,10 +57,7 @@ TEST(VmvEngine, QuantizedCopyIsMadeOnlyWhenNeeded) {
   for (const bool exact : {true, false}) {
     SCOPED_TRACE(exact ? "exact" : "inexact");
     const auto q = (exact ? integer_qubo(10, rng, 100) : fractional).freeze();
-    VmvEngineParams p;
-    p.mode = VmvMode::kQuantized;
-    p.matrix_bits = 7;
-    VmvEngine engine(p, q);
+    VmvEngine engine(q, VmvMode::kQuantized, 7);
     EXPECT_EQ(engine.eval_matrix() == q, exact);
     const VmvEngine copy(engine);
     const QuantizedQubo expected = quantize(q->matrix(), 7);
@@ -89,7 +80,7 @@ TEST(VmvEngine, CircuitModeMatchesQuantizedInIdealCorner) {
   // justification used by the fast SA path).
   util::Rng rng(3);
   const auto q = integer_qubo(10, rng, 100);
-  VmvEngine engine(circuit_params(), q.freeze());
+  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, circuit_params());
   for (int trial = 0; trial < 20; ++trial) {
     const auto x = rng.random_bits(10, 0.4);
     EXPECT_NEAR(engine.energy(x), engine.quantized().energy(x), 1e-9)
@@ -101,22 +92,20 @@ TEST(VmvEngine, CircuitModeEmptySelectionIsOffset) {
   util::Rng rng(4);
   auto q = integer_qubo(6, rng, 50);
   q.set_offset(17.0);
-  VmvEngine engine(circuit_params(), q.freeze());
+  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, circuit_params());
   EXPECT_NEAR(engine.energy(std::vector<std::uint8_t>(6, 0)), 17.0, 1e-9);
 }
 
 TEST(VmvEngine, MagnitudeBitsMatchQuantization) {
   util::Rng rng(5);
   const auto q = integer_qubo(8, rng, 100);
-  VmvEngineParams p;
-  p.matrix_bits = 7;
-  VmvEngine engine(p, q.freeze());
+  VmvEngine engine(q.freeze(), VmvMode::kQuantized, 7);
   EXPECT_LE(engine.magnitude_bits(), 7);
 }
 
 TEST(VmvEngine, SizeMismatchThrows) {
   qubo::QuboMatrix q(4);
-  VmvEngine engine(VmvEngineParams{}, q.freeze());
+  VmvEngine engine(q.freeze(), VmvMode::kQuantized, 7);
   EXPECT_THROW(engine.energy(std::vector<std::uint8_t>(3, 0)),
                std::invalid_argument);
 }
@@ -128,7 +117,7 @@ TEST(VmvEngine, NegativeOnlyMatrixUsesNegPlanes) {
   q.set(0, 0, -10.0);
   q.set(0, 1, -3.0);
   q.set(2, 3, -7.0);
-  VmvEngine engine(circuit_params(2), q.freeze());
+  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, circuit_params(2));
   const std::vector<std::uint8_t> all(4, 1);
   EXPECT_NEAR(engine.energy(all), -20.0, 1e-9);
 }
@@ -140,7 +129,7 @@ TEST(VmvEngine, AdcClipDegradesLargeColumns) {
   for (std::size_t i = 0; i < 8; ++i) q.set(i, 7, -1.0);  // column 7 heavy
   auto p = circuit_params(3);
   p.adc.bits = 2;
-  VmvEngine engine(p, q.freeze());
+  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, p);
   const std::vector<std::uint8_t> all(8, 1);
   const double e = engine.energy(all);
   EXPECT_GT(e, q.energy(all));  // magnitude clipped toward zero
@@ -152,7 +141,7 @@ TEST(VmvEngine, CircuitWithVariationStaysClose) {
   const auto q = integer_qubo(12, rng, 50);
   auto p = circuit_params(4);
   p.variation = device::VariationParams{};  // realistic corners
-  VmvEngine engine(p, q.freeze());
+  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, p);
   for (int trial = 0; trial < 10; ++trial) {
     const auto x = rng.random_bits(12, 0.5);
     const double exact = engine.quantized().energy(x);
@@ -166,7 +155,7 @@ TEST(VmvEngine, CircuitWithVariationStaysClose) {
 TEST(VmvEngine, ReprogramIsStableInIdealCorner) {
   util::Rng rng(7);
   const auto q = integer_qubo(6, rng, 30);
-  VmvEngine engine(circuit_params(5), q.freeze());
+  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, circuit_params(5));
   const auto x = rng.random_bits(6);
   const double before = engine.energy(x);
   engine.reprogram();

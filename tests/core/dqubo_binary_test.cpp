@@ -5,6 +5,7 @@
 #include <set>
 
 #include "qubo/brute_force.hpp"
+#include "support/malformed_qkp.hpp"
 #include "util/rng.hpp"
 
 namespace hycim::core {
@@ -91,6 +92,12 @@ TEST(DquboBinary, FarFewerVariablesThanOneHot) {
   const auto inst = tiny_instance(5, 1000);
   const auto form = to_dqubo_binary(inst);
   EXPECT_LT(form.size(), 5u + 12u);  // vs 5 + 1000 for one-hot
+}
+
+TEST(DquboBinary, RejectsMalformedInstances) {
+  for (const auto& [what, inst] : cop::malformed_qkp(tiny_instance(7, 10))) {
+    EXPECT_THROW(to_dqubo_binary(inst), std::invalid_argument) << what;
+  }
 }
 
 TEST(DquboBinary, CoefficientsStillScaleWithCSquared) {

@@ -8,6 +8,7 @@
 
 #include "qubo/brute_force.hpp"
 #include "support/dqubo_reference.hpp"
+#include "support/malformed_qkp.hpp"
 #include "util/rng.hpp"
 
 namespace hycim::core {
@@ -139,6 +140,12 @@ TEST(DquboOneHot, RejectsNonPositiveCapacity) {
   auto inst = tiny_instance(8, 3);
   inst.capacity = 0;
   EXPECT_THROW(to_dqubo_onehot(inst), std::invalid_argument);
+}
+
+TEST(DquboOneHot, RejectsMalformedInstances) {
+  for (const auto& [what, inst] : cop::malformed_qkp(tiny_instance(9, 4))) {
+    EXPECT_THROW(to_dqubo_onehot(inst), std::invalid_argument) << what;
+  }
 }
 
 /// The one-pass builder against the term-by-term oracle: the same size,

@@ -124,9 +124,18 @@ TEST(DquboSolver, MatrixAccessorsConsistent) {
                    solver.max_abs_coefficient());
 }
 
+TEST(DquboSolver, RejectsCircuitFidelity) {
+  // The walk reads only the evaluation matrix: a circuit setting would
+  // fabricate crossbars nothing reads.
+  DquboConfig config = fast_config();
+  config.fidelity = cim::VmvMode::kCircuit;
+  EXPECT_THROW(DquboSolver(small_instance(13, 6, 15), config),
+               std::invalid_argument);
+}
+
 TEST(DquboSolver, RejectsAnAsymmetricProfitMatrix) {
   // The tracked marginal sums a profit row where the QUBO reads a column:
-  // the two agree only for a symmetric matrix, which construction checks.
+  // the two agree only for a symmetric matrix, which the lowering checks.
   auto inst = small_instance(12, 6, 15);
   inst.profits[0 * inst.n + 1] += 1;  // p_01 != p_10
   for (const auto encoding : {SlackEncoding::kOneHot, SlackEncoding::kBinary}) {

@@ -15,10 +15,11 @@
 namespace hycim::core {
 namespace {
 
-cop::QkpInstance small_instance(std::uint64_t seed, std::size_t n = 16) {
+cop::QkpInstance small_instance(std::uint64_t seed, std::size_t n = 16,
+                                int density_percent = 50) {
   cop::QkpGeneratorParams params;
   params.n = n;
-  params.density_percent = 50;
+  params.density_percent = density_percent;
   return cop::generate_qkp(params, seed);
 }
 
@@ -45,15 +46,19 @@ TEST(HyCimSolver, ClonesShareOneFrozenMatrix) {
   // + retarget), the batch-restart clones made from it, and the tempering
   // replicas cloned from each restart — shares the prototype's frozen
   // matrix and its mirror / neighbor index; none copies or rebuilds them.
-  for (const qubo::Kernel kernel :
-       {qubo::Kernel::kDense, qubo::Kernel::kSparse}) {
+  // The instance's density picks the kernel: 75 runs dense, 25 sparse.
+  const struct {
+    int density_percent;
+    qubo::Kernel kernel;
+  } cases[] = {{75, qubo::Kernel::kDense}, {25, qubo::Kernel::kSparse}};
+  for (const auto& [density_percent, kernel] : cases) {
     SCOPED_TRACE(qubo::kernel_name(kernel));
     HyCimConfig config = fast_config(200);
     config.filter_mode = FilterMode::kHardware;
-    config.kernel = kernel;
+    const auto inst = small_instance(7, 40, density_percent);
     // The service's chip cache holds prototypes this way.
     const auto proto = std::make_shared<const HyCimSolver>(
-        cop::to_constrained_form(small_instance(7, 40)), config);
+        cop::to_constrained_form(inst), config);
     ASSERT_EQ(proto->kernel(), kernel);
     const auto expected = shared_matrix(*proto);
 
@@ -76,7 +81,6 @@ TEST(HyCimSolver, ClonesShareOneFrozenMatrix) {
     runtime::BatchParams batch;
     batch.restarts = 3;
     batch.threads = 1;
-    const auto inst = small_instance(7, 40);
     runtime::solve_batch(*proto, [&](util::Rng& rng) {
       during.push_back(proto->eval_matrix().use_count());
       return cop::random_feasible(inst, rng);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "qubo/brute_force.hpp"
+#include "support/malformed_qkp.hpp"
 #include "util/rng.hpp"
 
 namespace hycim::core {
@@ -104,6 +105,12 @@ TEST(InequalityQubo, ConstrainedMinimumMatchesExactQkp) {
     }
     EXPECT_DOUBLE_EQ(result.best_energy, -static_cast<double>(best_profit))
         << "seed " << seed;
+  }
+}
+
+TEST(InequalityQubo, RejectsMalformedInstances) {
+  for (const auto& [what, inst] : cop::malformed_qkp(small_instance(5))) {
+    EXPECT_THROW(to_inequality_qubo(inst), std::invalid_argument) << what;
   }
 }
 

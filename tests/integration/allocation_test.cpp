@@ -156,8 +156,9 @@ void expect_walk_steady_state_is_allocation_free(qubo::Kernel kernel,
                                                  double density) {
   util::Rng rng(31);
   const std::size_t n = 96;
-  const QuboMatrix q = random_matrix(n, density, rng);
-  anneal::QuboProblem problem(q.freeze(), kernel);
+  const qubo::FrozenQuboPtr q = random_matrix(n, density, rng).freeze();
+  ASSERT_EQ(q->kernel(), kernel);
+  anneal::QuboProblem problem(q);
   anneal::SaParams params;
   params.iterations = 6000;
   params.swap_probability = 0.4;

@@ -24,16 +24,12 @@ TEST(HardwareFidelity, QuantizedEqualsCircuitInIdealCorner) {
   const auto inst = instance(1, 14);
   const auto form = core::to_inequality_qubo(inst);
 
-  cim::VmvEngineParams quantized;
-  quantized.mode = cim::VmvMode::kQuantized;
-  quantized.matrix_bits = 7;
-  cim::VmvEngine fast(quantized, form.q.freeze());
+  cim::VmvEngine fast(form.q.freeze(), cim::VmvMode::kQuantized, 7);
 
-  cim::VmvEngineParams circuit = quantized;
-  circuit.mode = cim::VmvMode::kCircuit;
+  cim::VmvEngineParams circuit;
   circuit.variation = device::ideal_variation();
   circuit.adc.bits = 8;
-  cim::VmvEngine slow(circuit, form.q.freeze());
+  cim::VmvEngine slow(form.q.freeze(), cim::VmvMode::kCircuit, 7, circuit);
 
   util::Rng rng(2);
   for (int trial = 0; trial < 40; ++trial) {
@@ -46,11 +42,9 @@ TEST(HardwareFidelity, CircuitEnergyErrorSmallUnderRealisticCorners) {
   const auto inst = instance(2, 16);
   const auto form = core::to_inequality_qubo(inst);
   cim::VmvEngineParams circuit;
-  circuit.mode = cim::VmvMode::kCircuit;
-  circuit.matrix_bits = 7;
   circuit.adc.bits = 8;
   circuit.fab_seed = 5;
-  cim::VmvEngine engine(circuit, form.q.freeze());
+  cim::VmvEngine engine(form.q.freeze(), cim::VmvMode::kCircuit, 7, circuit);
   util::Rng rng(3);
   double worst_rel = 0.0;
   for (int trial = 0; trial < 30; ++trial) {

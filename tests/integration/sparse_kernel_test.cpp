@@ -1,11 +1,16 @@
-// The sparsity-aware kernel layer, end to end through the solver facade:
-// kernel dispatch at fabrication, dense-vs-sparse bit-identity of whole
-// solves (ideal/quantized fidelities), the incidence-gated hardware
-// filter path on sparse multi-constraint forms (MDKP with many rows and
-// few incidences per variable), and the circuit-mode sparse kernel under
-// the check_incremental oracle.
+// The sparsity-aware kernel layer, end to end: the frozen matrix's density
+// picks the per-flip kernel and the solver, its results and the batch
+// runner report that choice; whole SA walks over one frozen matrix are
+// bit-identical under both kernels (the evaluator seam forces each in
+// turn); and the incidence-gated hardware filter path runs on sparse
+// multi-constraint forms (MDKP with many rows and few incidences per
+// variable) under the check_incremental oracle.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "anneal/qubo_problem.hpp"
+#include "anneal/sa_engine.hpp"
 #include "cop/adapters.hpp"
 #include "core/hycim_solver.hpp"
 #include "runtime/batch_runner.hpp"
@@ -14,94 +19,103 @@
 namespace hycim {
 namespace {
 
-core::HyCimConfig config_with_kernel(qubo::Kernel kernel,
-                                     std::size_t iterations = 600) {
+core::HyCimConfig solver_config(std::size_t iterations = 600) {
   core::HyCimConfig config;
   config.sa.iterations = iterations;
-  config.kernel = kernel;
   return config;
 }
 
-TEST(SparseKernel, AutoDispatchFollowsInstanceDensity) {
+cop::QkpInstance qkp(std::size_t n, int density_percent, std::uint64_t seed) {
   cop::QkpGeneratorParams gp;
-  gp.n = 40;
-  gp.density_percent = 25;
-  const auto sparse_form = cop::to_constrained_form(cop::generate_qkp(gp, 3));
-  gp.density_percent = 75;
-  const auto dense_form = cop::to_constrained_form(cop::generate_qkp(gp, 3));
+  gp.n = n;
+  gp.density_percent = density_percent;
+  return cop::generate_qkp(gp, seed);
+}
 
-  core::HyCimSolver auto_sparse(sparse_form,
-                                config_with_kernel(qubo::Kernel::kAuto));
-  core::HyCimSolver auto_dense(dense_form,
-                               config_with_kernel(qubo::Kernel::kAuto));
-  EXPECT_EQ(auto_sparse.kernel(), qubo::Kernel::kSparse);
-  EXPECT_EQ(auto_dense.kernel(), qubo::Kernel::kDense);
+TEST(SparseKernel, KernelFollowsInstanceDensity) {
+  const auto sparse_inst = qkp(40, 25, 3);
+  const auto dense_inst = qkp(40, 75, 3);
+  core::HyCimSolver sparse(cop::to_constrained_form(sparse_inst),
+                           solver_config());
+  core::HyCimSolver dense(cop::to_constrained_form(dense_inst),
+                          solver_config());
+  EXPECT_EQ(sparse.kernel(), qubo::Kernel::kSparse);
+  EXPECT_EQ(sparse.kernel(), sparse.eval_matrix()->kernel());
+  EXPECT_EQ(dense.kernel(), qubo::Kernel::kDense);
 
-  // The override knob beats the measurement, and the resolved choice is
-  // surfaced on the result.
-  core::HyCimSolver forced(sparse_form,
-                           config_with_kernel(qubo::Kernel::kDense));
-  EXPECT_EQ(forced.kernel(), qubo::Kernel::kDense);
+  // The choice is surfaced on the result.
   util::Rng rng(5);
-  const auto inst = cop::generate_qkp(gp, 3);
-  core::SolveResult r =
-      auto_dense.solve(cop::random_feasible(inst, rng), 7);
-  EXPECT_EQ(r.kernel, qubo::Kernel::kDense);
+  EXPECT_EQ(sparse.solve(cop::random_feasible(sparse_inst, rng), 7).kernel,
+            qubo::Kernel::kSparse);
+  EXPECT_EQ(dense.solve(cop::random_feasible(dense_inst, rng), 7).kernel,
+            qubo::Kernel::kDense);
 }
 
-TEST(SparseKernel, SolvesBitIdenticallyToDenseOnTheQuantizedPath) {
-  // The full paper pipeline (quantized energies + hardware filter): the
-  // kernels must produce identical walks — same best_x, same counters —
-  // because the sparse kernel drops only exact-zero updates.
-  for (const int density : {25, 50}) {
-    cop::QkpGeneratorParams gp;
-    gp.n = 48;
-    gp.density_percent = density;
-    const auto inst = cop::generate_qkp(gp, 17);
-    const auto form = cop::to_constrained_form(inst);
-    core::HyCimSolver dense(form, config_with_kernel(qubo::Kernel::kDense));
-    core::HyCimSolver sparse(form, config_with_kernel(qubo::Kernel::kSparse));
-    util::Rng rng(19);
-    const auto x0 = cop::random_feasible(inst, rng);
-    const auto rd = dense.solve(x0, 23);
-    const auto rs = sparse.solve(x0, 23);
-    EXPECT_EQ(rd.best_x, rs.best_x) << "density " << density;
-    EXPECT_DOUBLE_EQ(rd.best_energy, rs.best_energy);
-    EXPECT_EQ(rd.sa.proposed, rs.sa.proposed);
-    EXPECT_EQ(rd.sa.evaluated, rs.sa.evaluated);
-    EXPECT_EQ(rd.sa.accepted, rs.sa.accepted);
-    EXPECT_EQ(rd.sa.rejected_infeasible, rs.sa.rejected_infeasible);
-    EXPECT_EQ(rd.kernel, qubo::Kernel::kDense);
-    EXPECT_EQ(rs.kernel, qubo::Kernel::kSparse);
+void expect_identical(const anneal::SaResult& a, const anneal::SaResult& b) {
+  EXPECT_EQ(a.best_x, b.best_x);
+  EXPECT_EQ(a.best_energy, b.best_energy);
+  EXPECT_EQ(a.final_x, b.final_x);
+  EXPECT_EQ(a.final_energy, b.final_energy);
+  EXPECT_EQ(a.proposed, b.proposed);
+  EXPECT_EQ(a.evaluated, b.evaluated);
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.rejected_infeasible, b.rejected_infeasible);
+  EXPECT_EQ(a.rejected_metropolis, b.rejected_metropolis);
+  EXPECT_EQ(a.trace, b.trace);
+}
+
+TEST(SparseKernel, WholeWalksAreBitIdenticalUnderBothKernels) {
+  // One frozen matrix, both kernels forced through the evaluator seam:
+  // every proposal's delta and every commit must agree bit for bit, so the
+  // walks — flips and swaps, in both temperature modes — are identical.
+  // The QKP forms are integral (int32 mirror rows); the fractional
+  // matrix's mirror rows are doubles.
+  util::Rng rng(13);
+  qubo::QuboMatrix fractional(48);
+  for (std::size_t i = 0; i < 48; ++i) {
+    for (std::size_t j = i; j < 48; ++j) {
+      if (rng.bernoulli(0.2)) fractional.set(i, j, rng.uniform(-40.0, 40.0));
+    }
   }
-}
-
-TEST(SparseKernel, IdealFidelitySoftwareFilterBitIdentity) {
-  cop::QkpGeneratorParams gp;
-  gp.n = 32;
-  gp.density_percent = 25;
-  const auto inst = cop::generate_qkp(gp, 29);
-  const auto form = cop::to_constrained_form(inst);
-  core::HyCimConfig dense_cfg = config_with_kernel(qubo::Kernel::kDense);
-  dense_cfg.fidelity = cim::VmvMode::kIdeal;
-  dense_cfg.filter_mode = core::FilterMode::kSoftware;
-  core::HyCimConfig sparse_cfg = dense_cfg;
-  sparse_cfg.kernel = qubo::Kernel::kSparse;
-  core::HyCimSolver dense(form, dense_cfg), sparse(form, sparse_cfg);
-  util::Rng rng(31);
-  const auto x0 = cop::random_feasible(inst, rng);
-  const auto rd = dense.solve(x0, 37);
-  const auto rs = sparse.solve(x0, 37);
-  EXPECT_EQ(rd.best_x, rs.best_x);
-  EXPECT_DOUBLE_EQ(rd.best_energy, rs.best_energy);
-  EXPECT_EQ(rd.sa.proposed, rs.sa.proposed);
+  const struct {
+    const char* name;
+    qubo::FrozenQuboPtr q;
+  } matrices[] = {
+      {"qkp-25", cop::to_constrained_form(qkp(64, 25, 17)).q.freeze()},
+      {"qkp-50", cop::to_constrained_form(qkp(64, 50, 17)).q.freeze()},
+      {"fractional-20", fractional.freeze()},
+  };
+  for (const auto& [name, q] : matrices) {
+    for (const bool fixed : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (fixed ? " fixed" : " schedule"));
+      anneal::SaParams params;
+      params.iterations = 3000;
+      params.swap_probability = 0.4;
+      params.record_trace = true;
+      const qubo::BitVector x0 = rng.random_bits(q->size());
+      const auto walk = [&](qubo::Kernel kernel) {
+        anneal::QuboProblem problem(q, kernel);
+        anneal::SaWalk w = fixed ? anneal::SaWalk(problem, x0, params,
+                                                  util::Rng(23), 12.0)
+                                 : anneal::SaWalk(problem, x0, params,
+                                                  util::Rng(23));
+        w.run_to(params.iterations);
+        return w.take_result();
+      };
+      const anneal::SaResult dense = walk(qubo::Kernel::kDense);
+      const anneal::SaResult sparse = walk(qubo::Kernel::kSparse);
+      ASSERT_EQ(dense.evaluated, params.iterations);
+      ASSERT_GT(dense.accepted, 0u);
+      expect_identical(dense, sparse);
+    }
+  }
 }
 
 TEST(SparseKernel, MdkpConstraintIncidenceUnderCheckIncremental) {
   // The acceptance shape: >= 8 inequality rows where each variable
-  // appears in only 2, solved on hardware filters with the sparse kernel
-  // forced and every incremental trial/commit cross-checked against a
-  // full recomputation.
+  // appears in only 2, solved on hardware filters with every incremental
+  // trial/commit cross-checked against a full recomputation; the
+  // density-25 profit matrix runs the sparse kernel.
   cop::MdkpGeneratorParams gp;
   gp.n = 28;
   gp.dimensions = 8;
@@ -109,9 +123,9 @@ TEST(SparseKernel, MdkpConstraintIncidenceUnderCheckIncremental) {
   gp.incident_dimensions = 2;
   const auto inst = cop::generate_mdkp(gp, 41);
   const auto form = cop::to_constrained_form(inst);
-  core::HyCimConfig config = config_with_kernel(qubo::Kernel::kSparse, 500);
-  config.check_incremental = true;
-  core::HyCimSolver solver(form, config);
+  core::HyCimConfig checked = solver_config(500);
+  checked.check_incremental = true;
+  core::HyCimSolver solver(form, checked);
   ASSERT_NE(solver.filter_bank(), nullptr);
   ASSERT_EQ(solver.filter_bank()->size(), 8u);
   // Support compression took: every filter sees a strict subset of the
@@ -135,39 +149,15 @@ TEST(SparseKernel, MdkpConstraintIncidenceUnderCheckIncremental) {
   EXPECT_EQ(result.kernel, qubo::Kernel::kSparse);
 }
 
-TEST(SparseKernel, CircuitModeSparseTrialsPassTheIncrementalOracle) {
-  // kCircuit + sparse kernel: trials reconvert only structurally touched
-  // columns; check_incremental compares every trial delta and committed
-  // energy against the dense full-evaluation oracle (noiseless ADC).
-  cop::QkpGeneratorParams gp;
-  gp.n = 24;
-  gp.density_percent = 25;
-  const auto inst = cop::generate_qkp(gp, 53);
-  const auto form = cop::to_constrained_form(inst);
-  core::HyCimConfig config = config_with_kernel(qubo::Kernel::kSparse, 150);
-  config.fidelity = cim::VmvMode::kCircuit;
-  config.check_incremental = true;
-  core::HyCimSolver solver(form, config);
-  EXPECT_EQ(solver.engine().kernel(), qubo::Kernel::kSparse);
-  util::Rng rng(59);
-  const auto x0 = cop::random_feasible(inst, rng);
-  core::SolveResult result;
-  ASSERT_NO_THROW(result = solver.solve(x0, 61));
-  EXPECT_TRUE(result.feasible);
-}
-
-TEST(SparseKernel, BatchRunsRecordTheResolvedKernel) {
-  cop::QkpGeneratorParams gp;
-  gp.n = 30;
-  gp.density_percent = 25;
-  const auto inst = cop::generate_qkp(gp, 67);
+TEST(SparseKernel, BatchRunsRecordTheKernel) {
+  const auto inst = qkp(30, 25, 67);
   const auto form = cop::to_constrained_form(inst);
   runtime::BatchParams params;
   params.restarts = 4;
   params.threads = 1;
   params.seed = 71;
   const auto batch = runtime::solve_batch(
-      form, config_with_kernel(qubo::Kernel::kAuto, 200),
+      form, solver_config(200),
       [&](util::Rng& rng) { return cop::random_feasible(inst, rng); },
       params);
   EXPECT_EQ(batch.kernel, qubo::Kernel::kSparse);

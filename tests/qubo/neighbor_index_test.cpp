@@ -1,5 +1,6 @@
-// The sparsity layer: NeighborIndex structure, density measurement /
-// kernel dispatch, and the sparse IncrementalEvaluator's bit-identity to
+// The sparsity layer: NeighborIndex structure, density measurement, the
+// frozen matrix's kernel choice at kSparseDensityThreshold, and the
+// sparse IncrementalEvaluator's bit-identity to
 // the dense kernel (flip, flip_pair, delta, delta_pair, reset) on
 // randomized low-density matrices — the property behind the "sparsity
 // changes cost, not trajectories" contract.
@@ -55,12 +56,29 @@ TEST(NeighborIndex, DensityCountsUpperTriangleFill) {
   EXPECT_DOUBLE_EQ(QuboMatrix().freeze()->density(), 0.0);
 }
 
-TEST(NeighborIndex, KernelDispatchFollowsDensityThreshold) {
-  EXPECT_EQ(resolve_kernel(Kernel::kAuto, 0.25), Kernel::kSparse);
-  EXPECT_EQ(resolve_kernel(Kernel::kAuto, 0.75), Kernel::kDense);
-  EXPECT_EQ(resolve_kernel(Kernel::kDense, 0.0), Kernel::kDense);
-  EXPECT_EQ(resolve_kernel(Kernel::kSparse, 1.0), Kernel::kSparse);
+TEST(FrozenQubo, KernelFlipsToDenseJustAboveTheThreshold) {
+  // n = 19: 190 packed entries, so 76 nonzeros sit exactly at the 0.4
+  // threshold and one entry more or less lands just above or below it.
+  const std::size_t n = 19;
+  const std::size_t at_threshold = 76;
+  ASSERT_EQ(static_cast<double>(at_threshold) / (n * (n + 1) / 2),
+            kSparseDensityThreshold);
+  const auto frozen_with = [&](std::size_t nonzeros) {
+    QuboMatrix q(n);
+    std::size_t set = 0;
+    for (std::size_t i = 0; i < n && set < nonzeros; ++i) {
+      for (std::size_t j = i; j < n && set < nonzeros; ++j, ++set) {
+        q.set(i, j, -1.0);
+      }
+    }
+    return q.freeze();
+  };
+  EXPECT_EQ(frozen_with(at_threshold - 1)->kernel(), Kernel::kSparse);
+  EXPECT_EQ(frozen_with(at_threshold)->kernel(), Kernel::kSparse);
+  EXPECT_EQ(frozen_with(at_threshold + 1)->kernel(), Kernel::kDense);
+  EXPECT_EQ(QuboMatrix().freeze()->kernel(), Kernel::kSparse);  // density 0
   EXPECT_STREQ(kernel_name(Kernel::kSparse), "sparse");
+  EXPECT_STREQ(kernel_name(Kernel::kDense), "dense");
 }
 
 TEST(NeighborIndex, ReZeroedAndRewrittenCellsLinkOnce) {
@@ -120,15 +138,15 @@ TEST(SparseEvaluator, BitIdenticalToDenseOverRandomWalks) {
   }
 }
 
-TEST(SparseEvaluator, AutoKernelResolvesFromMatrixDensity) {
+TEST(SparseEvaluator, RunsTheFrozenMatrixKernel) {
   util::Rng rng(11);
   const FrozenQuboPtr sparse_q = random_matrix(24, 0.1, rng).freeze();
   const FrozenQuboPtr dense_q = random_matrix(24, 0.9, rng).freeze();
-  EXPECT_EQ(IncrementalEvaluator(sparse_q, BitVector(24, 0), Kernel::kAuto)
-                .kernel(),
+  ASSERT_EQ(sparse_q->kernel(), Kernel::kSparse);
+  ASSERT_EQ(dense_q->kernel(), Kernel::kDense);
+  EXPECT_EQ(IncrementalEvaluator(sparse_q, BitVector(24, 0)).kernel(),
             Kernel::kSparse);
-  EXPECT_EQ(IncrementalEvaluator(dense_q, BitVector(24, 0), Kernel::kAuto)
-                .kernel(),
+  EXPECT_EQ(IncrementalEvaluator(dense_q, BitVector(24, 0)).kernel(),
             Kernel::kDense);
 }
 

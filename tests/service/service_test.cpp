@@ -376,6 +376,11 @@ TEST(Service, RejectsDegenerateRequests) {
   EXPECT_THROW(service.solve(request), std::invalid_argument);
   EXPECT_THROW(service.submit(request), std::invalid_argument);
 
+  // The QKP lowering validates the instance before reading its profits.
+  request = qkp_request(60, 10);
+  std::get<cop::QkpInstance>(request.instance).profits.pop_back();
+  EXPECT_THROW(service.solve(request), std::invalid_argument);
+
   core::ConstrainedQuboForm empty;
   EXPECT_THROW(service.solve_form(empty, core::HyCimConfig{},
                                   [](util::Rng&) { return qubo::BitVector{}; },
