@@ -264,7 +264,7 @@ void BM_CircuitVmvEnergy(benchmark::State& state) {
   const auto form = core::to_inequality_qubo(inst);
   cim::VmvEngineParams circuit;
   circuit.fab_seed = 6;
-  cim::VmvEngine engine(form.q.freeze(), cim::VmvMode::kCircuit, 7, circuit);
+  cim::VmvEngine engine(*form.q.freeze(), 7, circuit);
   util::Rng rng(5);
   const auto x = rng.random_bits(inst.n, 0.4);
   for (auto _ : state) {
@@ -281,7 +281,7 @@ void BM_CircuitTrialDelta(benchmark::State& state) {
   const auto form = core::to_inequality_qubo(inst);
   cim::VmvEngineParams circuit;
   circuit.fab_seed = 6;
-  cim::VmvEngine engine(form.q.freeze(), cim::VmvMode::kCircuit, 7, circuit);
+  cim::VmvEngine engine(*form.q.freeze(), 7, circuit);
   util::Rng rng(5);
   engine.bind(rng.random_bits(inst.n, 0.4));
   std::size_t k = 0;

@@ -16,7 +16,7 @@ namespace hycim::anneal {
 
 /// One proposed SA move: a single-bit flip or a two-bit swap, expressed as
 /// the set of bit indices to toggle.  The whole trial pipeline — filter
-/// feasibility, energy delta, commit/revert — is phrased over this one type
+/// feasibility, energy delta, commit — is phrased over this one type
 /// so each layer implements a move exactly once instead of once per arity.
 struct Move {
   std::array<std::size_t, 2> bits{};

@@ -9,8 +9,6 @@ namespace hycim::anneal {
 
 bool SaProblem::trial_feasible(const Move& /*m*/) { return true; }
 
-void SaProblem::revert(const Move& /*m*/) {}
-
 void validate(const SaParams& params) {
   if (params.swap_probability < 0.0 || params.swap_probability > 1.0) {
     throw std::invalid_argument(
@@ -151,7 +149,6 @@ void SaWalk::run_to(std::size_t evaluated_target) {
         result_.best_x = problem_.state();
       }
     } else {
-      problem_.revert(move);
       ++result_.rejected_metropolis;
     }
     if (params_.record_trace) result_.trace.push_back(current_);

@@ -31,14 +31,13 @@ namespace hycim::anneal {
 ///   trial_feasible(m)  — the inequality-filter hook; a rejected move costs
 ///                        no QUBO computation;
 ///   trial_delta(m)     — the QUBO computation for the candidate;
-///   commit(m)/revert(m) — adopt or discard the move.
+///   commit(m)          — adopt the move (a rejected one is simply dropped).
 ///
 /// A Move covers both single-bit flips and two-bit swaps, so each problem
 /// implements the pipeline once instead of once per move arity.  Trials
 /// must leave the observable state() unchanged; implementations that cache
-/// speculative evaluations internally finalize them in commit() and drop
-/// them in revert() (the default revert is a no-op for implementations
-/// whose trials are pure).
+/// a speculative evaluation internally may adopt it in commit(), and must
+/// not rely on hearing about a rejection.
 class SaProblem {
  public:
   virtual ~SaProblem() = default;
@@ -58,9 +57,6 @@ class SaProblem {
 
   /// Commits `m`: the candidate becomes the current state.
   virtual void commit(const Move& m) = 0;
-
-  /// Discards a trialed move (after a Metropolis rejection).  Default no-op.
-  virtual void revert(const Move& m);
 
   /// Current state.
   virtual const qubo::BitVector& state() const = 0;

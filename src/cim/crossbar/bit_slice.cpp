@@ -55,32 +55,31 @@ int bits_for(long long max_mag) {
   return std::max(1, static_cast<int>(width));
 }
 
-/// The passes behind quantize() and measure_quantization(), given the
-/// matrix's one-pass measurements; kStore keeps the values, otherwise
-/// nothing is allocated.
-template <bool kStore>
+/// Whether an integral matrix measured by `scan` converts to codes as it
+/// is (scale = 1) at `max_bits`: an integral magnitude fits max_bits iff
+/// it lies below 2^max_bits, a bound a double holds exactly at every
+/// budget (2^b − 1 rounds up to 2^b from b = 54).
+bool fits_unscaled(const qubo::IntegralScan& scan, int max_bits) {
+  return scan.integral && scan.max_abs < std::ldexp(1.0, max_bits);
+}
+
+/// quantize(), given the matrix's one-pass measurements.
 QuantizedQubo quantize_passes(const qubo::QuboMatrix& q,
                               const qubo::IntegralScan& scan, int max_bits) {
-  if (max_bits < 1 || max_bits > 62) {
-    throw std::invalid_argument("quantize: max_bits out of range");
-  }
+  check_max_bits(max_bits);
   QuantizedQubo out;
   out.n = q.size();
   out.offset = q.offset();
   const auto packed = q.packed();
+  out.values.resize(packed.size());
 
   // Exactly-representable integer matrices (the common case for the COP
   // transformations, whose coefficients are integral) convert as they are
   // (scale = 1): every value converts to itself, so de-scaling gives back
-  // the source bits except at −0.0, which converts to +0.  An integral
-  // magnitude fits max_bits iff it lies below 2^max_bits, a bound a double
-  // holds exactly at every budget (2^b − 1 rounds up to 2^b from b = 54).
-  if (scan.integral && scan.max_abs < std::ldexp(1.0, max_bits)) {
-    if constexpr (kStore) {
-      out.values.resize(packed.size());
-      for (std::size_t k = 0; k < packed.size(); ++k) {
-        out.values[k] = static_cast<long long>(packed[k]);
-      }
+  // the source bits except at −0.0, which converts to +0.
+  if (fits_unscaled(scan, max_bits)) {
+    for (std::size_t k = 0; k < packed.size(); ++k) {
+      out.values[k] = static_cast<long long>(packed[k]);
     }
     out.exact = !scan.negative_zero;
     out.magnitude_bits = bits_for(static_cast<long long>(scan.max_abs));
@@ -92,7 +91,6 @@ QuantizedQubo quantize_passes(const qubo::QuboMatrix& q,
   // whether de-scaling happens to give back the source bits.
   // Codes are clamped to ±(2^b − 1): from b = 54 up the double range is
   // 2^b, and the largest coefficient would round to one past the budget.
-  if constexpr (kStore) out.values.resize(packed.size());
   const long long max_code = (1LL << max_bits) - 1;
   const double range = static_cast<double>(max_code);
   out.scale = scan.max_abs > 0 ? scan.max_abs / range : 1.0;
@@ -101,7 +99,7 @@ QuantizedQubo quantize_passes(const qubo::QuboMatrix& q,
   for (std::size_t k = 0; k < packed.size(); ++k) {
     const long long v =
         std::clamp(std::llround(packed[k] / out.scale), -max_code, max_code);
-    if constexpr (kStore) out.values[k] = v;
+    out.values[k] = v;
     max_mag = std::max(max_mag, std::llabs(v));
     exact &= std::bit_cast<std::uint64_t>(static_cast<double>(v) * out.scale) ==
              std::bit_cast<std::uint64_t>(packed[k]);
@@ -113,16 +111,29 @@ QuantizedQubo quantize_passes(const qubo::QuboMatrix& q,
 
 }  // namespace
 
+void check_max_bits(int max_bits) {
+  if (max_bits < 1 || max_bits > 62) {
+    throw std::invalid_argument("quantize: max_bits out of range");
+  }
+}
+
 QuantizedQubo quantize(const qubo::QuboMatrix& q, int max_bits) {
-  return quantize_passes<true>(q, qubo::scan_integral(q.packed()), max_bits);
+  return quantize_passes(q, qubo::scan_integral(q.packed()), max_bits);
 }
 
 QuantizedQubo quantize(const qubo::FrozenQubo& q, int max_bits) {
-  return quantize_passes<true>(q.matrix(), q.scan(), max_bits);
+  return quantize_passes(q.matrix(), q.scan(), max_bits);
 }
 
-QuantizedQubo measure_quantization(const qubo::FrozenQubo& q, int max_bits) {
-  return quantize_passes<false>(q.matrix(), q.scan(), max_bits);
+ProgrammedQubo program(qubo::FrozenQuboPtr q, int max_bits) {
+  check_max_bits(max_bits);
+  const qubo::IntegralScan& scan = q->scan();
+  if (fits_unscaled(scan, max_bits) && !scan.negative_zero) {
+    const int bits = bits_for(static_cast<long long>(scan.max_abs));
+    return {std::move(q), bits};
+  }
+  const QuantizedQubo quantized = quantize(*q, max_bits);
+  return {quantized.dequantize(q), quantized.magnitude_bits};
 }
 
 std::vector<std::uint8_t> bit_plane(const QuantizedQubo& q, int bit,

@@ -51,13 +51,25 @@ QuantizedQubo quantize(const qubo::QuboMatrix& q, int max_bits);
 /// freeze pass recorded (q.scan()) instead of scanning again.
 QuantizedQubo quantize(const qubo::FrozenQubo& q, int max_bits);
 
-/// quantize(q, max_bits) without its values: n, scale, magnitude_bits,
-/// exact and offset as quantize() fills them, `values` empty and nothing
-/// allocated.  For an integral matrix within range it reads only
-/// the freeze pass's record — no pass over the values at all; otherwise it
-/// runs the scaled pass without storing.  Lets a reader decide whether it
-/// needs the quantized copy at all.
-QuantizedQubo measure_quantization(const qubo::FrozenQubo& q, int max_bits);
+/// Throws std::invalid_argument unless 1 <= max_bits <= 62, the budgets
+/// quantize() and program() accept.
+void check_max_bits(int max_bits);
+
+/// What a software walk reads once `q` is programmed at `max_bits`: the
+/// matrix the crossbar would compute with, in original units, and the
+/// magnitude bits its codes take.
+struct ProgrammedQubo {
+  qubo::FrozenQuboPtr matrix;
+  int magnitude_bits = 1;
+};
+
+/// Programs `q` at `max_bits` (1..62) magnitude bits: `matrix` is `q`
+/// itself when the quantization is exact and quantize(*q, max_bits)
+/// dequantized otherwise, with quantize's magnitude_bits.  An integral
+/// matrix within the budget and without −0.0 is decided from the freeze
+/// pass's record (q->scan()) without reading a coefficient; any other
+/// matrix takes one quantize pass, then dequantize.
+ProgrammedQubo program(qubo::FrozenQuboPtr q, int max_bits);
 
 /// Extracts bit plane `bit` of the positive (sign=+1) or negative (sign=-1)
 /// coefficients: result[i*n + j] = 1 iff bit `bit` of |value(i,j)| is set,

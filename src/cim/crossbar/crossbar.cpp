@@ -12,6 +12,14 @@ device::FeFetParams CrossbarParams::binary_fefet() {
   return p;
 }
 
+double CrossbarParams::nominal_cell_current() const {
+  const double overdrive = device::FeFet::read_voltage(fefet, 1) -
+                           device::FeFet::nominal_vth(fefet, 1);
+  const double rch =
+      fefet.rch0 / (1.0 + fefet.gm_lin * std::max(0.0, overdrive));
+  return v_dl / (r_series + rch);
+}
+
 CrossbarArray::CrossbarArray(const CrossbarParams& params, std::size_t rows,
                              std::size_t cols,
                              std::span<const std::uint8_t> bits,
@@ -87,15 +95,6 @@ double CrossbarArray::activated_cells_current(std::size_t count) const {
     }
   }
   return i;
-}
-
-double CrossbarArray::nominal_cell_current() const {
-  // Nominal (variation-free) regulated ON current at the read overdrive.
-  const double overdrive =
-      v_read_ - device::FeFet::nominal_vth(params_.fefet, 1);
-  const double rch = params_.fefet.rch0 / (1.0 + params_.fefet.gm_lin *
-                                                     std::max(0.0, overdrive));
-  return params_.v_dl / (params_.r_series + rch);
 }
 
 void CrossbarArray::reprogram(util::Rng& rng) {

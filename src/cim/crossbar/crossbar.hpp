@@ -30,6 +30,10 @@ struct CrossbarParams {
 
   /// Binary device corner (2 levels) used by crossbar cells.
   static device::FeFetParams binary_fefet();
+
+  /// Nominal (variation-free) single-cell ON current at the read overdrive
+  /// [A]: what the ADC LSB is calibrated to.
+  double nominal_cell_current() const;
 };
 
 /// A programmed binary crossbar.
@@ -71,7 +75,9 @@ class CrossbarArray {
   double activated_cells_current(std::size_t count) const;
 
   /// Nominal single-cell ON current used to calibrate the ADC LSB [A].
-  double nominal_cell_current() const;
+  double nominal_cell_current() const {
+    return params_.nominal_cell_current();
+  }
 
   /// Re-programs every cell with fresh cycle-to-cycle noise (the Fig. 7(f)
   /// erase-and-reprogram experiment).

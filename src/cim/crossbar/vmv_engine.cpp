@@ -7,99 +7,35 @@
 
 namespace hycim::cim {
 
-VmvEngine::VmvEngine(qubo::FrozenQuboPtr q, VmvMode mode, int matrix_bits,
+namespace {
+
+/// The engine's ADC: the configured corner, its LSB calibrated to the
+/// crossbars' nominal cell current.
+Adc calibrated_adc(const VmvEngineParams& params) {
+  AdcParams adc = params.adc;
+  adc.i_lsb = params.crossbar.nominal_cell_current();
+  return Adc(adc, params.fab_seed * 0x2545F4914F6CDD1DULL);
+}
+
+}  // namespace
+
+VmvEngine::VmvEngine(const qubo::FrozenQubo& q, int matrix_bits,
                      const VmvEngineParams& circuit)
-    : mode_(mode),
-      matrix_bits_(matrix_bits),
-      params_(circuit),
-      n_(q->size()),
-      original_(std::move(q)),
-      quantized_(std::make_shared<Quantization>()),
+    : params_(circuit),
+      n_(q.size()),
+      quantized_(
+          std::make_shared<const QuantizedQubo>(quantize(q, matrix_bits))),
+      adc_(calibrated_adc(params_)),
       reprogram_rng_(params_.fab_seed ^ 0x5bd1e995ULL) {
-  // The circuit programs its crossbars from the quantized values, and an
-  // inexact kQuantized matrix is dequantized from them.  Everywhere else
-  // the construction needs only the quantization's shape: for an integral
-  // matrix within the bit budget, the freeze pass's record already holds
-  // it (exactness, magnitude bits), and only other matrices are measured
-  // by a scaled pass.
-  QuantizedQubo measured;
-  const QuantizedQubo* shape = &measured;
-  if (mode_ == VmvMode::kCircuit) {
-    shape = &quantized();
-  } else {
-    measured = measure_quantization(*original_, matrix_bits_);
-  }
-  magnitude_bits_ = shape->magnitude_bits;
-  eval_ = mode_ == VmvMode::kIdeal || shape->exact
-              ? original_
-              : quantized().dequantize(original_);
-
-  if (mode_ != VmvMode::kCircuit) return;
-
-  fab_ = std::make_unique<device::VariationModel>(params_.variation,
-                                                  params_.fab_seed);
-  // Calibrate the ADC LSB to the nominal cell current once the corner is
-  // known; build one positive and one negative crossbar per magnitude bit.
-  AdcParams adc = params_.adc;
-  for (int b = 0; b < magnitude_bits_; ++b) {
+  // One positive and one negative crossbar per magnitude bit, drawn from
+  // one fabrication stream in that order.
+  device::VariationModel fab(params_.variation, params_.fab_seed);
+  for (int b = 0; b < magnitude_bits(); ++b) {
     pos_planes_.emplace_back(params_.crossbar, n_, n_,
-                             bit_plane(circuit_q(), b, +1), *fab_);
+                             bit_plane(*quantized_, b, +1), fab);
     neg_planes_.emplace_back(params_.crossbar, n_, n_,
-                             bit_plane(circuit_q(), b, -1), *fab_);
+                             bit_plane(*quantized_, b, -1), fab);
   }
-  if (!pos_planes_.empty()) {
-    adc.i_lsb = pos_planes_.front().nominal_cell_current();
-  }
-  adc_ = std::make_unique<Adc>(adc, params_.fab_seed * 0x2545F4914F6CDD1DULL);
-}
-
-VmvEngine::~VmvEngine() = default;
-VmvEngine::VmvEngine(VmvEngine&&) noexcept = default;
-VmvEngine& VmvEngine::operator=(VmvEngine&&) noexcept = default;
-
-VmvEngine::VmvEngine(const VmvEngine& other)
-    : mode_(other.mode_),
-      matrix_bits_(other.matrix_bits_),
-      params_(other.params_),
-      n_(other.n_),
-      original_(other.original_),
-      quantized_(other.quantized_),
-      magnitude_bits_(other.magnitude_bits_),
-      eval_(other.eval_),
-      pos_planes_(other.pos_planes_),
-      neg_planes_(other.neg_planes_),
-      fab_(other.fab_
-               ? std::make_unique<device::VariationModel>(*other.fab_)
-               : nullptr),
-      adc_(other.adc_ ? std::make_unique<Adc>(*other.adc_) : nullptr),
-      reprogram_rng_(other.reprogram_rng_),
-      bound_(other.bound_),
-      bound_x_(other.bound_x_),
-      currents_(other.currents_),
-      bound_acc_(other.bound_acc_),
-      commits_since_rebuild_(other.commits_since_rebuild_),
-      trial_flips_(other.trial_flips_),
-      trial_acc_(other.trial_acc_),
-      trial_valid_(other.trial_valid_) {}
-
-const QuantizedQubo& VmvEngine::quantized() const {
-  std::call_once(quantized_->built, [this] {
-    quantized_->matrix = quantize(*original_, matrix_bits_);
-  });
-  return quantized_->matrix;
-}
-
-double VmvEngine::energy(std::span<const std::uint8_t> x) {
-  if (x.size() != n_) throw std::invalid_argument("VmvEngine::energy: size");
-  switch (mode_) {
-    case VmvMode::kIdeal:
-      return original_->energy(x);
-    case VmvMode::kQuantized:
-      return quantized().energy(x);
-    case VmvMode::kCircuit:
-      return circuit_energy(x);
-  }
-  return 0.0;  // unreachable
 }
 
 template <typename CurrentFn>
@@ -111,34 +47,32 @@ long long VmvEngine::convert_columns(std::span<const std::uint8_t> x,
   // paths convert in this exact order, so the ADC noise stream (and the
   // clip counter) advance identically on either path.
   long long acc = 0;
-  const int bits = magnitude_bits_;
+  const int bits = magnitude_bits();
   for (std::size_t j = 0; j < n_; ++j) {
     if (!x[j]) continue;
     for (int b = 0; b < bits; ++b) {
       const auto p = static_cast<std::size_t>(b);
-      const long long pos_code = adc_->convert(current_of(p, j));
+      const long long pos_code = adc_.convert(current_of(p, j));
       const long long neg_code =
-          adc_->convert(current_of(static_cast<std::size_t>(bits) + p, j));
+          adc_.convert(current_of(static_cast<std::size_t>(bits) + p, j));
       acc += (pos_code - neg_code) << b;
     }
   }
   return acc;
 }
 
-double VmvEngine::circuit_energy(std::span<const std::uint8_t> x) {
-  const auto bits = static_cast<std::size_t>(magnitude_bits_);
+double VmvEngine::energy(std::span<const std::uint8_t> x) {
+  if (x.size() != n_) throw std::invalid_argument("VmvEngine::energy: size");
+  const auto bits = static_cast<std::size_t>(magnitude_bits());
   const long long acc =
       convert_columns(x, [&](std::size_t p, std::size_t j) {
         return p < bits ? pos_planes_[p].column_current(x, j)
                         : neg_planes_[p - bits].column_current(x, j);
       });
-  return static_cast<double>(acc) * circuit_q().scale + circuit_q().offset;
+  return static_cast<double>(acc) * quantized_->scale + quantized_->offset;
 }
 
 void VmvEngine::bind(std::span<const std::uint8_t> x) {
-  if (mode_ != VmvMode::kCircuit) {
-    throw std::logic_error("VmvEngine::bind: only meaningful in kCircuit");
-  }
   if (x.size() != n_) throw std::invalid_argument("VmvEngine::bind: size");
   bound_x_.assign(x.begin(), x.end());
   bound_ = true;
@@ -150,7 +84,7 @@ void VmvEngine::bind(std::span<const std::uint8_t> x) {
 }
 
 void VmvEngine::rebuild_bound_currents() {
-  const auto bits = static_cast<std::size_t>(magnitude_bits_);
+  const auto bits = static_cast<std::size_t>(magnitude_bits());
   currents_.resize(2 * bits * n_);
   for (std::size_t p = 0; p < bits; ++p) {
     for (std::size_t j = 0; j < n_; ++j) {
@@ -162,17 +96,10 @@ void VmvEngine::rebuild_bound_currents() {
   commits_since_rebuild_ = 0;
 }
 
-void VmvEngine::unbind() {
-  bound_ = false;
-  trial_valid_ = false;
-  bound_x_.clear();
-  currents_.clear();
-}
-
 double VmvEngine::bound_energy() const {
   if (!bound_) throw std::logic_error("VmvEngine::bound_energy: not bound");
-  return static_cast<double>(bound_acc_) * circuit_q().scale +
-         circuit_q().offset;
+  return static_cast<double>(bound_acc_) * quantized_->scale +
+         quantized_->offset;
 }
 
 const std::vector<std::uint8_t>& VmvEngine::bound_input() const {
@@ -182,7 +109,7 @@ const std::vector<std::uint8_t>& VmvEngine::bound_input() const {
 
 double VmvEngine::trial(std::span<const std::size_t> flips) {
   if (!bound_) throw std::logic_error("VmvEngine::trial: not bound");
-  const auto bits = static_cast<std::size_t>(magnitude_bits_);
+  const auto bits = static_cast<std::size_t>(magnitude_bits());
   trial_x_.assign(bound_x_.begin(), bound_x_.end());
   for (const std::size_t k : flips) {
     if (k >= n_) {
@@ -204,12 +131,12 @@ double VmvEngine::trial(std::span<const std::size_t> flips) {
   trial_flips_.assign(flips.begin(), flips.end());
   trial_acc_ = acc;
   trial_valid_ = true;
-  return static_cast<double>(acc) * circuit_q().scale + circuit_q().offset;
+  return static_cast<double>(acc) * quantized_->scale + quantized_->offset;
 }
 
 void VmvEngine::apply(std::span<const std::size_t> flips) {
   if (!bound_) throw std::logic_error("VmvEngine::apply: not bound");
-  const auto bits = static_cast<std::size_t>(magnitude_bits_);
+  const auto bits = static_cast<std::size_t>(magnitude_bits());
   const bool adopt_trial =
       trial_valid_ && std::equal(flips.begin(), flips.end(),
                                  trial_flips_.begin(), trial_flips_.end());
@@ -260,8 +187,6 @@ void VmvEngine::reprogram() {
   }
 }
 
-std::size_t VmvEngine::adc_clips() const {
-  return adc_ ? adc_->clip_count() : 0;
-}
+std::size_t VmvEngine::adc_clips() const { return adc_.clip_count(); }
 
 }  // namespace hycim::cim

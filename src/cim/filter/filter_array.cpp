@@ -95,13 +95,6 @@ void FilterArray::rebuild_bound() {
   commits_since_rebind_ = 0;
 }
 
-void FilterArray::unbind() {
-  bound_ = false;
-  bound_x_.clear();
-  bound_g_.clear();
-  bound_isink_.clear();
-}
-
 const std::vector<std::uint8_t>& FilterArray::bound_input() const {
   if (!bound_) throw std::logic_error("FilterArray: no bound input");
   return bound_x_;

@@ -94,8 +94,6 @@ class FilterArray {
 
   /// Caches the per-phase aggregate loads of configuration `x`.
   void bind(std::span<const std::uint8_t> x);
-  /// Drops the bound state.
-  void unbind();
   /// Whether a configuration is currently bound.
   bool bound() const { return bound_; }
   /// The bound configuration.

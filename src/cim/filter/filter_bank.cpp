@@ -111,10 +111,6 @@ void FilterBank::bind(std::span<const std::uint8_t> x) {
   }
 }
 
-void FilterBank::unbind() {
-  for (auto& f : filters_) f.unbind();
-}
-
 bool FilterBank::bound() const {
   return !filters_.empty() && filters_.front().bound();
 }

@@ -85,8 +85,6 @@ class FilterBank {
 
   /// Binds every filter in the bank to configuration `x`.
   void bind(std::span<const std::uint8_t> x);
-  /// Drops all bound state.
-  void unbind();
   /// Whether the bank is bound.
   bool bound() const;
   /// Incremental verdict for the bound configuration with `flips` toggled.

@@ -60,7 +60,6 @@ InequalityFilter::InequalityFilter(const InequalityFilterParams& params,
   replica_ = std::make_unique<FilterArray>(
       params.array, replica_weights(capacity, weights_.size(), column_max),
       fab);
-  replica_x_.assign(weights_.size(), 1);
   decision_stream_seed_ = params.decision_seed != 0
                               ? params.decision_seed
                               : params.fab_seed * 0x9e3779b9ULL;
@@ -82,7 +81,6 @@ InequalityFilter::InequalityFilter(const InequalityFilter& proto,
       relation_(proto.relation_),
       working_(std::make_unique<FilterArray>(*proto.working_)),
       replica_(std::make_unique<FilterArray>(*proto.replica_)),
-      replica_x_(proto.replica_x_),
       reprogram_rng_(proto.reprogram_rng_),
       replica_ml_(proto.replica_ml_),
       margin_v_(proto.margin_v_),
@@ -107,7 +105,8 @@ bool InequalityFilter::is_feasible(std::span<const std::uint8_t> x) {
 }
 
 void InequalityFilter::refresh_thresholds() {
-  replica_ml_ = replica_->evaluate(replica_x_);
+  replica_ml_ =
+      replica_->evaluate(std::vector<std::uint8_t>(replica_->columns(), 1));
   margin_v_ = margin_units_ * replica_ml_ *
               working_->nominal_unit_drop_fraction();
 }
@@ -133,8 +132,6 @@ bool InequalityFilter::decide(double ml) {
 void InequalityFilter::bind(std::span<const std::uint8_t> x) {
   working_->bind(x);
 }
-
-void InequalityFilter::unbind() { working_->unbind(); }
 
 bool InequalityFilter::bound() const { return working_->bound(); }
 

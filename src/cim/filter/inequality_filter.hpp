@@ -120,8 +120,6 @@ class InequalityFilter {
 
   /// Binds the working array to configuration `x`.
   void bind(std::span<const std::uint8_t> x);
-  /// Drops the bound state.
-  void unbind();
   /// Whether a configuration is bound.
   bool bound() const;
   /// Feasibility verdict for the bound configuration with `flips` toggled.
@@ -173,15 +171,14 @@ class InequalityFilter {
   const FilterStats& stats() const { return stats_; }
   /// Access to the working array (for waveform benches).
   const FilterArray& working_array() const { return *working_; }
-  /// Access to the replica array.
+  /// Access to the replica array (its hard-wired input ®x' is all ones).
   const FilterArray& replica_array() const { return *replica_; }
-  /// The replica's hard-wired input configuration ®x'.
-  const std::vector<std::uint8_t>& replica_input() const { return replica_x_; }
 
  private:
   /// Comparator decision + stats for an already-evaluated working ML.
   bool decide(double ml);
-  /// Refreshes the cached replica ML and the margin after the arrays move.
+  /// Refreshes the cached replica ML (the replica array evaluated on its
+  /// all-ones input) and the margin after the arrays move.
   void refresh_thresholds();
 
   std::vector<long long> weights_;
@@ -189,7 +186,6 @@ class InequalityFilter {
   Relation relation_ = Relation::kAtMost;
   std::unique_ptr<FilterArray> working_;
   std::unique_ptr<FilterArray> replica_;
-  std::vector<std::uint8_t> replica_x_;
   /// ML + margin >= Replica: the ≤ decision, and an equality window's
   /// lower half.
   std::unique_ptr<Comparator> comparator_;

@@ -11,10 +11,10 @@ namespace hycim::cop {
 // --- QKP ---------------------------------------------------------------
 
 core::ConstrainedQuboForm to_constrained_form(const QkpInstance& inst) {
-  const core::InequalityQuboForm single = core::to_inequality_qubo(inst);
+  core::InequalityQuboForm single = core::to_inequality_qubo(inst);
   core::ConstrainedQuboForm form;
-  form.q = single.q;
-  form.constraints.push_back({single.weights, single.capacity});
+  form.q = std::move(single.q);
+  form.constraints.push_back({std::move(single.weights), single.capacity});
   return form;
 }
 

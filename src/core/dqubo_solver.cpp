@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "cim/crossbar/bit_slice.hpp"
 #include "qubo/energy.hpp"
 
 namespace hycim::core {
@@ -114,31 +115,25 @@ DquboSolver::DquboSolver(const cop::QkpInstance& inst,
   }
   // The lowering validates the instance: the tracked marginal reads profit
   // rows for columns, so it relies on the symmetry that checks.
-  qubo::FrozenQuboPtr q =
-      config_.encoding == SlackEncoding::kOneHot
-          ? std::move(to_dqubo_onehot(inst, config_.penalty).q).freeze()
-          : std::move(to_dqubo_binary(inst, config_.penalty.beta).q).freeze();
+  q_ = config_.encoding == SlackEncoding::kOneHot
+           ? std::move(to_dqubo_onehot(inst, config_.penalty).q).freeze()
+           : std::move(to_dqubo_binary(inst, config_.penalty.beta).q).freeze();
   const int bits =
-      config_.matrix_bits > 0 ? config_.matrix_bits : q->quantization_bits();
-  engine_ = std::make_unique<cim::VmvEngine>(std::move(q), config_.fidelity,
-                                             bits);
+      config_.matrix_bits > 0 ? config_.matrix_bits : q_->quantization_bits();
+  cim::ProgrammedQubo programmed = cim::program(q_, bits);
+  magnitude_bits_ = programmed.magnitude_bits;
+  eval_ = config_.fidelity == cim::VmvMode::kIdeal
+              ? q_
+              : std::move(programmed.matrix);
 }
 
-DquboSolver::~DquboSolver() = default;
-DquboSolver::DquboSolver(DquboSolver&&) noexcept = default;
-DquboSolver& DquboSolver::operator=(DquboSolver&&) noexcept = default;
-
-std::size_t DquboSolver::size() const { return engine_->size(); }
+std::size_t DquboSolver::size() const { return q_->size(); }
 
 double DquboSolver::max_abs_coefficient() const {
-  return engine_->original().max_abs_coefficient();
+  return q_->max_abs_coefficient();
 }
 
-int DquboSolver::matrix_bits() const { return engine_->magnitude_bits(); }
-
-const qubo::QuboMatrix& DquboSolver::matrix() const {
-  return engine_->original().matrix();
-}
+const qubo::QuboMatrix& DquboSolver::matrix() const { return q_->matrix(); }
 
 qubo::BitVector DquboSolver::random_initial(util::Rng& rng) const {
   qubo::BitVector xy(size(), 0);
@@ -161,7 +156,7 @@ QkpSolveResult DquboSolver::solve(const qubo::BitVector& xy0,
   if (xy0.size() != size()) {
     throw std::invalid_argument("DquboSolver::solve: xy0 size mismatch");
   }
-  Problem problem(engine_->eval_matrix(), inst_);
+  Problem problem(eval_, inst_);
   anneal::SaParams sa = config_.sa;
   sa.seed = run_seed;
   QkpSolveResult result;

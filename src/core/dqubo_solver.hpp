@@ -5,13 +5,13 @@
 // energy.  This is the implementation whose 10.75% success rate Fig. 10
 // contrasts with HyCiM.
 //
-// The walk reads only the evaluation matrix (ideal or quantized energies,
-// on the dense kernel its fully dense penalty matrix picks), so there is
-// no circuit fidelity to configure: kCircuit is rejected.
+// The walk reads one frozen matrix — the penalty matrix under kIdeal, the
+// matrix cim::program picks for it under kQuantized — on the dense kernel
+// its fully dense penalty matrix picks, so there is no circuit to
+// fabricate: kCircuit is rejected.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "anneal/sa_engine.hpp"
 #include "cim/crossbar/vmv_engine.hpp"
@@ -19,6 +19,7 @@
 #include "cop/qkp_result.hpp"
 #include "core/dqubo_binary.hpp"
 #include "core/dqubo_onehot.hpp"
+#include "qubo/qubo_matrix.hpp"
 
 namespace hycim::core {
 
@@ -50,9 +51,6 @@ class DquboSolver {
   /// QkpInstance::validate() (sizes, weights, capacity, an asymmetric
   /// profit matrix), which the lowering checks first.
   DquboSolver(const cop::QkpInstance& inst, const DquboConfig& config);
-  ~DquboSolver();
-  DquboSolver(DquboSolver&&) noexcept;
-  DquboSolver& operator=(DquboSolver&&) noexcept;
 
   /// Runs SA from a full [x; y] assignment of size() bits.
   QkpSolveResult solve(const qubo::BitVector& xy0, std::uint64_t run_seed);
@@ -74,8 +72,9 @@ class DquboSolver {
   /// Largest |Q_ij| of the penalty-embedded matrix (the Fig. 9(a) metric).
   double max_abs_coefficient() const;
 
-  /// Crossbar quantization bits in use.
-  int matrix_bits() const;
+  /// Crossbar quantization bits in use (the magnitude bits of the
+  /// programmed matrix, in either fidelity).
+  int matrix_bits() const { return magnitude_bits_; }
 
   /// The underlying QUBO matrix (for hardware-cost accounting).
   const qubo::QuboMatrix& matrix() const;
@@ -87,10 +86,11 @@ class DquboSolver {
 
   cop::QkpInstance inst_;
   DquboConfig config_;
-  /// Owns the frozen penalty matrix and the evaluation matrix every solve
-  /// shares (one and the same when the quantization is exact); the first
-  /// solve builds its dense mirror, once.
-  std::unique_ptr<cim::VmvEngine> engine_;
+  qubo::FrozenQuboPtr q_;  ///< the penalty matrix
+  /// The matrix every solve walks (q_ itself under kIdeal or when the
+  /// quantization is exact); the first solve builds its dense mirror, once.
+  qubo::FrozenQuboPtr eval_;
+  int magnitude_bits_ = 1;
 };
 
 }  // namespace hycim::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,8 +26,9 @@ namespace hycim::core {
 ///     adjusting the flipped columns' matchline charge in O(phases);
 ///   * circuit energies — the VMV engine's bound state updates per-column
 ///     currents on a flip (O(n·bits), every cell's leakage modelled);
-///   * ideal/quantized energies — qubo::IncrementalEvaluator local fields,
-///     O(degree) per commit when the matrix runs the sparse kernel.
+///   * ideal/quantized energies — qubo::IncrementalEvaluator local fields
+///     over the chip's evaluation matrix, O(degree) per commit when the
+///     matrix runs the sparse kernel (a circuit Problem builds none).
 /// No per-proposal BitVector copies remain; candidates exist only as flip
 /// index sets.  check_incremental re-derives everything from scratch at
 /// every step and throws on divergence.
@@ -36,10 +38,10 @@ namespace hycim::core {
 class alignas(64) HyCimSolver::Problem final : public anneal::SaProblem {
  public:
   explicit Problem(HyCimSolver& owner)
-      : owner_(owner),
-        eval_(owner.engine_->eval_matrix(),
-              qubo::BitVector(owner.form_->size(), 0)),
-        totals_(owner.form_->rows(), 0) {
+      : owner_(owner), totals_(owner.form_->rows(), 0) {
+    if (!circuit()) {
+      eval_.emplace(owner.eval_, qubo::BitVector(owner.form_->size(), 0));
+    }
     touched_ids_.reserve(owner.form_->rows());
   }
 
@@ -56,8 +58,8 @@ class alignas(64) HyCimSolver::Problem final : public anneal::SaProblem {
       owner_.engine_->bind(x);
       return owner_.engine_->bound_energy();
     }
-    eval_.reset(x);
-    return eval_.energy();
+    eval_->reset(x);
+    return eval_->energy();
   }
 
   bool trial_feasible(const anneal::Move& m) override {
@@ -90,8 +92,8 @@ class alignas(64) HyCimSolver::Problem final : public anneal::SaProblem {
     if (circuit()) {
       d = owner_.engine_->trial(flips) - owner_.engine_->bound_energy();
     } else {
-      d = m.is_swap() ? eval_.delta_pair(m.bits[0], m.bits[1])
-                      : eval_.delta(m.bits[0]);
+      d = m.is_swap() ? eval_->delta_pair(m.bits[0], m.bits[1])
+                      : eval_->delta(m.bits[0]);
     }
     if (owner_.config_.check_incremental) check_trial_delta(m, d);
     return d;
@@ -104,15 +106,15 @@ class alignas(64) HyCimSolver::Problem final : public anneal::SaProblem {
     if (circuit()) {
       owner_.engine_->apply(flips);
     } else if (m.is_swap()) {
-      eval_.flip_pair(m.bits[0], m.bits[1]);
+      eval_->flip_pair(m.bits[0], m.bits[1]);
     } else {
-      eval_.flip(m.bits[0]);
+      eval_->flip(m.bits[0]);
     }
     if (owner_.config_.check_incremental) check_committed_state();
   }
 
   const qubo::BitVector& state() const override {
-    return circuit() ? owner_.engine_->bound_input() : eval_.state();
+    return circuit() ? owner_.engine_->bound_input() : eval_->state();
   }
 
   bool supports_swaps() const override { return true; }
@@ -188,7 +190,7 @@ class alignas(64) HyCimSolver::Problem final : public anneal::SaProblem {
       check_near(d, full, tol, "circuit trial delta");
       return;
     }
-    const auto& eval = *owner_.engine_->eval_matrix();
+    const auto& eval = *owner_.eval_;
     const double full = eval.energy(candidate_of(m)) - eval.energy(state());
     check_near(d, full, tol, "eval trial delta");
   }
@@ -204,8 +206,8 @@ class alignas(64) HyCimSolver::Problem final : public anneal::SaProblem {
                    1e-6 * std::max(1.0, std::abs(e)), "committed energy");
       }
     } else {
-      const double e = eval_.energy();
-      check_near(e, eval_.recompute(), 1e-6 * std::max(1.0, std::abs(e)),
+      const double e = eval_->energy();
+      check_near(e, eval_->recompute(), 1e-6 * std::max(1.0, std::abs(e)),
                  "committed energy");
     }
     if (owner_.bank_) {
@@ -236,7 +238,7 @@ class alignas(64) HyCimSolver::Problem final : public anneal::SaProblem {
   static constexpr double kMlTolVolts = 1e-9;
 
   HyCimSolver& owner_;
-  qubo::IncrementalEvaluator eval_;
+  std::optional<qubo::IncrementalEvaluator> eval_;  ///< outside kCircuit
   std::vector<long long> totals_;  ///< exact ®w·®x per row
   std::size_t violated_ = 0;       ///< rows the current state breaks
   // Scratch for the incidence-gated software-totals path.
@@ -262,17 +264,32 @@ HyCimSolver::HyCimSolver(const ConstrainedQuboForm& form,
         " weights for " + std::to_string(form.size()) + " variables");
   }
 
-  engine_ = std::make_unique<cim::VmvEngine>(
-      form.q.freeze(), config_.fidelity, config_.matrix_bits, config_.vmv);
-
-  // Build the structure the evaluation matrix's kernel walks (the matrix
-  // the hardware stores — see VmvEngine::eval_matrix) once, at
+  qubo::FrozenQuboPtr q = form.q.freeze();
+  switch (config_.fidelity) {
+    case cim::VmvMode::kIdeal:
+      cim::check_max_bits(config_.matrix_bits);
+      eval_ = std::move(q);
+      break;
+    case cim::VmvMode::kQuantized:
+      eval_ = cim::program(std::move(q), config_.matrix_bits).matrix;
+      break;
+    case cim::VmvMode::kCircuit:
+      // The walked matrix comes from the engine's own quantization, so no
+      // matrix is quantized twice; nothing walks it, so nothing builds its
+      // kernel structure.
+      engine_ = std::make_unique<cim::VmvEngine>(*q, config_.matrix_bits,
+                                                 config_.vmv);
+      eval_ = engine_->quantized().dequantize(q);
+      break;
+  }
+  // Build the structure the evaluation matrix's kernel walks once, at
   // fabrication: every clone shares it.
-  const qubo::FrozenQubo& eval = *engine_->eval_matrix();
-  if (eval.kernel() == qubo::Kernel::kSparse) {
-    eval.neighbor_index();
-  } else {
-    eval.dense_rows();
+  if (!engine_) {
+    if (eval_->kernel() == qubo::Kernel::kSparse) {
+      eval_->neighbor_index();
+    } else {
+      eval_->dense_rows();
+    }
   }
 
   if (config_.filter_mode == FilterMode::kHardware && form_->rows() > 0) {
@@ -296,8 +313,11 @@ HyCimSolver::HyCimSolver(const HyCimSolver& proto,
                          std::uint64_t decision_seed)
     : form_(proto.form_),
       config_(proto.config_),
-      engine_(std::make_unique<cim::VmvEngine>(*proto.engine_)),
+      eval_(proto.eval_),
       rows_by_var_(proto.rows_by_var_) {
+  if (proto.engine_) {
+    engine_ = std::make_unique<cim::VmvEngine>(*proto.engine_);
+  }
   if (decision_seed != 0) config_.filter.decision_seed = decision_seed;
   if (proto.bank_) {
     bank_ = std::make_unique<cim::FilterBank>(*proto.bank_, decision_seed);
@@ -336,8 +356,7 @@ SolveResult HyCimSolver::solve(const qubo::BitVector& x0,
   std::vector<std::unique_ptr<anneal::SaProblem>> problems;
   if (plain_replicas) {
     for (std::size_t r = 0; r < replica_count; ++r) {
-      problems.push_back(
-          std::make_unique<anneal::QuboProblem>(engine_->eval_matrix()));
+      problems.push_back(std::make_unique<anneal::QuboProblem>(eval_));
     }
   } else if (replica_count == 1) {
     problems.push_back(std::make_unique<Problem>(*this));
@@ -378,7 +397,7 @@ void HyCimSolver::retarget_solve(const HyCimConfig& config) {
 }
 
 void HyCimSolver::reprogram() {
-  engine_->reprogram();
+  if (engine_) engine_->reprogram();
   if (bank_) bank_->reprogram();
 }
 

@@ -14,10 +14,12 @@
 //     exact software predicates).
 // The defaults — quantized energies + hardware filters — capture the
 // dominant hardware effects while staying fast enough to run the paper's
-// Sec. 4.3 sweep (thousands of SA runs) on a laptop.  Cost is not
-// configurable: the per-flip kernel of the ideal/quantized walks follows
-// the programmed evaluation matrix's density (qubo::FrozenQubo::kernel()),
-// and circuit mode runs the engine's one exact bound-state kernel.
+// Sec. 4.3 sweep (thousands of SA runs) on a laptop.  Under kIdeal and
+// kQuantized a walk reads one frozen matrix, the source matrix or the one
+// cim::program picks; only kCircuit fabricates a cim::VmvEngine.  Cost is
+// not configurable: the per-flip kernel of the software walks follows
+// that matrix's density (qubo::FrozenQubo::kernel()), and circuit mode
+// runs the engine's one exact bound-state kernel.
 #pragma once
 
 #include <cstdint>
@@ -99,11 +101,11 @@ class HyCimSolver {
   /// filter arrays' cells and loads, the row incidence — and copies only
   /// what a walk mutates: bound states, scratch, comparator noise streams
   /// (restarted from `decision_seed`; 0 keeps the proto's streams) and, in
-  /// kCircuit mode, the crossbars.  Bit-identical to constructing a fresh
-  /// solver from (proto.form(), proto config with filter.decision_seed =
-  /// decision_seed) — batch protocols use this to model N independent
-  /// repeated measurements on one programmed chip for a few kilobytes
-  /// each instead of N fabrications.
+  /// kCircuit mode, the crossbars and the ADC.  Bit-identical to
+  /// constructing a fresh solver from (proto.form(), proto config with
+  /// filter.decision_seed = decision_seed) — batch protocols use this to
+  /// model N independent repeated measurements on one programmed chip for
+  /// a few kilobytes each instead of N fabrications.
   HyCimSolver(const HyCimSolver& proto, std::uint64_t decision_seed);
 
   ~HyCimSolver();
@@ -137,7 +139,7 @@ class HyCimSolver {
 
   /// The per-flip kernel of the ideal/quantized walks: the evaluation
   /// matrix's own (qubo::FrozenQubo::kernel(), from its density).
-  qubo::Kernel kernel() const { return eval_matrix()->kernel(); }
+  qubo::Kernel kernel() const { return eval_->kernel(); }
 
   /// Overrides the solve-time knobs — `sa`, `search`, `check_incremental`
   /// (exactly the fields service::solve_key() hashes) — leaving the
@@ -156,14 +158,12 @@ class HyCimSolver {
   /// mode or when the form has no rows).  Inequality i is
   /// FilterBank::filter(i); equality e is filter(constraints.size() + e).
   cim::FilterBank* filter_bank() { return bank_.get(); }
-  /// The VMV engine computing xᵀQx.
-  cim::VmvEngine& engine() { return *engine_; }
-  /// The frozen matrix the incremental fast path walks, with the mirror or
-  /// neighbor index its kernel reads built at fabrication — one object
-  /// shared by this chip and every clone of it.
-  const qubo::FrozenQuboPtr& eval_matrix() const {
-    return engine_->eval_matrix();
-  }
+  /// The frozen matrix a software walk reads: the form's matrix under
+  /// kIdeal, the matrix cim::program picks otherwise (under kCircuit, from
+  /// the engine's own quantization) — one object shared by this chip and
+  /// every clone of it.  Outside kCircuit the mirror or neighbor index its
+  /// kernel reads is built at fabrication; a circuit chip builds neither.
+  const qubo::FrozenQuboPtr& eval_matrix() const { return eval_; }
 
   /// Erases and re-programs filters + crossbars with fresh cycle-to-cycle
   /// noise (the Fig. 7(f) repeated-measurement protocol).
@@ -174,8 +174,8 @@ class HyCimSolver {
 
   std::shared_ptr<const ConstrainedQuboForm> form_;
   HyCimConfig config_;
-  /// Owns the frozen matrices (original, quantized, and the evaluation
-  /// matrix behind the incremental fast path); clones share them.
+  qubo::FrozenQuboPtr eval_;  ///< see eval_matrix(); clones share it
+  /// The circuit computing xᵀQx (kCircuit only; null otherwise).
   std::unique_ptr<cim::VmvEngine> engine_;
   std::unique_ptr<cim::FilterBank> bank_;
   // Row incidence of the exact totals: variable -> the ids of the rows

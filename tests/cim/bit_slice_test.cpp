@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -83,11 +86,34 @@ TEST(Quantize, ExactQuantizationSharesTheSourceMatrix) {
   EXPECT_NE(sz_quant.dequantize(sz), sz);
 }
 
-TEST(Quantize, MeasureReportsWhatQuantizeReportsWithoutValues) {
-  // measure_quantization decides from the record the freeze pass made
-  // (FrozenQubo::scan()) and runs quantize's passes without storing, while
-  // quantize() of the builder scans it afresh: every field but the values
-  // must agree, on each side of the integral test.
+/// The three things program(q, bits) promises against quantize(): the
+/// source itself back exactly when the quantization is exact, otherwise a
+/// matrix bit-identical to quantize(...).dequantize(q), and quantize's
+/// magnitude bits either way.
+void expect_programs_like_quantize(const qubo::FrozenQuboPtr& q, int bits) {
+  const QuantizedQubo quant = quantize(*q, bits);
+  const ProgrammedQubo programmed = program(q, bits);
+  EXPECT_EQ(programmed.magnitude_bits, quant.magnitude_bits);
+  EXPECT_EQ(programmed.matrix == q, quant.exact);
+  if (quant.exact) return;
+  const auto bits_of = [](const qubo::FrozenQubo& m) {
+    std::vector<std::uint64_t> out;
+    for (const double v : m.matrix().packed()) {
+      out.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+    out.push_back(std::bit_cast<std::uint64_t>(m.matrix().offset()));
+    return out;
+  };
+  EXPECT_EQ(bits_of(*programmed.matrix), bits_of(*quant.dequantize(q)));
+}
+
+TEST(Program, MatchesQuantizeThenDequantize) {
+  // program() decides from the record the freeze pass made
+  // (FrozenQubo::scan()) and takes its fast path only for an integral
+  // matrix within the budget without −0.0, while quantize() of the builder
+  // scans it afresh.  On each side of the integral test, quantize() of the
+  // frozen matrix reads the same record as the builder's scan, and
+  // program() agrees with quantize-then-dequantize.
   const auto matrix = [](std::initializer_list<double> diagonal) {
     qubo::QuboMatrix q(diagonal.size());
     std::size_t i = 0;
@@ -108,10 +134,12 @@ TEST(Quantize, MeasureReportsWhatQuantizeReportsWithoutValues) {
     bool integers;  ///< every coefficient a finite integer, at any range
   } cases[] = {
       {"integers", integer_qubo(9, rng, 100), 7, true, true, true},
+      {"lossy integers", integer_qubo(12, rng, 500), 8, false, false, true},
       {"range edge", matrix({7.0, -7.0, 0.0}), 3, true, true, true},
       {"one past the range", matrix({8.0, -7.0}), 3, false, false, true},
       {"negative zero", matrix({-0.0, 3.0}), 3, true, false, true},
       {"fraction", matrix({2.5, 1.1}), 4, false, false, false},
+      {"exact fraction", matrix({1.5, -0.5}), 2, false, true, false},
       {"beyond 2^52", matrix({0x1p52 + 2.0, -0x1p53 + 2.0, 1.0}), 53, true,
        true, true},
       {"fraction below 2^52", matrix({0x1p51 + 0.5, 1.0}), 53, false, false,
@@ -122,21 +150,14 @@ TEST(Quantize, MeasureReportsWhatQuantizeReportsWithoutValues) {
     const QuantizedQubo full = quantize(c.q, c.bits);
     const qubo::FrozenQuboPtr frozen = c.q.freeze();
     EXPECT_EQ(frozen->scan().integral, c.integers);
-    const QuantizedQubo measured = measure_quantization(*frozen, c.bits);
     EXPECT_EQ(full.scale == 1.0, c.integral);
     EXPECT_EQ(full.exact, c.exact);
-    EXPECT_TRUE(measured.values.empty());
-    EXPECT_EQ(measured.n, full.n);
-    EXPECT_EQ(measured.scale, full.scale);
-    EXPECT_EQ(measured.magnitude_bits, full.magnitude_bits);
-    EXPECT_EQ(measured.exact, full.exact);
-    EXPECT_EQ(measured.offset, full.offset);
-    // quantize() of the frozen matrix reads the same record.
     const QuantizedQubo from_record = quantize(*frozen, c.bits);
     EXPECT_EQ(from_record.values, full.values);
     EXPECT_EQ(from_record.scale, full.scale);
     EXPECT_EQ(from_record.magnitude_bits, full.magnitude_bits);
     EXPECT_EQ(from_record.exact, full.exact);
+    expect_programs_like_quantize(frozen, c.bits);
   }
 }
 
@@ -144,7 +165,7 @@ TEST(Quantize, StaysWithinItsBitBudgetBeyond53Bits) {
   // From 54 bits up the double range 2^b − 1 rounds up to 2^b; the largest
   // coefficient must still get a code of at most 2^b − 1, on the scaled
   // path (a fractional matrix) and at the integral path's edge (2^b itself
-  // does not fit b bits).
+  // does not fit b bits).  program() reports the same magnitude bits.
   qubo::QuboMatrix fractional(3);
   fractional.set(0, 0, 0.5);
   fractional.set(1, 1, -1.0);
@@ -161,9 +182,7 @@ TEST(Quantize, StaysWithinItsBitBudgetBeyond53Bits) {
       for (const long long v : quant.values) {
         EXPECT_LE(std::llabs(v), max_code) << v;
       }
-      const QuantizedQubo measured = measure_quantization(*q->freeze(), bits);
-      EXPECT_EQ(measured.magnitude_bits, quant.magnitude_bits);
-      EXPECT_EQ(measured.exact, quant.exact);
+      expect_programs_like_quantize(q->freeze(), bits);
     }
   }
 }
@@ -208,6 +227,10 @@ TEST(Quantize, RejectsBadBits) {
   qubo::QuboMatrix q(2);
   EXPECT_THROW(quantize(q, 0), std::invalid_argument);
   EXPECT_THROW(quantize(q, 63), std::invalid_argument);
+  // program() rejects them too, even for a matrix its fast path would
+  // return unread.
+  EXPECT_THROW(program(q.freeze(), 0), std::invalid_argument);
+  EXPECT_THROW(program(q.freeze(), 63), std::invalid_argument);
 }
 
 TEST(Quantize, QuantizationErrorBounded) {

@@ -115,9 +115,6 @@ TEST(FilterArrayBoundState, MisuseThrows) {
   EXPECT_THROW(array.apply(bad), std::invalid_argument);
   EXPECT_THROW(array.bind(std::vector<std::uint8_t>{1, 0}),
                std::invalid_argument);
-  array.unbind();
-  EXPECT_FALSE(array.bound());
-  EXPECT_THROW(array.bound_voltage(), std::logic_error);
 }
 
 // Two identically fabricated filters (same seeds ⇒ same noise streams):
@@ -272,7 +269,7 @@ VmvEngine circuit_engine(const qubo::QuboMatrix& q, std::uint64_t fab_seed) {
   VmvEngineParams p;
   p.fab_seed = fab_seed;
   p.adc.bits = 8;
-  return VmvEngine(q.freeze(), VmvMode::kCircuit, 7, p);
+  return VmvEngine(*q.freeze(), 7, p);
 }
 
 TEST(VmvEngineBoundState, TrialMatchesFullCandidateEnergy) {
@@ -328,15 +325,6 @@ TEST(VmvEngineBoundState, SwapTrialsMatchFullCandidateEnergy) {
     ASSERT_NEAR(incremental.trial(flips), oracle.energy(candidate), 1e-9)
         << "step " << step;
   }
-}
-
-TEST(VmvEngineBoundState, BindOutsideCircuitModeThrows) {
-  qubo::QuboMatrix q(4);
-  q.set(0, 0, -1.0);
-  VmvEngine engine(q.freeze(), VmvMode::kQuantized, 7);
-  EXPECT_THROW(engine.bind(std::vector<std::uint8_t>(4, 0)),
-               std::logic_error);
-  EXPECT_THROW(engine.bound_energy(), std::logic_error);
 }
 
 }  // namespace

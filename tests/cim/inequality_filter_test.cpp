@@ -140,7 +140,9 @@ TEST(InequalityFilter, AccessorsExposeGeometry) {
   EXPECT_EQ(filter.capacity(), 9);
   EXPECT_EQ(filter.working_array().columns(), 3u);
   EXPECT_EQ(filter.replica_array().columns(), 3u);
-  EXPECT_EQ(filter.replica_input(), std::vector<std::uint8_t>(3, 1));
+  // The replica's hard-wired input is all ones.
+  EXPECT_EQ(filter.replica_voltage(), filter.replica_array().evaluate(
+                                          std::vector<std::uint8_t>(3, 1)));
 }
 
 TEST(InequalityFilter, DecisionSeedGivesIndependentMeasurementNoise) {

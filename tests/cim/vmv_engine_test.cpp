@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "util/rng.hpp"
 
 namespace hycim::cim {
@@ -26,61 +28,13 @@ VmvEngineParams circuit_params(std::uint64_t seed = 1) {
   return p;
 }
 
-TEST(VmvEngine, IdealModeMatchesMatrixEnergy) {
-  util::Rng rng(1);
-  const auto q = integer_qubo(12, rng, 100);
-  VmvEngine engine(q.freeze(), VmvMode::kIdeal, 7);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto x = rng.random_bits(12);
-    EXPECT_DOUBLE_EQ(engine.energy(x), q.energy(x));
-  }
-}
-
-TEST(VmvEngine, QuantizedModeExactForIntegerMatrices) {
-  util::Rng rng(2);
-  const auto q = integer_qubo(10, rng, 100);
-  VmvEngine engine(q.freeze(), VmvMode::kQuantized, 7);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto x = rng.random_bits(10);
-    EXPECT_DOUBLE_EQ(engine.energy(x), q.energy(x));
-  }
-}
-
-TEST(VmvEngine, QuantizedCopyIsMadeOnlyWhenNeeded) {
-  // An exact quantization is measured, not copied: the engine walks the
-  // original, and quantized() builds today's QuantizedQubo on first use,
-  // once for the engine and its copies.  An inexact one is built up front
-  // to dequantize from.
-  util::Rng rng(12);
-  qubo::QuboMatrix fractional(6);
-  for (std::size_t i = 0; i < 6; ++i) fractional.set(i, i, rng.uniform(-3, 3));
-  for (const bool exact : {true, false}) {
-    SCOPED_TRACE(exact ? "exact" : "inexact");
-    const auto q = (exact ? integer_qubo(10, rng, 100) : fractional).freeze();
-    VmvEngine engine(q, VmvMode::kQuantized, 7);
-    EXPECT_EQ(engine.eval_matrix() == q, exact);
-    const VmvEngine copy(engine);
-    const QuantizedQubo expected = quantize(q->matrix(), 7);
-    const QuantizedQubo& built = engine.quantized();
-    EXPECT_EQ(&copy.quantized(), &built);
-    EXPECT_EQ(built.values, expected.values);
-    EXPECT_EQ(built.scale, expected.scale);
-    EXPECT_EQ(built.exact, exact);
-    EXPECT_EQ(engine.magnitude_bits(), expected.magnitude_bits);
-    for (int trial = 0; trial < 10; ++trial) {
-      const auto x = rng.random_bits(q->size());
-      EXPECT_EQ(engine.energy(x), expected.energy(x));
-    }
-  }
-}
-
 TEST(VmvEngine, CircuitModeMatchesQuantizedInIdealCorner) {
   // With no variation and a clean ADC, the full circuit path must agree
   // with the quantized-matrix energy exactly (the surrogate-fidelity
   // justification used by the fast SA path).
   util::Rng rng(3);
   const auto q = integer_qubo(10, rng, 100);
-  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, circuit_params());
+  VmvEngine engine(*q.freeze(), 7, circuit_params());
   for (int trial = 0; trial < 20; ++trial) {
     const auto x = rng.random_bits(10, 0.4);
     EXPECT_NEAR(engine.energy(x), engine.quantized().energy(x), 1e-9)
@@ -92,21 +46,36 @@ TEST(VmvEngine, CircuitModeEmptySelectionIsOffset) {
   util::Rng rng(4);
   auto q = integer_qubo(6, rng, 50);
   q.set_offset(17.0);
-  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, circuit_params());
+  VmvEngine engine(*q.freeze(), 7, circuit_params());
   EXPECT_NEAR(engine.energy(std::vector<std::uint8_t>(6, 0)), 17.0, 1e-9);
 }
 
-TEST(VmvEngine, MagnitudeBitsMatchQuantization) {
+TEST(VmvEngine, QuantizesAtConstructionAndCopiesShareIt) {
+  // The engine quantizes once; its copies share that QuantizedQubo.
   util::Rng rng(5);
   const auto q = integer_qubo(8, rng, 100);
-  VmvEngine engine(q.freeze(), VmvMode::kQuantized, 7);
-  EXPECT_LE(engine.magnitude_bits(), 7);
+  VmvEngine engine(*q.freeze(), 7, circuit_params());
+  const QuantizedQubo expected = quantize(q, 7);
+  EXPECT_EQ(engine.quantized().values, expected.values);
+  EXPECT_EQ(engine.quantized().scale, expected.scale);
+  EXPECT_EQ(engine.magnitude_bits(), expected.magnitude_bits);
+  const VmvEngine copy(engine);
+  EXPECT_EQ(&copy.quantized(), &engine.quantized());
 }
 
-TEST(VmvEngine, SizeMismatchThrows) {
+TEST(VmvEngine, RejectsMisuse) {
   qubo::QuboMatrix q(4);
-  VmvEngine engine(q.freeze(), VmvMode::kQuantized, 7);
+  q.set(0, 0, -1.0);
+  EXPECT_THROW(VmvEngine(*q.freeze(), 0), std::invalid_argument);
+  EXPECT_THROW(VmvEngine(*q.freeze(), 63), std::invalid_argument);
+  VmvEngine engine(*q.freeze(), 7, circuit_params());
   EXPECT_THROW(engine.energy(std::vector<std::uint8_t>(3, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(engine.bound_energy(), std::logic_error);
+  const std::array<std::size_t, 1> flips{0};
+  EXPECT_THROW(engine.trial(flips), std::logic_error);
+  EXPECT_THROW(engine.apply(flips), std::logic_error);
+  EXPECT_THROW(engine.bind(std::vector<std::uint8_t>(3, 0)),
                std::invalid_argument);
 }
 
@@ -117,7 +86,7 @@ TEST(VmvEngine, NegativeOnlyMatrixUsesNegPlanes) {
   q.set(0, 0, -10.0);
   q.set(0, 1, -3.0);
   q.set(2, 3, -7.0);
-  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, circuit_params(2));
+  VmvEngine engine(*q.freeze(), 7, circuit_params(2));
   const std::vector<std::uint8_t> all(4, 1);
   EXPECT_NEAR(engine.energy(all), -20.0, 1e-9);
 }
@@ -129,7 +98,7 @@ TEST(VmvEngine, AdcClipDegradesLargeColumns) {
   for (std::size_t i = 0; i < 8; ++i) q.set(i, 7, -1.0);  // column 7 heavy
   auto p = circuit_params(3);
   p.adc.bits = 2;
-  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, p);
+  VmvEngine engine(*q.freeze(), 7, p);
   const std::vector<std::uint8_t> all(8, 1);
   const double e = engine.energy(all);
   EXPECT_GT(e, q.energy(all));  // magnitude clipped toward zero
@@ -141,7 +110,7 @@ TEST(VmvEngine, CircuitWithVariationStaysClose) {
   const auto q = integer_qubo(12, rng, 50);
   auto p = circuit_params(4);
   p.variation = device::VariationParams{};  // realistic corners
-  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, p);
+  VmvEngine engine(*q.freeze(), 7, p);
   for (int trial = 0; trial < 10; ++trial) {
     const auto x = rng.random_bits(12, 0.5);
     const double exact = engine.quantized().energy(x);
@@ -155,7 +124,7 @@ TEST(VmvEngine, CircuitWithVariationStaysClose) {
 TEST(VmvEngine, ReprogramIsStableInIdealCorner) {
   util::Rng rng(7);
   const auto q = integer_qubo(6, rng, 30);
-  VmvEngine engine(q.freeze(), VmvMode::kCircuit, 7, circuit_params(5));
+  VmvEngine engine(*q.freeze(), 7, circuit_params(5));
   const auto x = rng.random_bits(6);
   const double before = engine.energy(x);
   engine.reprogram();

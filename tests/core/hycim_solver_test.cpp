@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cim/crossbar/bit_slice.hpp"
 #include "cop/adapters.hpp"
 #include "core/exact.hpp"
 #include "runtime/batch_runner.hpp"
@@ -87,6 +90,43 @@ TEST(HyCimSolver, ClonesShareOneFrozenMatrix) {
     }, batch);
     ASSERT_EQ(during.size(), 3u);
     for (const long count : during) EXPECT_GT(count, idle);
+  }
+}
+
+TEST(HyCimSolver, EvalMatrixFollowsTheFidelity) {
+  // kIdeal walks the form's matrix; kQuantized the one cim::program picks;
+  // kCircuit derives the same matrix from its engine's quantization.  At
+  // 5 bits the QKP's profits (up to 100) quantize lossily.
+  const auto form = cop::to_constrained_form(small_instance(11));
+  const auto packed_bits = [](const qubo::FrozenQubo& m) {
+    std::vector<std::uint64_t> out;
+    for (const double v : m.matrix().packed()) {
+      out.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+    out.push_back(std::bit_cast<std::uint64_t>(m.matrix().offset()));
+    return out;
+  };
+  const auto source = packed_bits(*form.q.freeze());
+  const auto programmed =
+      packed_bits(*cim::program(form.q.freeze(), 5).matrix);
+  ASSERT_NE(programmed, source);
+  const struct {
+    cim::VmvMode fidelity;
+    const std::vector<std::uint64_t>& expected;
+  } cases[] = {{cim::VmvMode::kIdeal, source},
+               {cim::VmvMode::kQuantized, programmed},
+               {cim::VmvMode::kCircuit, programmed}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.fidelity));
+    HyCimConfig config = fast_config(200);
+    config.fidelity = c.fidelity;
+    config.matrix_bits = 5;
+    const HyCimSolver chip(form, config);
+    EXPECT_EQ(packed_bits(*chip.eval_matrix()), c.expected);
+    for (const int bad_bits : {0, 63}) {
+      config.matrix_bits = bad_bits;
+      EXPECT_THROW(HyCimSolver(form, config), std::invalid_argument);
+    }
   }
 }
 

@@ -15,13 +15,14 @@
 //
 // The wrappers count requested bytes beside calls, which pins what setup
 // copies: a chip clone copies only the state a walk mutates (a few
-// kilobytes, not the fabricated filter arrays), a D-QUBO solver's
-// construction allocates about one packed triangle (no quantized copy of
-// an exactly quantized matrix), and its first solve about one int32
-// mirror.
+// kilobytes, not the fabricated filter arrays), a circuit chip builds no
+// software mirror, a D-QUBO solver's construction allocates about one
+// packed triangle (no quantized copy of an exactly quantized matrix), and
+// its first solve about one int32 mirror.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <optional>
@@ -290,8 +291,8 @@ TEST(AllocationBudget, ChipCloneCopiesOnlyMutableState) {
   // filter arrays' cells and loads, the frozen matrices and the row
   // incidence, and copies bound states, scratch and noise streams.  On a
   // paper-suite QKP (n = 100, default quantized energies and hardware
-  // filters) that is about 15 blocks and 5 KB; the two deep-copied 16×100
-  // filter arrays alone were 142 blocks and 560 KB.
+  // filters, so no circuit engine) that is 12 blocks and about 4 KB; the
+  // two deep-copied 16×100 filter arrays alone were 142 blocks and 560 KB.
   const cop::QkpInstance inst = cop::generate_paper_suite().at(3);
   ASSERT_EQ(inst.n, 100u);
   const core::HyCimSolver chip(cop::to_constrained_form(inst),
@@ -303,11 +304,36 @@ TEST(AllocationBudget, ChipCloneCopiesOnlyMutableState) {
   EXPECT_LE(meter.bytes(), 16u * 1024u);
 }
 
+TEST(AllocationBudget, CircuitChipBuildsNoSoftwareMirror) {
+  // A circuit chip's walks run on its crossbars: neither fabrication nor a
+  // solve builds the software walk's kernel structure.  So the first ask
+  // for the evaluation matrix's mirror builds it, writing its n² int32s
+  // (the integral QKP's rows) then and not before.
+  cop::QkpGeneratorParams params;
+  params.n = 24;
+  params.density_percent = 75;
+  const cop::QkpInstance inst = cop::generate_qkp(params, 41);
+  core::HyCimConfig config;
+  config.sa.iterations = 200;
+  config.fidelity = cim::VmvMode::kCircuit;
+  core::HyCimSolver chip(cop::to_constrained_form(inst), config);
+  const qubo::FrozenQubo& eval = *chip.eval_matrix();
+  ASSERT_EQ(eval.kernel(), qubo::Kernel::kDense);
+  util::Rng rng(43);
+  (void)chip.solve(cop::random_feasible(inst, rng), 47);
+  const std::size_t n = inst.n;
+  const AllocationMeter meter;
+  (void)eval.dense_rows();
+  EXPECT_GE(meter.bytes(), n * n * sizeof(std::int32_t))
+      << "the mirror was already built before it was asked for";
+}
+
 TEST(AllocationBudget, DquboBuildAllocatesAboutOneTriangle) {
-  // The penalty matrix is written once into its packed triangle, and its
-  // exact quantization is measured, not copied: construction allocates at
-  // most 1.25 packed triangles (the instance copy and small blocks fit in
-  // the rest).  A long long copy of the triangle would double it.
+  // The penalty matrix is written once into its packed triangle, and
+  // cim::program hands back the exactly quantized matrix itself, unread
+  // and uncopied: construction allocates at most 1.25 packed triangles
+  // (the instance copy and small blocks fit in the rest).  A long long
+  // copy of the triangle would double it.
   const cop::QkpInstance inst = cop::generate_paper_suite().at(0);
   core::DquboConfig config;
   config.fidelity = cim::VmvMode::kQuantized;

@@ -31,6 +31,12 @@
 // walks on e2ebench's anneal_large instances (QKP n=400, and an MDKP with
 // 8 rows, 2 incident per item) under SA and 8-replica tempering.
 //
+// A fourth pins circuit fidelity: a small QKP on the VMV engine's
+// crossbars at realistic variation and hardware filters, with ADC noise
+// large enough to move codes (so the ADC's noise stream reaches the
+// digest), under SA, a 3-replica ladder of cloned crossbars and ADCs, and
+// after reprogram().
+//
 // Moving a literal is a trajectory change: the change must declare which
 // gate of the README's gating rule it falls under.  To regenerate, build
 // and run tests/integration_golden_test; every failing check prints the
@@ -51,6 +57,7 @@
 #include "core/dqubo_onehot.hpp"
 #include "core/dqubo_solver.hpp"
 #include "core/hycim_solver.hpp"
+#include "device/variation.hpp"
 #include "util/rng.hpp"
 
 namespace hycim {
@@ -222,7 +229,8 @@ TEST(Golden, PaperSuiteDigests) {
     Digest quantized;
     absorb_quantized(quantized,
                      cim::quantize(form.q, form.q.quantization_bits()));
-    absorb_quantized(quantized, chip.engine().quantized());
+    absorb_quantized(quantized,
+                     cim::quantize(*chip.eval_matrix(), hycim.matrix_bits));
     expect_digest("quantization", quantized.value(), golden.quantized);
 
     core::DquboConfig dqubo_config;
@@ -566,6 +574,44 @@ TEST(Golden, WalkPathDigests) {
                                   absorb_walk),
                   kLargeGolden[1][s]);
   }
+}
+
+TEST(Golden, CircuitDigests) {
+  cop::QkpGeneratorParams params;
+  params.n = 20;
+  params.density_percent = 50;
+  const cop::QkpInstance inst = cop::generate_qkp(params, 2028);
+  const core::ConstrainedQuboForm form = cop::to_constrained_form(inst);
+  const auto feasible_init = [&inst](util::Rng& rng) {
+    return cop::random_feasible(inst, rng);
+  };
+
+  core::HyCimConfig config;
+  config.sa.iterations = kIterations;
+  config.fidelity = cim::VmvMode::kCircuit;
+  config.filter_mode = core::FilterMode::kHardware;
+  config.vmv.variation = device::VariationParams{};  // realistic corners
+  // About a fifth of an LSB: enough for draws to move codes, so the
+  // digests follow the ADC's noise stream.
+  config.vmv.adc.sigma_noise_a = 2e-7;
+  expect_digest("circuit SA", ensemble_digest(form, config, feasible_init),
+                0x8999d232d68375b9ULL);
+
+  core::HyCimConfig ladder = config;
+  anneal::TemperingParams three;
+  three.replicas = 3;
+  ladder.search = three;
+  expect_digest("circuit ladder",
+                ensemble_digest(form, ladder, feasible_init),
+                0x387813c5ddb15bb2ULL);
+
+  core::HyCimSolver chip(form, config);
+  chip.reprogram();
+  util::Rng rng(kRunSeed);
+  Digest reprogrammed;
+  absorb_ensemble(reprogrammed, chip.solve(feasible_init(rng), kRunSeed));
+  expect_digest("circuit after reprogram", reprogrammed.value(),
+                0xaca6e5dd0cfe53c4ULL);
 }
 
 }  // namespace

@@ -24,17 +24,18 @@ TEST(HardwareFidelity, QuantizedEqualsCircuitInIdealCorner) {
   const auto inst = instance(1, 14);
   const auto form = core::to_inequality_qubo(inst);
 
-  cim::VmvEngine fast(form.q.freeze(), cim::VmvMode::kQuantized, 7);
+  // What a kQuantized walk reads.
+  const qubo::FrozenQuboPtr fast = cim::program(form.q.freeze(), 7).matrix;
 
   cim::VmvEngineParams circuit;
   circuit.variation = device::ideal_variation();
   circuit.adc.bits = 8;
-  cim::VmvEngine slow(form.q.freeze(), cim::VmvMode::kCircuit, 7, circuit);
+  cim::VmvEngine slow(*form.q.freeze(), 7, circuit);
 
   util::Rng rng(2);
   for (int trial = 0; trial < 40; ++trial) {
     const auto x = rng.random_bits(inst.n, 0.4);
-    EXPECT_NEAR(fast.energy(x), slow.energy(x), 1e-9) << "trial " << trial;
+    EXPECT_NEAR(fast->energy(x), slow.energy(x), 1e-9) << "trial " << trial;
   }
 }
 
@@ -44,7 +45,7 @@ TEST(HardwareFidelity, CircuitEnergyErrorSmallUnderRealisticCorners) {
   cim::VmvEngineParams circuit;
   circuit.adc.bits = 8;
   circuit.fab_seed = 5;
-  cim::VmvEngine engine(form.q.freeze(), cim::VmvMode::kCircuit, 7, circuit);
+  cim::VmvEngine engine(*form.q.freeze(), 7, circuit);
   util::Rng rng(3);
   double worst_rel = 0.0;
   for (int trial = 0; trial < 30; ++trial) {

@@ -151,7 +151,7 @@ TEST(SolverClone, CloneSolvesBitIdenticallyToRefabrication) {
   EXPECT_EQ(rf.sa.rejected_infeasible, rc.sa.rejected_infeasible);
 }
 
-// Random flip/swap trial/commit/revert sequences driven directly against
+// Random flip/swap trial/commit sequences driven directly against
 // the SaProblem trial-move pipeline via two solvers: identical fabrication
 // and decision streams, one consuming moves through solve() is covered
 // above — here the FilterStats bookkeeping across both paths is pinned on
