@@ -30,12 +30,14 @@ VmvEngine::VmvEngine(const qubo::FrozenQubo& q, int matrix_bits,
   // One positive and one negative crossbar per magnitude bit, drawn from
   // one fabrication stream in that order.
   device::VariationModel fab(params_.variation, params_.fab_seed);
+  auto planes = std::make_shared<Planes>();
   for (int b = 0; b < magnitude_bits(); ++b) {
-    pos_planes_.emplace_back(params_.crossbar, n_, n_,
+    planes->pos.emplace_back(params_.crossbar, n_, n_,
                              bit_plane(*quantized_, b, +1), fab);
-    neg_planes_.emplace_back(params_.crossbar, n_, n_,
+    planes->neg.emplace_back(params_.crossbar, n_, n_,
                              bit_plane(*quantized_, b, -1), fab);
   }
+  planes_ = std::move(planes);
 }
 
 template <typename CurrentFn>
@@ -66,8 +68,8 @@ double VmvEngine::energy(std::span<const std::uint8_t> x) {
   const auto bits = static_cast<std::size_t>(magnitude_bits());
   const long long acc =
       convert_columns(x, [&](std::size_t p, std::size_t j) {
-        return p < bits ? pos_planes_[p].column_current(x, j)
-                        : neg_planes_[p - bits].column_current(x, j);
+        return p < bits ? planes_->pos[p].column_current(x, j)
+                        : planes_->neg[p - bits].column_current(x, j);
       });
   return static_cast<double>(acc) * quantized_->scale + quantized_->offset;
 }
@@ -88,9 +90,9 @@ void VmvEngine::rebuild_bound_currents() {
   currents_.resize(2 * bits * n_);
   for (std::size_t p = 0; p < bits; ++p) {
     for (std::size_t j = 0; j < n_; ++j) {
-      currents_[p * n_ + j] = pos_planes_[p].column_current(bound_x_, j);
+      currents_[p * n_ + j] = planes_->pos[p].column_current(bound_x_, j);
       currents_[(bits + p) * n_ + j] =
-          neg_planes_[p].column_current(bound_x_, j);
+          planes_->neg[p].column_current(bound_x_, j);
     }
   }
   commits_since_rebuild_ = 0;
@@ -121,7 +123,7 @@ double VmvEngine::trial(std::span<const std::size_t> flips) {
       convert_columns(trial_x_, [&](std::size_t p, std::size_t j) {
         double current = currents_[p * n_ + j];
         const CrossbarArray& plane =
-            p < bits ? pos_planes_[p] : neg_planes_[p - bits];
+            p < bits ? planes_->pos[p] : planes_->neg[p - bits];
         for (const std::size_t k : flips) {
           const double sign = bound_x_[k] ? -1.0 : 1.0;
           current += sign * plane.row_toggle_delta(k, j);
@@ -149,8 +151,8 @@ void VmvEngine::apply(std::span<const std::size_t> flips) {
     // deltas (same doubles row_toggle_delta returns, so the tracked
     // currents move bit-identically to the strided per-cell walk).
     for (std::size_t p = 0; p < bits; ++p) {
-      const double* pos_t = pos_planes_[p].toggle_row(k);
-      const double* neg_t = neg_planes_[p].toggle_row(k);
+      const double* pos_t = planes_->pos[p].toggle_row(k);
+      const double* neg_t = planes_->neg[p].toggle_row(k);
       double* pos_c = currents_.data() + p * n_;
       double* neg_c = currents_.data() + (bits + p) * n_;
       for (std::size_t j = 0; j < n_; ++j) {
@@ -174,8 +176,10 @@ void VmvEngine::apply(std::span<const std::size_t> flips) {
 }
 
 void VmvEngine::reprogram() {
-  for (auto& plane : pos_planes_) plane.reprogram(reprogram_rng_);
-  for (auto& plane : neg_planes_) plane.reprogram(reprogram_rng_);
+  auto planes = std::make_shared<Planes>(*planes_);
+  for (auto& plane : planes->pos) plane.reprogram(reprogram_rng_);
+  for (auto& plane : planes->neg) plane.reprogram(reprogram_rng_);
+  planes_ = std::move(planes);
   if (bound_) {
     // The stored conductances changed under the bound state: refresh the
     // cached currents and re-digitize the bound configuration.

@@ -57,10 +57,14 @@ class VmvEngine {
   /// magnitude bit with the `circuit` settings, programs them, and
   /// calibrates the ADC.  Keeps no reference to `q`.
   ///
-  /// A copy duplicates the fabricated crossbars, ADC and bound state and
-  /// shares the quantized matrix: it behaves exactly like re-fabricating
-  /// with the same seeds, minus the fabrication cost — the "program once,
-  /// solve many" hook for batch protocols.
+  /// The quantized matrix and the programmed crossbars live in immutable
+  /// blocks that every copy shares; a copy duplicates only the ADC (its
+  /// noise stream and clip count), the reprogramming stream and the bound
+  /// state.  It behaves exactly like re-fabricating with the same seeds,
+  /// minus the fabrication cost — the "program once, solve many" hook for
+  /// batch protocols.  reprogram() builds fresh crossbars for this engine
+  /// alone (copy on write) and leaves every other copy as it was, so
+  /// copies may run on different threads at once.
   VmvEngine(const qubo::FrozenQubo& q, int matrix_bits,
             const VmvEngineParams& circuit = {});
 
@@ -105,7 +109,8 @@ class VmvEngine {
   int magnitude_bits() const { return quantized_->magnitude_bits; }
 
   /// Re-programs all crossbars with fresh cycle-to-cycle noise (the
-  /// Fig. 7(f) erase/reprogram experiment).
+  /// Fig. 7(f) erase/reprogram experiment), drawn from this engine's own
+  /// reprogramming stream into a copy of the shared crossbars.
   void reprogram();
 
   /// Total full-scale ADC clips across all conversions so far.
@@ -123,11 +128,17 @@ class VmvEngine {
   long long convert_columns(std::span<const std::uint8_t> x,
                             CurrentFn&& current_of);
 
+  /// The programmed crossbars: one positive and one negative plane per
+  /// magnitude bit.  Immutable once shared.
+  struct Planes {
+    std::vector<CrossbarArray> pos;
+    std::vector<CrossbarArray> neg;
+  };
+
   VmvEngineParams params_;
   std::size_t n_ = 0;
   std::shared_ptr<const QuantizedQubo> quantized_;
-  std::vector<CrossbarArray> pos_planes_;  // one crossbar per magnitude bit
-  std::vector<CrossbarArray> neg_planes_;
+  std::shared_ptr<const Planes> planes_;
   Adc adc_;
   util::Rng reprogram_rng_;
   // Bound state: analog current of every (plane, column) under bound_x_,

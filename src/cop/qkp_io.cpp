@@ -64,12 +64,19 @@ QkpInstance read_qkp(std::istream& in) {
 QkpInstance read_qkp_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("read_qkp_file: cannot open " + path);
-  // Parse errors (truncated files, non-numeric fields, bad markers) carry
-  // the offending path — a suite load must fail loudly and debuggably.
+  // Parse errors (truncated files, non-numeric fields, bad markers) and
+  // validation errors (a weight < 1, a negative capacity) carry the
+  // offending path and keep their type — a suite load must fail loudly and
+  // debuggably.
+  const auto in_path = [&](const std::exception& e) {
+    return std::string(e.what()) + " (in " + path + ")";
+  };
   try {
     return read_qkp(in);
   } catch (const std::runtime_error& e) {
-    throw std::runtime_error(std::string(e.what()) + " (in " + path + ")");
+    throw std::runtime_error(in_path(e));
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(in_path(e));
   }
 }
 

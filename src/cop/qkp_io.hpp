@@ -29,7 +29,9 @@ namespace hycim::cop {
 QkpInstance read_qkp(std::istream& in);
 
 /// Loads an instance from a file path.  Parse errors (truncated files,
-/// non-numeric fields) rethrow with the path appended.
+/// non-numeric fields; std::runtime_error) and QkpInstance::validate()
+/// errors (a weight < 1, a negative capacity; std::invalid_argument)
+/// rethrow as their own type with the path appended.
 QkpInstance read_qkp_file(const std::string& path);
 
 /// Writes an instance in the CNAM format (inverse of read_qkp).

@@ -5,13 +5,24 @@
 // energy.  This is the implementation whose 10.75% success rate Fig. 10
 // contrasts with HyCiM.
 //
-// The walk reads one frozen matrix — the penalty matrix under kIdeal, the
-// matrix cim::program picks for it under kQuantized — on the dense kernel
-// its fully dense penalty matrix picks, so there is no circuit to
-// fabricate: kCircuit is rejected.
+// The walk never builds the (n + C)×(n + C) penalty matrix.  Its energy
+// depends on the state only through a few integer aggregates — the
+// selected weight W = Σ w_i x_i, the slack-level sum S = Σ ℓ_a y_a and the
+// hot-slack count Y = Σ y_a — plus the item-block fields, so every field,
+// delta and energy the matrix walk would read is computed from them in
+// exact int64 arithmetic: an O(1) trial, an O(n) item commit and an O(1)
+// slack commit.  With integral α and β every coefficient is an integer,
+// and the constructor admits only forms whose energies stay below 2^53,
+// so each value is the matrix walk's double exactly: the two walks are
+// bit-identical (core::to_dqubo_onehot / to_dqubo_binary build the matrix
+// the tests walk beside this one).  kIdeal and kQuantized walk the same
+// exact energies (the paper sizes the crossbar at ⌈log2 (Qij)MAX⌉ bits,
+// which stores every coefficient as it is); there is no circuit to
+// fabricate, so kCircuit is rejected.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "anneal/sa_engine.hpp"
 #include "cim/crossbar/vmv_engine.hpp"
@@ -35,21 +46,23 @@ enum class SlackEncoding {
 /// D-QUBO solver configuration.
 struct DquboConfig {
   anneal::SaParams sa{};
-  /// kIdeal or kQuantized; kCircuit is rejected.
+  /// kIdeal or kQuantized (the same exact energies); kCircuit is rejected.
   cim::VmvMode fidelity = cim::VmvMode::kQuantized;
   SlackEncoding encoding = SlackEncoding::kOneHot;
-  DquboParams penalty{};  ///< α = β = 2 (paper Sec. 4.2)
-  /// Crossbar quantization; 0 = exactly ⌈log2 (Qij)MAX⌉ as the paper sizes it.
-  int matrix_bits = 0;
+  /// α = β = 2 (paper Sec. 4.2); both must be non-negative integers.  The
+  /// binary encoding has no one-hot penalty and ignores α.
+  DquboParams penalty{};
 };
 
 /// One D-QUBO annealer bound to a QKP instance.
 class DquboSolver {
  public:
-  /// Builds the penalty QUBO of `inst`.  Throws std::invalid_argument when
-  /// config.fidelity is kCircuit, or when `inst` fails
+  /// Measures the penalty form of `inst`.  Throws std::invalid_argument
+  /// when config.fidelity is kCircuit; when `inst` fails
   /// QkpInstance::validate() (sizes, weights, capacity, an asymmetric
-  /// profit matrix), which the lowering checks first.
+  /// profit matrix) or its capacity is < 1; when α or β is negative or not
+  /// an integer; or when 2·(|offset| + Σ_{i≤j} |Q_ij|) ≥ 2^53, past which
+  /// an energy or field may not be an exact double.
   DquboSolver(const cop::QkpInstance& inst, const DquboConfig& config);
 
   /// Runs SA from a full [x; y] assignment of size() bits.
@@ -63,21 +76,18 @@ class DquboSolver {
   /// comparison bench can reuse identical item-bits across solvers).
   qubo::BitVector random_initial(util::Rng& rng) const;
 
-  /// Total variable count (n + C or n + ⌈log2 C⌉).
-  std::size_t size() const;
+  /// Total variable count (n + C or n + ⌈log2 (C + 1)⌉).
+  std::size_t size() const { return inst_.n + levels_.size(); }
 
   /// Number of item variables (n).
   std::size_t n_items() const { return inst_.n; }
 
   /// Largest |Q_ij| of the penalty-embedded matrix (the Fig. 9(a) metric).
-  double max_abs_coefficient() const;
+  double max_abs_coefficient() const { return max_abs_; }
 
-  /// Crossbar quantization bits in use (the magnitude bits of the
-  /// programmed matrix, in either fidelity).
-  int matrix_bits() const { return magnitude_bits_; }
-
-  /// The underlying QUBO matrix (for hardware-cost accounting).
-  const qubo::QuboMatrix& matrix() const;
+  /// Crossbar quantization bits: qubo::magnitude_bits(max_abs_coefficient()),
+  /// the paper's exact ⌈log2 (Qij)MAX⌉ sizing.
+  int matrix_bits() const { return qubo::magnitude_bits(max_abs_); }
 
   const cop::QkpInstance& instance() const { return inst_; }
 
@@ -86,11 +96,25 @@ class DquboSolver {
 
   cop::QkpInstance inst_;
   DquboConfig config_;
-  qubo::FrozenQuboPtr q_;  ///< the penalty matrix
-  /// The matrix every solve walks (q_ itself under kIdeal or when the
-  /// quantization is exact); the first solve builds its dense mirror, once.
-  qubo::FrozenQuboPtr eval_;
-  int magnitude_bits_ = 1;
+  // The penalty form by coefficient family, every value exact.  With σ = −1
+  // (slack subtracted from the weight) and C₀ = 0 for one-hot, σ = +1,
+  // C₀ = C and α = 0 for binary, the energy is
+  //   E = −P + α(1 − Y)² + β(W + σS − C₀)²
+  // and its coefficients are
+  //   item i, item j     q_ij = −p_ij + 2β w_i w_j   (q_ii in item_diag_)
+  //   item i, slack a    q_ia = σ2β w_i ℓ_a = item_slack_[i]·ℓ_a
+  //   slack a, slack b   q_ab = 2α + 2β ℓ_a ℓ_b      (q_aa in slack_diag_)
+  long long sigma_ = -1;
+  long long alpha_ = 0;
+  long long beta_ = 0;
+  long long capacity_offset_ = 0;      ///< C₀
+  long long offset_ = 0;               ///< α for one-hot, βC² for binary
+  std::vector<long long> levels_;      ///< ℓ_a: a + 1, or the binary weights
+  std::vector<long long> item_pairs_;  ///< n×n q_ij, zero diagonal
+  std::vector<long long> item_diag_;
+  std::vector<long long> item_slack_;
+  std::vector<long long> slack_diag_;
+  double max_abs_ = 0.0;
 };
 
 }  // namespace hycim::core

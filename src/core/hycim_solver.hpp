@@ -98,10 +98,11 @@ class HyCimSolver {
   /// "Program once, solve many": a fresh measurement on `proto`'s
   /// fabricated hardware without re-running fabrication.  The clone shares
   /// everything fabrication fixed — the form, the frozen matrices, the
-  /// filter arrays' cells and loads, the row incidence — and copies only
-  /// what a walk mutates: bound states, scratch, comparator noise streams
-  /// (restarted from `decision_seed`; 0 keeps the proto's streams) and, in
-  /// kCircuit mode, the crossbars and the ADC.  Bit-identical to
+  /// filter arrays' cells and loads, the row incidence and, in kCircuit
+  /// mode, the programmed crossbars — and copies only what a walk mutates:
+  /// bound states, scratch, comparator noise streams (restarted from
+  /// `decision_seed`; 0 keeps the proto's streams) and, in kCircuit mode,
+  /// the ADC.  Bit-identical to
   /// constructing a fresh solver from (proto.form(), proto config with
   /// filter.decision_seed = decision_seed) — batch protocols use this to
   /// model N independent repeated measurements on one programmed chip for

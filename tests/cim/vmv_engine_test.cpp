@@ -131,5 +131,37 @@ TEST(VmvEngine, ReprogramIsStableInIdealCorner) {
   EXPECT_NEAR(engine.energy(x), before, 1e-9);
 }
 
+TEST(VmvEngine, CopiesShareCrossbarsAndReprogramOnlyTheirOwn) {
+  // A copy shares the prototype's programmed crossbars; reprogramming the
+  // copy programs fresh ones from the copy's own stream and leaves the
+  // prototype reading what it was fabricated with.  Twins fabricated from
+  // the same seeds stand for "never reprogrammed" and "reprogrammed once".
+  util::Rng rng(9);
+  const auto q = integer_qubo(16, rng, 100);
+  const qubo::FrozenQuboPtr frozen = q.freeze();
+  auto p = circuit_params(6);
+  // Cycle-to-cycle spread wide enough to flip some cells past the read
+  // voltage, so a reprogram moves the digitized energies.
+  p.variation = device::VariationParams{};
+  p.variation.sigma_vth_c2c = 0.5;
+  const VmvEngine proto(*frozen, 7, p);
+  VmvEngine copy(proto);
+  copy.reprogram();
+  VmvEngine fresh(*frozen, 7, p);
+  VmvEngine reprogrammed(*frozen, 7, p);
+  reprogrammed.reprogram();
+  VmvEngine proto_view(proto);  // reads the prototype's crossbars
+  bool moved = false;
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto x = rng.random_bits(16, 0.5);
+    const double before = fresh.energy(x);
+    const double after = reprogrammed.energy(x);
+    moved |= before != after;
+    EXPECT_EQ(proto_view.energy(x), before) << "trial " << trial;
+    EXPECT_EQ(copy.energy(x), after) << "trial " << trial;
+  }
+  EXPECT_TRUE(moved) << "reprogramming moved no energy: the check is vacuous";
+}
+
 }  // namespace
 }  // namespace hycim::cim

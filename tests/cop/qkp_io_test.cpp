@@ -222,5 +222,39 @@ TEST(QkpIo, EmptyDirectoryFailsLoudlyWithThePath) {
   fs::remove_all(dir);
 }
 
+TEST(QkpIo, InvalidInstanceErrorCarriesThePath) {
+  // Well-formed files whose instance fails QkpInstance::validate(): the
+  // error keeps its type and names the file, so a directory load says
+  // which instance is bad.
+  namespace fs = std::filesystem;
+  const struct {
+    const char* file;
+    const char* text;
+    const char* reason;
+  } cases[] = {
+      {"qkp_io_zero_weight.txt", "zero_weight\n2\n10 20\n5\n\n0\n9\n4 0\n",
+       "weight < 1"},
+      {"qkp_io_negative_capacity.txt",
+       "negative_capacity\n2\n10 20\n5\n\n0\n-3\n4 7\n",
+       "negative capacity"},
+  };
+  for (const auto& c : cases) {
+    const fs::path path = fs::path(::testing::TempDir()) / c.file;
+    {
+      std::ofstream out(path);
+      out << c.text;
+    }
+    try {
+      read_qkp_file(path.string());
+      ADD_FAILURE() << "expected a validation error for " << c.file;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.reason), std::string::npos) << what;
+      EXPECT_NE(what.find(c.file), std::string::npos) << what;
+    }
+    fs::remove(path);
+  }
+}
+
 }  // namespace
 }  // namespace hycim::cop

@@ -15,10 +15,9 @@
 //
 // The wrappers count requested bytes beside calls, which pins what setup
 // copies: a chip clone copies only the state a walk mutates (a few
-// kilobytes, not the fabricated filter arrays), a circuit chip builds no
-// software mirror, a D-QUBO solver's construction allocates about one
-// packed triangle (no quantized copy of an exactly quantized matrix), and
-// its first solve about one int32 mirror.
+// kilobytes, not the fabricated filter arrays or crossbars), a circuit
+// chip builds no software mirror, the D-QUBO one-hot builder writes about
+// one packed triangle, and a D-QUBO solver builds no matrix at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,6 +35,7 @@
 #include "cop/maxcut.hpp"
 #include "cop/mdkp.hpp"
 #include "cop/qkp.hpp"
+#include "core/dqubo_onehot.hpp"
 #include "core/dqubo_solver.hpp"
 #include "core/hycim_solver.hpp"
 #include "qubo/qubo_matrix.hpp"
@@ -328,45 +328,63 @@ TEST(AllocationBudget, CircuitChipBuildsNoSoftwareMirror) {
       << "the mirror was already built before it was asked for";
 }
 
-TEST(AllocationBudget, DquboBuildAllocatesAboutOneTriangle) {
-  // The penalty matrix is written once into its packed triangle, and
-  // cim::program hands back the exactly quantized matrix itself, unread
-  // and uncopied: construction allocates at most 1.25 packed triangles
-  // (the instance copy and small blocks fit in the rest).  A long long
-  // copy of the triangle would double it.
-  const cop::QkpInstance inst = cop::generate_paper_suite().at(0);
-  core::DquboConfig config;
-  config.fidelity = cim::VmvMode::kQuantized;
+TEST(AllocationBudget, CircuitChipCloneSharesItsCrossbars) {
+  // A circuit chip's VMV engine keeps its programmed bit-plane crossbars
+  // in one block its clones share: a clone copies the ADC, streams and
+  // bound state only.  At n = 100 and 7 bits the 14 deep-copied crossbars
+  // were 113 blocks and 29.3 MB.
+  cop::QkpGeneratorParams params;
+  params.n = 100;
+  params.density_percent = 75;
+  const cop::QkpInstance inst = cop::generate_qkp(params, 53);
+  core::HyCimConfig config;
+  config.fidelity = cim::VmvMode::kCircuit;
+  config.matrix_bits = 7;
+  const core::HyCimSolver chip(cop::to_constrained_form(inst), config);
+  std::optional<core::HyCimSolver> clone;
   const AllocationMeter meter;
-  const core::DquboSolver dqubo(inst, config);
+  clone.emplace(chip, 12345);
+  EXPECT_LE(meter.bytes(), 1024u * 1024u)
+      << meter.bytes() << " bytes in " << meter.blocks()
+      << " blocks to clone a circuit chip";
+}
+
+TEST(AllocationBudget, DquboBuildAllocatesAboutOneTriangle) {
+  // The one-hot builder writes the penalty matrix once into its packed
+  // triangle: at most 1.25 triangles (small blocks fit in the rest).  A
+  // second copy of the triangle would double it.
+  const cop::QkpInstance inst = cop::generate_paper_suite().at(0);
+  const AllocationMeter meter;
+  const core::DquboOneHotForm form = core::to_dqubo_onehot(inst);
   const std::size_t bytes = meter.bytes();
-  const std::size_t n = dqubo.size();
+  const std::size_t n = form.size();
   ASSERT_EQ(n, 791u);
   const std::size_t triangle = n * (n + 1) / 2 * sizeof(double);
   EXPECT_EQ(triangle, 2505888u);
   EXPECT_LE(bytes, triangle + triangle / 4)
-      << bytes << " bytes to build a D-QUBO solver over " << n
+      << bytes << " bytes to build the D-QUBO matrix over " << n
       << " variables";
 }
 
-TEST(AllocationBudget, DquboFirstSolveMirrorsInInt32) {
-  // The D-QUBO matrix is integral, so the first solve's dense mirror is
-  // n² int32s (4n² bytes, half the 8n² of double rows), written once; the
-  // evaluator's fields, state and the walk's scratch are O(n).  The whole
-  // first solve allocates at most 1.1 × 4n².
+TEST(AllocationBudget, DquboSolverAllocatesNoMatrix) {
+  // DquboSolver walks the penalty form through its aggregates: neither its
+  // construction nor its first solve allocates anything N²-sized (the
+  // packed triangle was 2.5 MB and the first solve's int32 mirror another
+  // 2.5 MB).  Together they stay below N² bytes, one byte per matrix cell;
+  // the instance copy and the n×n item block are 80 KB each.
   const cop::QkpInstance inst = cop::generate_paper_suite().at(0);
   core::DquboConfig config;
   config.fidelity = cim::VmvMode::kQuantized;
   config.sa.iterations = 200;
-  core::DquboSolver dqubo(inst, config);
-  const std::size_t n = dqubo.size();
-  ASSERT_EQ(n, 791u);
-  const std::size_t mirror = 4 * n * n;
   const AllocationMeter meter;
+  core::DquboSolver dqubo(inst, config);
   (void)dqubo.solve_from_random(1);
   const std::size_t bytes = meter.bytes();
-  EXPECT_LE(bytes, mirror + mirror / 10)
-      << bytes << " bytes for the first solve over " << n << " variables";
+  const std::size_t n = dqubo.size();
+  ASSERT_EQ(n, 791u);
+  EXPECT_LT(bytes, n * n)
+      << bytes << " bytes to build a D-QUBO solver over " << n
+      << " variables and solve once";
 }
 
 }  // namespace
